@@ -293,7 +293,33 @@ def read_mesh(stream) -> PrimalMesh:
         raise MeshError(
             f"mesh does not tile the unit square: total area {mesh.total_area()!r}"
         )
+    _check_unit_square_boundary(mesh)
     return mesh
+
+
+def _check_unit_square_boundary(mesh: PrimalMesh):
+    """Every vertex lies in [0,1]^2 and every boundary edge on one side of it."""
+    tol = 1e-12
+    v = mesh.vertices
+    outside = np.flatnonzero(np.any((v < -tol) | (v > 1.0 + tol), axis=1))
+    if outside.size:
+        i = int(outside[0])
+        raise MeshError(
+            f"mesh does not tile the unit square: vertex {i} at {v[i].tolist()} lies outside it"
+        )
+    bd = np.array([key for key, users in mesh._edge_users.items() if len(users) == 1],
+                  dtype=np.int64).reshape(-1, 2)
+    a, b = v[bd[:, 0]], v[bd[:, 1]]
+    # both endpoints share the coordinate of one side: 0 or 1, in x or in y
+    on_side = (((np.abs(a) <= tol) & (np.abs(b) <= tol))
+               | ((np.abs(a - 1.0) <= tol) & (np.abs(b - 1.0) <= tol))).any(axis=1)
+    off = np.flatnonzero(~on_side)
+    if off.size:
+        edge = tuple(int(k) for k in bd[off[0]])
+        raise MeshError(
+            f"mesh does not tile the unit square: boundary edge {edge} "
+            "does not lie on its boundary"
+        )
 
 
 def write_mesh(mesh: PrimalMesh) -> str:
@@ -397,7 +423,8 @@ class StaggeredMesh:
             cnorm[lo:lo + len(cell)] = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / ln[:, None]
             xstar[ci] = _centroid(poly)
             d = np.einsum("mc,mc->m", poly - xstar[ci], cnorm[lo:lo + len(cell)])
-            assert np.all(d > 0.0), f"centroid not interior to cell {ci}"
+            if not np.all(d > 0.0):
+                raise MeshError(f"cell {ci}: centroid not interior to the cell")
 
         # sub-triangles (cell c, local k) and dual edges (cell c, vertex k);
         # both share the packed slot cell_ptr[c] + k
@@ -435,13 +462,10 @@ class StaggeredMesh:
                     nvec = -nvec
                 dual_normal[d] = nvec
                 dual_len[d] = ln
-        e1 = tri_verts[:, 1] - tri_verts[:, 0]
-        e2 = tri_verts[:, 2] - tri_verts[:, 0]
-        tri_area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        assert np.all(tri_area > 0.0)
+        tri_area = _fan_areas(tri_verts)
         sides = np.stack([
-            np.linalg.norm(e1, axis=1),
-            np.linalg.norm(e2, axis=1),
+            np.linalg.norm(tri_verts[:, 1] - tri_verts[:, 0], axis=1),
+            np.linalg.norm(tri_verts[:, 2] - tri_verts[:, 0], axis=1),
             np.linalg.norm(tri_verts[:, 2] - tri_verts[:, 1], axis=1),
         ], axis=1)
         tri_diam = sides.max(axis=1)
@@ -483,6 +507,18 @@ class StaggeredMesh:
         """(v0, v1) coordinate arrays of the primal edges, shape (ne, 2) each."""
         return (self.primal.vertices[self.edge_verts[:, 0]],
                 self.primal.vertices[self.edge_verts[:, 1]])
+
+
+def _fan_areas(tri_verts: np.ndarray) -> np.ndarray:
+    """Signed areas of the (x*, v_k, v_k+1) sub-triangles; all must be positive."""
+    e1 = tri_verts[:, 1] - tri_verts[:, 0]
+    e2 = tri_verts[:, 2] - tri_verts[:, 0]
+    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    bad = np.flatnonzero(~(area > 0.0))
+    if bad.size:
+        t = int(bad[0])
+        raise MeshError(f"sub-triangle {t}: non-positive area {area[t]:g}")
+    return area
 
 
 def build_staggered(primal: PrimalMesh) -> StaggeredMesh:

@@ -85,3 +85,12 @@ def test_sliver_mesh_fails_validation(tmp_path, capsys):
     code = main(["run", "--case", "taylor", "--mesh", f"file:{path}"])
     assert code == 1
     assert "regularity" in capsys.readouterr().err
+
+
+def test_mesh_file_off_the_unit_square_exit_1(tmp_path, capsys):
+    # area 1, but a parallelogram, not the unit square
+    path = tmp_path / "parallelogram.json"
+    path.write_text('{"vertices":[[0,0],[1,0],[1.5,1],[0.5,1]],"cells":[[0,1,2,3]]}')
+    code = main(["run", "--case", "taylor", "--mesh", f"file:{path}"])
+    assert code == 1
+    assert "unit square" in capsys.readouterr().err

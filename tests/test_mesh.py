@@ -3,10 +3,10 @@ import io
 import numpy as np
 import pytest
 
-from stokes_sdg.mesh import (MeshError, PrimalMesh, build_staggered,
-                             generate_polygonal, generate_trapezoidal,
-                             generate_triangular, read_mesh, validate,
-                             write_mesh)
+from stokes_sdg.mesh import (MeshError, PrimalMesh, _fan_areas,
+                             build_staggered, generate_polygonal,
+                             generate_trapezoidal, generate_triangular,
+                             read_mesh, validate, write_mesh)
 
 SPEC_EXAMPLE = ('{"vertices":[[0,0],[0.5,0],[1,0],[1,1],[0.5,1],[0,1]],'
                 '"cells":[[0,1,4,5],[1,2,3,4]]}')
@@ -89,7 +89,8 @@ def test_read_spec_example():
 
 def test_roundtrip_identity():
     for gen, n in ((generate_triangular, 3), (generate_trapezoidal, 4),
-                   (generate_polygonal, 3)):
+                   (generate_polygonal, 3),
+                   (lambda n: generate_triangular(n, jitter=0.2, seed=3), 8)):
         mesh = gen(n)
         again = read_mesh(write_mesh(mesh))
         assert again == mesh
@@ -121,6 +122,21 @@ def test_nonconvex_cell_rejected():
 def test_non_unit_domain_rejected_by_reader():
     bad = '{"vertices":[[0,0],[0.5,0],[0.5,0.5],[0,0.5]],"cells":[[0,1,2,3]]}'
     with pytest.raises(MeshError, match="unit square"):
+        read_mesh(bad)
+
+
+def test_area_one_parallelogram_rejected_by_reader():
+    bad = '{"vertices":[[0,0],[1,0],[1.5,1],[0.5,1]],"cells":[[0,1,2,3]]}'
+    with pytest.raises(MeshError, match="vertex 2 .* lies outside"):
+        read_mesh(bad)
+
+
+def test_boundary_edge_off_the_square_rejected():
+    # the lower-left half of the square, twice: area 1, every vertex in the
+    # square, but the diagonal boundary edges cut across it
+    bad = ('{"vertices":[[0,0],[1,0],[0,1],[0,0],[1,0],[0,1]],'
+           '"cells":[[0,1,2],[3,4,5]]}')
+    with pytest.raises(MeshError, match=r"boundary edge \(1, 2\) does not lie"):
         read_mesh(bad)
 
 
@@ -193,6 +209,31 @@ def test_staggered_invariants_on_all_families():
             d = np.einsum("mc,mc->m", stag.cvert[lo:hi] - stag.xstar[ci],
                           stag.cnorm[lo:hi])
             assert np.all(d > 0.0)
+
+
+def _unchecked_primal(vertices, cells):
+    """A PrimalMesh that skips the constructor's checks, to reach the
+    staggered build's own."""
+    mesh = PrimalMesh.__new__(PrimalMesh)
+    mesh.vertices = np.asarray(vertices, dtype=float)
+    mesh.cells = [np.asarray(c, dtype=np.int64) for c in cells]
+    mesh.cell_areas = np.ones(len(mesh.cells))
+    return mesh
+
+
+def test_staggered_build_rejects_exterior_centroid():
+    # a CCW dart: its reflex vertex puts the centroid outside edge 1
+    dart = _unchecked_primal([[0, 0], [1, 0], [0.2, 0.2], [0, 1]], [[0, 1, 2, 3]])
+    with pytest.raises(MeshError, match="centroid not interior"):
+        build_staggered(dart)
+
+
+def test_fan_areas_rejects_clockwise_sub_triangle():
+    tris = np.array([[[0.5, 0.5], [0, 0], [1, 0]],
+                     [[0.5, 0.5], [1, 0], [0, 0]]], dtype=float)
+    with pytest.raises(MeshError, match="sub-triangle 1"):
+        _fan_areas(tris)
+    assert _fan_areas(tris[:1]) == pytest.approx([0.25])
 
 
 def test_boundary_normals_point_outward():

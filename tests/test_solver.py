@@ -123,3 +123,58 @@ def test_residual_reported():
     stag = build_staggered(generate_triangular(2))
     sol = solve(assemble_system(stag, get_case("taylor"), "sdg2", 1.0))
     assert 0.0 <= sol.residual <= 1e-10
+
+
+def _full_vector(sol, stag):
+    return np.concatenate([
+        sol.omega.values.ravel(),
+        sol.u.values[stag.interior_edges].ravel(),
+        sol.p.values,
+        [sol.multiplier],
+    ])
+
+
+@pytest.mark.parametrize("nu", [1.0, 1e-6])
+def test_condensed_solve_matches_dense_oracle_on_mixed_cells(nu):
+    # cells of 4, 5 and 6 vertices: every block size of the batched inverse
+    stag = build_staggered(generate_polygonal(2))
+    assert set(stag.cell_sizes.tolist()) == {4, 5, 6}
+    system = assemble_system(stag, get_case("taylor"), "sdg1", nu)
+    mat, rhs = system.matrix().toarray(), system.rhs()
+    dense = np.linalg.solve(mat, rhs)
+    x = _full_vector(solve(system), stag)
+    # backward stable on the full system, and as close to the oracle as
+    # the conditioning allows (cond ~ 5e1 at nu = 1, ~ 3e6 at nu = 1e-6)
+    assert np.linalg.norm(mat @ x - rhs) <= 1e-14 * np.linalg.norm(rhs)
+    forward = 50.0 * np.finfo(float).eps * np.linalg.cond(mat)
+    assert np.abs(x - dense).max() <= forward * np.abs(dense).max()
+
+
+def test_one_factorization_per_solve(monkeypatch):
+    import stokes_sdg.solver as solver
+    calls = []
+    splu = solver.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", counting)
+    stag = build_staggered(generate_polygonal(2))
+    system = assemble_system(stag, get_case("taylor"), "sdg1", 1.0)
+    solve(system)
+    solve(system)
+    # the factored matrix is the condensed (u, p, mu) system, not the full one
+    n = system.size - system.n_q
+    assert calls == [(n, n), (n, n)]
+
+
+def test_gradient_coupling_between_cells_raises():
+    stag = build_staggered(generate_triangular(1))
+    system = assemble_system(stag, get_case("noflow"), "sdg1", 1.0)
+    mat = system.matrix().tolil()
+    # first gradient dof of cell 0 against the first of cell 1
+    mat[0, 2 * stag.cell_ptr[1]] = 1e-3
+    system._matrix = mat.tocsr()
+    with pytest.raises(SolverError, match="couples two cells"):
+        solve(system)
