@@ -1,9 +1,7 @@
 """Hot evaluation kernels: Wachspress coordinates and H(div) basis values.
 
-Each kernel exists twice: a vectorized pure-numpy implementation and a
-numba ``@njit`` loop implementation.  The numba path is the default when
-numba is importable; set ``STOKES_SDG_NUMBA=0`` in the environment to force
-the numpy path (``benchmarks/bench_kernels.py`` compares the two).
+Every kernel is one vectorized numpy implementation; ``wachspress``,
+``hdivrec`` and ``assembly`` call them through this module's attributes.
 
 Conventions baked into these kernels (shared with the rest of the package):
 vertices are counterclockwise, edge i runs from vertex i to vertex i+1 with
@@ -13,23 +11,17 @@ meeting at vertex i.  Callers guarantee that evaluation points are strictly
 interior; there is no domain guard here.
 """
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-
-USE_NUMBA = numba is not None and os.environ.get("STOKES_SDG_NUMBA", "1") != "0"
+# read by perfbench/run.py for the kernel path it reports on its "# env" line
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # Wachspress coordinates and gradients, one polygon, a batch of points.
 # ---------------------------------------------------------------------------
 
-def coords_grads_np(verts, normals, pts):
+def coords_grads(verts, normals, pts):
     """lam (n, m) and grad (n, m, 2) at interior points pts (n, 2)."""
     diff = verts[None, :, :] - pts[:, None, :]          # (n, m, 2)
     d = np.einsum("nmc,mc->nm", diff, normals)          # (n, m)
@@ -44,72 +36,17 @@ def coords_grads_np(verts, normals, pts):
     return lam, grad
 
 
-def _coords_grads_source(verts, normals, pts):
-    m = verts.shape[0]
-    n = pts.shape[0]
-    lam = np.empty((n, m))
-    grad = np.empty((n, m, 2))
-    ntil = np.empty((m, 2))
-    w = np.empty(m)
-    for p in range(n):
-        x = pts[p, 0]
-        y = pts[p, 1]
-        for i in range(m):
-            d = (verts[i, 0] - x) * normals[i, 0] + (verts[i, 1] - y) * normals[i, 1]
-            ntil[i, 0] = normals[i, 0] / d
-            ntil[i, 1] = normals[i, 1] / d
-        wsum = 0.0
-        for i in range(m):
-            j = m - 1 if i == 0 else i - 1
-            w[i] = ntil[j, 0] * ntil[i, 1] - ntil[j, 1] * ntil[i, 0]
-            wsum += w[i]
-        r0bar = 0.0
-        r1bar = 0.0
-        for i in range(m):
-            j = m - 1 if i == 0 else i - 1
-            lam[p, i] = w[i] / wsum
-            grad[p, i, 0] = ntil[j, 0] + ntil[i, 0]  # stash R_i
-            grad[p, i, 1] = ntil[j, 1] + ntil[i, 1]
-            r0bar += lam[p, i] * grad[p, i, 0]
-            r1bar += lam[p, i] * grad[p, i, 1]
-        for i in range(m):
-            grad[p, i, 0] = lam[p, i] * (grad[p, i, 0] - r0bar)
-            grad[p, i, 1] = lam[p, i] * (grad[p, i, 1] - r1bar)
-    return lam, grad
-
-
 # ---------------------------------------------------------------------------
 # H(div) basis values phi_i(x) = c0_i (x - x*) + sum_k C[i,k] curl lam_k.
 # ---------------------------------------------------------------------------
 
-def basis_values_np(verts, normals, xstar, c0, cmat, pts):
+def basis_values(verts, normals, xstar, c0, cmat, pts):
     """phi (n, m, 2) for one cell at interior points pts (n, 2)."""
-    _, grad = coords_grads_np(verts, normals, pts)
+    _, grad = coords_grads(verts, normals, pts)
     curl = np.stack([-grad[:, :, 1], grad[:, :, 0]], axis=2)
     phi = np.einsum("ik,nkc->nic", cmat, curl)
     phi += c0[None, :, None] * (pts[:, None, :] - xstar[None, None, :])
     return phi
-
-
-def _basis_values_source(coords_grads_fn):
-    def basis_values(verts, normals, xstar, c0, cmat, pts):
-        m = verts.shape[0]
-        n = pts.shape[0]
-        lam, grad = coords_grads_fn(verts, normals, pts)
-        phi = np.empty((n, m, 2))
-        for p in range(n):
-            dx = pts[p, 0] - xstar[0]
-            dy = pts[p, 1] - xstar[1]
-            for i in range(m):
-                sx = 0.0
-                sy = 0.0
-                for k in range(m):
-                    sx += cmat[i, k] * (-grad[p, k, 1])
-                    sy += cmat[i, k] * grad[p, k, 0]
-                phi[p, i, 0] = c0[i] * dx + sx
-                phi[p, i, 1] = c0[i] * dy + sy
-        return phi
-    return basis_values
 
 
 # ---------------------------------------------------------------------------
@@ -119,57 +56,16 @@ def _basis_values_source(coords_grads_fn):
 # npc is the number of points per sub-triangle (each cell has m sub-tris).
 # ---------------------------------------------------------------------------
 
-def cell_moments_np(cell_ptr, verts, normals, xstar, c0, cmat_ptr, cmat, pts, fw, npc):
+def cell_moments(cell_ptr, verts, normals, xstar, c0, cmat_ptr, cmat, pts, fw, npc):
     nc = cell_ptr.shape[0] - 1
     mom = np.zeros(cell_ptr[-1])
     for c in range(nc):
         lo, hi = cell_ptr[c], cell_ptr[c + 1]
         m = hi - lo
         sl = slice(lo * npc, hi * npc)
-        phi = basis_values_np(
+        phi = basis_values(
             verts[lo:hi], normals[lo:hi], xstar[c], c0[lo:hi],
             cmat[cmat_ptr[c]:cmat_ptr[c + 1]].reshape(m, m), pts[sl],
         )
         mom[lo:hi] = np.einsum("nic,nc->i", phi, fw[sl])
     return mom
-
-
-def _cell_moments_source(basis_values_fn):
-    def cell_moments(cell_ptr, verts, normals, xstar, c0, cmat_ptr, cmat, pts, fw, npc):
-        nc = cell_ptr.shape[0] - 1
-        mom = np.zeros(cell_ptr[-1])
-        for c in range(nc):
-            lo = cell_ptr[c]
-            hi = cell_ptr[c + 1]
-            m = hi - lo
-            phi = basis_values_fn(
-                verts[lo:hi], normals[lo:hi], xstar[c], c0[lo:hi],
-                np.ascontiguousarray(cmat[cmat_ptr[c]:cmat_ptr[c + 1]]).reshape(m, m),
-                pts[lo * npc:hi * npc],
-            )
-            for p in range(m * npc):
-                fx = fw[lo * npc + p, 0]
-                fy = fw[lo * npc + p, 1]
-                for i in range(m):
-                    mom[lo + i] += fx * phi[p, i, 0] + fy * phi[p, i, 1]
-        return mom
-    return cell_moments
-
-
-if numba is not None:
-    coords_grads_nb = numba.njit(cache=True)(_coords_grads_source)
-    basis_values_nb = numba.njit(_basis_values_source(coords_grads_nb))
-    cell_moments_nb = numba.njit(_cell_moments_source(basis_values_nb))
-else:  # pragma: no cover
-    coords_grads_nb = None
-    basis_values_nb = None
-    cell_moments_nb = None
-
-if USE_NUMBA:
-    coords_grads = coords_grads_nb
-    basis_values = basis_values_nb
-    cell_moments = cell_moments_nb
-else:
-    coords_grads = coords_grads_np
-    basis_values = basis_values_np
-    cell_moments = cell_moments_np

@@ -130,8 +130,7 @@ def convergence_study(spec: CaseSpec) -> list[ErrorRecord]:
 
 def study_on_meshes(case: ManufacturedCase, meshes: list[StaggeredMesh],
                     method: str, nu: float) -> list[ErrorRecord]:
-    """Convergence study over prebuilt meshes (used by tests and the CLI
-    file-mesh path)."""
+    """Convergence study over prebuilt meshes, one level per mesh in order."""
     records = []
     for level, stag in enumerate(meshes, start=1):
         rec, _ = run_case(case, stag, method, nu, level=level)

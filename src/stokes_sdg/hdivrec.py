@@ -20,6 +20,7 @@ nodal interpolant.
 import numpy as np
 
 from . import _kernels
+from .mesh import _centroid, _fan_areas, _fan_triangles
 from .quadrature import edge_points, edge_rule, map_to_triangles, triangle_rule
 from .wachspress import PolygonGeom
 
@@ -48,12 +49,6 @@ class RTBasis:
         return float(self.subareas.sum())
 
 
-def _fan_areas(verts, xstar):
-    a = verts - xstar
-    b = np.roll(verts, -1, axis=0) - xstar
-    return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-
-
 def rt_coefficients(edge_len, subareas):
     """(c0, C) from edge lengths and fan-triangle areas of one cell."""
     m = len(edge_len)
@@ -71,18 +66,8 @@ def build_basis(verts, xstar=None) -> RTBasis:
     """Basis for the convex CCW cell ``verts``; x* defaults to the centroid
     (the same split point used by the staggered subdivision)."""
     poly = PolygonGeom(verts)
-    if xstar is None:
-        x, y = poly.verts[:, 0], poly.verts[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
-        cross = x * yn - xn * y
-        a6 = 3.0 * np.sum(cross)
-        xstar = np.array([np.sum((x + xn) * cross) / a6,
-                          np.sum((y + yn) * cross) / a6])
-    else:
-        xstar = np.asarray(xstar, dtype=float)
-    sub = _fan_areas(poly.verts, xstar)
-    if np.any(sub <= 0.0):
-        raise ValueError("split point x* is not interior to the cell")
+    xstar = _centroid(poly.verts) if xstar is None else np.asarray(xstar, dtype=float)
+    sub = _fan_areas(_fan_triangles(poly.verts, xstar))
     c0, cmat = rt_coefficients(poly.edge_len, sub)
     return RTBasis(poly, xstar, sub, c0, cmat)
 
@@ -152,12 +137,7 @@ def moments(basis: RTBasis, f, degree: int = 8) -> np.ndarray:
     each sub-triangle, away from the cell's edge lines.
     """
     rule = triangle_rule(degree)
-    m = basis.m
-    tri = np.empty((m, 3, 2))
-    tri[:, 0] = basis.xstar
-    tri[:, 1] = basis.poly.verts
-    tri[:, 2] = np.roll(basis.poly.verts, -1, axis=0)
-    pts, w = map_to_triangles(rule, tri)
+    pts, w = map_to_triangles(rule, _fan_triangles(basis.poly.verts, basis.xstar))
     pts = pts.reshape(-1, 2)
     fvals = np.asarray(f(pts))
     phi = eval_basis_all(basis, pts)

@@ -37,6 +37,7 @@ def _signed_area(poly: np.ndarray) -> float:
 
 
 def _centroid(poly: np.ndarray) -> np.ndarray:
+    """Area centroid of a CCW polygon: the split point x* of its fan."""
     x, y = poly[:, 0], poly[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     cross = x * yn - xn * y
@@ -47,6 +48,8 @@ def _centroid(poly: np.ndarray) -> np.ndarray:
 
 
 def _is_strictly_convex_ccw(poly: np.ndarray) -> bool:
+    """Edges of positive length, each corner turning left by more than a
+    relative cross product of 1e-13."""
     tang = np.roll(poly, -1, axis=0) - poly
     elen = np.linalg.norm(tang, axis=1)
     if np.any(elen <= 0.0):
@@ -54,6 +57,34 @@ def _is_strictly_convex_ccw(poly: np.ndarray) -> bool:
     nxt = np.roll(tang, -1, axis=0)
     cross = tang[:, 0] * nxt[:, 1] - tang[:, 1] * nxt[:, 0]
     return bool(np.all(cross > 1e-13 * elen * np.roll(elen, -1)))
+
+
+def _edge_normals(poly: np.ndarray):
+    """Lengths and outward unit normals of the edges v_i -> v_i+1 of a CCW polygon."""
+    tang = np.roll(poly, -1, axis=0) - poly
+    elen = np.linalg.norm(tang, axis=1)
+    return elen, np.stack([tang[:, 1], -tang[:, 0]], axis=1) / elen[:, None]
+
+
+def _fan_triangles(poly: np.ndarray, xstar: np.ndarray) -> np.ndarray:
+    """(m, 3, 2) fan sub-triangles (x*, v_i, v_i+1) of a polygon, CCW."""
+    tri = np.empty((len(poly), 3, 2))
+    tri[:, 0] = xstar
+    tri[:, 1] = poly
+    tri[:, 2] = np.roll(poly, -1, axis=0)
+    return tri
+
+
+def _fan_areas(tri_verts: np.ndarray) -> np.ndarray:
+    """Signed areas of the (x*, v_k, v_k+1) sub-triangles; all must be positive."""
+    e1 = tri_verts[:, 1] - tri_verts[:, 0]
+    e2 = tri_verts[:, 2] - tri_verts[:, 0]
+    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    bad = np.flatnonzero(~(area > 0.0))
+    if bad.size:
+        t = int(bad[0])
+        raise MeshError(f"sub-triangle {t}: non-positive area {area[t]:g}")
+    return area
 
 
 class PrimalMesh:
@@ -79,9 +110,6 @@ class PrimalMesh:
     @property
     def n_cells(self) -> int:
         return len(self.cells)
-
-    def cell_coords(self, i: int) -> np.ndarray:
-        return self.vertices[self.cells[i]]
 
     def _validate_structure(self):
         nv = self.n_vertices
@@ -356,7 +384,6 @@ class StaggeredMesh:
                               cell_ptr[c]:cell_ptr[c+1] in loc_* arrays,
                               sub-tris and dual edges alike)
     loc_edge (sum m,)         global primal edge of each local edge
-    loc_sign (sum m,)         +1 if the cell is the edge's first cell
     cvert, cnorm (sum m, 2)   packed cell vertices / outward edge normals
     celen (sum m,)
     xstar (nc,2)              centroids
@@ -390,7 +417,6 @@ class StaggeredMesh:
         edge_normal = np.empty((ne, 2))
         edge_len = np.empty(ne)
         loc_edge = np.empty(total, dtype=np.int64)
-        loc_sign = np.empty(total, dtype=np.int64)
         for e, us in enumerate(users):
             us.sort()  # first cell = lower-indexed cell
             ci, k = us[0]
@@ -405,7 +431,6 @@ class StaggeredMesh:
             for rank, (cj, kj) in enumerate(us):
                 edge_cells[e, rank] = cj
                 loc_edge[cell_ptr[cj] + kj] = e
-                loc_sign[cell_ptr[cj] + kj] = 1 if rank == 0 else -1
         edge_interior = edge_cells[:, 1] >= 0
 
         # packed cell geometry and centroids
@@ -415,14 +440,11 @@ class StaggeredMesh:
         xstar = np.empty((nc, 2))
         for ci, cell in enumerate(mesh.cells):
             poly = mesh.vertices[cell]
-            lo = cell_ptr[ci]
-            cvert[lo:lo + len(cell)] = poly
-            tang = np.roll(poly, -1, axis=0) - poly
-            ln = np.linalg.norm(tang, axis=1)
-            celen[lo:lo + len(cell)] = ln
-            cnorm[lo:lo + len(cell)] = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / ln[:, None]
+            lo, hi = cell_ptr[ci], cell_ptr[ci + 1]
+            cvert[lo:hi] = poly
+            celen[lo:hi], cnorm[lo:hi] = _edge_normals(poly)
             xstar[ci] = _centroid(poly)
-            d = np.einsum("mc,mc->m", poly - xstar[ci], cnorm[lo:lo + len(cell)])
+            d = np.einsum("mc,mc->m", poly - xstar[ci], cnorm[lo:hi])
             if not np.all(d > 0.0):
                 raise MeshError(f"cell {ci}: centroid not interior to the cell")
 
@@ -440,12 +462,9 @@ class StaggeredMesh:
             m = len(cell)
             lo = cell_ptr[ci]
             poly = mesh.vertices[cell]
+            tri_verts[lo:lo + m] = _fan_triangles(poly, xstar[ci])
             for k in range(m):
-                t = lo + k
-                tri_verts[t, 0] = xstar[ci]
-                tri_verts[t, 1] = poly[k]
-                tri_verts[t, 2] = poly[(k + 1) % m]
-                tri_dual[t] = (lo + k, lo + (k + 1) % m)
+                tri_dual[lo + k] = (lo + k, lo + (k + 1) % m)
                 # dual edge k runs from x* to vertex k, between fan triangles
                 # k-1 and k
                 d = lo + k
@@ -483,7 +502,7 @@ class StaggeredMesh:
         self.cell_area = mesh.cell_areas
         self.xstar = xstar
         self.cvert, self.cnorm, self.celen = cvert, cnorm, celen
-        self.loc_edge, self.loc_sign = loc_edge, loc_sign
+        self.loc_edge = loc_edge
         self.n_edges = ne
         self.edge_verts, self.edge_cells = edge_verts, edge_cells
         self.edge_normal, self.edge_len = edge_normal, edge_len
@@ -491,9 +510,6 @@ class StaggeredMesh:
         self.edge_tris = edge_tris
         self.interior_edges = np.flatnonzero(edge_interior)
         self.boundary_edges = np.flatnonzero(~edge_interior)
-        iedge_pos = np.full(ne, -1, dtype=np.int64)
-        iedge_pos[self.interior_edges] = np.arange(len(self.interior_edges))
-        self.iedge_pos = iedge_pos
         self.n_duals = nt
         self.dual_normal, self.dual_len, self.dual_tris = dual_normal, dual_len, dual_tris
         self.n_tris = nt
@@ -507,18 +523,6 @@ class StaggeredMesh:
         """(v0, v1) coordinate arrays of the primal edges, shape (ne, 2) each."""
         return (self.primal.vertices[self.edge_verts[:, 0]],
                 self.primal.vertices[self.edge_verts[:, 1]])
-
-
-def _fan_areas(tri_verts: np.ndarray) -> np.ndarray:
-    """Signed areas of the (x*, v_k, v_k+1) sub-triangles; all must be positive."""
-    e1 = tri_verts[:, 1] - tri_verts[:, 0]
-    e2 = tri_verts[:, 2] - tri_verts[:, 0]
-    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    bad = np.flatnonzero(~(area > 0.0))
-    if bad.size:
-        t = int(bad[0])
-        raise MeshError(f"sub-triangle {t}: non-positive area {area[t]:g}")
-    return area
 
 
 def build_staggered(primal: PrimalMesh) -> StaggeredMesh:

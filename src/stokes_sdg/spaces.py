@@ -25,15 +25,20 @@ _EDGE_RULE = 8
 _TRI_DEGREE = 8
 
 
+def _checked(values, shape, what):
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"{what} values must have shape {shape}, got {values.shape}")
+    return values
+
+
 class VelocityField:
     """Piecewise-constant velocity: values (ne, 2) on the primal edges;
     boundary entries carry the Dirichlet data rather than unknowns."""
 
     def __init__(self, stag: StaggeredMesh, values):
-        values = np.asarray(values, dtype=float)
-        assert values.shape == (stag.n_edges, 2)
         self.stag = stag
-        self.values = values
+        self.values = _checked(values, (stag.n_edges, 2), "velocity")
 
     def on_tris(self) -> np.ndarray:
         """Per-sub-triangle constant value (the base edge's dof), (nt, 2)."""
@@ -45,10 +50,8 @@ class GradientField:
     traces q_e = psi n_e, shape (nd, 2)."""
 
     def __init__(self, stag: StaggeredMesh, values):
-        values = np.asarray(values, dtype=float)
-        assert values.shape == (stag.n_duals, 2)
         self.stag = stag
-        self.values = values
+        self.values = _checked(values, (stag.n_duals, 2), "gradient")
 
     def tensors(self) -> np.ndarray:
         """Per-sub-triangle 2x2 tensors, solving psi [n1 n2] = [q1 q2]."""
@@ -71,10 +74,8 @@ class PressureField:
     """Piecewise-constant pressure: one value per primal cell."""
 
     def __init__(self, stag: StaggeredMesh, values):
-        values = np.asarray(values, dtype=float)
-        assert values.shape == (stag.n_cells,)
         self.stag = stag
-        self.values = values
+        self.values = _checked(values, (stag.n_cells,), "pressure")
 
     def mean(self) -> float:
         return float(np.dot(self.stag.cell_area, self.values))

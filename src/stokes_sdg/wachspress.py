@@ -11,6 +11,7 @@ weights.
 import numpy as np
 
 from . import _kernels
+from .mesh import _edge_normals, _is_strictly_convex_ccw
 
 __all__ = ["PolygonGeom", "eval_coords", "eval_grads", "eval_curls", "interp_nodal"]
 
@@ -26,19 +27,11 @@ class PolygonGeom:
         verts = np.asarray(verts, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise ValueError("polygon needs an (m, 2) vertex array with m >= 3")
-        tang = np.roll(verts, -1, axis=0) - verts
-        elen = np.linalg.norm(tang, axis=1)
-        if np.any(elen <= 0.0):
-            raise ValueError("polygon has a zero-length edge")
-        cross = tang[:, 0] * np.roll(tang, -1, axis=0)[:, 1] - \
-            tang[:, 1] * np.roll(tang, -1, axis=0)[:, 0]
-        if np.any(cross <= 1e-14 * elen * np.roll(elen, -1)):
-            raise ValueError("polygon is not strictly convex CCW")
+        if not _is_strictly_convex_ccw(verts):
+            raise ValueError("polygon is not strictly convex CCW or has a zero-length edge")
         self.verts = verts
         self.m = verts.shape[0]
-        self.edge_len = elen
-        # outward normal of a CCW polygon: tangent rotated -90 degrees
-        self.normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / elen[:, None]
+        self.edge_len, self.normals = _edge_normals(verts)
         self.diam = np.max(
             np.linalg.norm(verts[:, None, :] - verts[None, :, :], axis=2)
         )

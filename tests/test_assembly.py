@@ -4,7 +4,7 @@ import pytest
 from stokes_sdg import hdivrec as hd
 from stokes_sdg.assembly import (AssemblyError, RTTable, assemble_Bh,
                                  assemble_bh, assemble_mass, assemble_rhs,
-                                 assemble_system)
+                                 assemble_system, load_moments)
 from stokes_sdg.cases import case_noflow, case_taylor, get_case
 from stokes_sdg.mesh import (PrimalMesh, build_staggered, generate_polygonal,
                              generate_trapezoidal, generate_triangular)
@@ -261,3 +261,27 @@ def test_reconstruction_proximity_constant_across_refinement():
             err2 += np.einsum("tqc,tqc,tq->", diff, diff, w)
         consts.append(np.sqrt(err2) / (stag.h * jump_norm(v)))
     assert max(consts) / min(consts) < 2.0
+
+
+@pytest.mark.parametrize("name,gen", [
+    ("poly", lambda: generate_polygonal(2)),   # 4-, 5- and 6-vertex cells
+    ("tri-jitter", lambda: generate_triangular(4, jitter=0.2, seed=5)),
+])
+def test_packed_moments_match_per_cell_basis(name, gen):
+    stag = build_staggered(gen())
+    rt = RTTable(stag)
+
+    def f(x):
+        return np.stack([np.sin(3 * x[:, 0]) + x[:, 1] ** 2, np.cos(2 * x[:, 1])], axis=1)
+
+    mom = load_moments(stag, f, rt)
+    assert set(np.diff(stag.cell_ptr)) >= ({4, 5, 6} if name == "poly" else {3})
+    for ci in range(stag.n_cells):
+        lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
+        basis = hd.build_basis(stag.cvert[lo:hi], stag.xstar[ci])
+        ref = hd.moments(basis, f)
+        assert np.abs(mom[lo:hi] - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(rt.c0[lo:hi], basis.c0)
+        assert np.array_equal(
+            rt.cmat_flat[rt.cmat_ptr[ci]:rt.cmat_ptr[ci + 1]].reshape(hi - lo, hi - lo),
+            basis.cmat)

@@ -16,6 +16,13 @@ def constant_velocity(c):
     return u
 
 
+@pytest.mark.parametrize("field", [VelocityField, GradientField, PressureField])
+def test_field_rejects_wrong_shape(field):
+    stag = build_staggered(generate_triangular(2))
+    with pytest.raises(ValueError, match="must have shape"):
+        field(stag, np.zeros((stag.n_edges + 1, 3)))
+
+
 # ------------------------------------------------------------ interpolation
 
 def test_interp_velocity_constant():
