@@ -13,26 +13,38 @@ interior; there is no domain guard here.
 
 import numpy as np
 
+from .mesh import _size_groups
+
 # read by perfbench/run.py for the kernel path it reports on its "# env" line
 USE_NUMBA = False
 
 
+# Cells per chunk of cell_moments.  Its temporaries grow with the chunk: on
+# the hexagons of poly L5, load_moments raised the peak memory by 22 MB at
+# 512 cells and by 137 MB at 2048, and by nothing measurable at 128, where
+# it ran no slower.
+CHUNK = 128
+
+
 # ---------------------------------------------------------------------------
-# Wachspress coordinates and gradients, one polygon, a batch of points.
+# Wachspress coordinates and gradients at a batch of points of one polygon,
+# or of each polygon of a stack of equal-size polygons (leading axes ...).
 # ---------------------------------------------------------------------------
 
 def coords_grads(verts, normals, pts):
-    """lam (n, m) and grad (n, m, 2) at interior points pts (n, 2)."""
-    diff = verts[None, :, :] - pts[:, None, :]          # (n, m, 2)
-    d = np.einsum("nmc,mc->nm", diff, normals)          # (n, m)
-    ntil = normals[None, :, :] / d[:, :, None]          # (n, m, 2)
-    prev = np.roll(ntil, 1, axis=1)                     # edge i-1 at slot i
-    w = prev[:, :, 0] * ntil[:, :, 1] - prev[:, :, 1] * ntil[:, :, 0]
-    lam = w / w.sum(axis=1)[:, None]
+    """lam (..., n, m) and grad (..., n, m, 2) at interior points pts (..., n, 2)
+    of the polygons verts (..., m, 2) with outward normals (..., m, 2)."""
+    diff = verts[..., None, :, :] - pts[..., :, None, :]        # (..., n, m, 2)
+    nrm = normals[..., None, :, :]                              # (..., 1, m, 2)
+    d = diff[..., 0] * nrm[..., 0] + diff[..., 1] * nrm[..., 1]  # (..., n, m)
+    ntil = nrm / d[..., None]                                   # (..., n, m, 2)
+    prev = np.roll(ntil, 1, axis=-2)                            # edge i-1 at slot i
+    w = prev[..., 0] * ntil[..., 1] - prev[..., 1] * ntil[..., 0]
+    lam = w / w.sum(axis=-1)[..., None]
     # ratio-function gradient: grad w_i / w_i = n~_{i-1} + n~_i
     r = prev + ntil
-    rbar = np.einsum("nm,nmc->nc", lam, r)
-    grad = lam[:, :, None] * (r - rbar[:, None, :])
+    rbar = np.einsum("...nm,...nmc->...nc", lam, r)
+    grad = lam[..., None] * (r - rbar[..., None, :])
     return lam, grad
 
 
@@ -41,11 +53,12 @@ def coords_grads(verts, normals, pts):
 # ---------------------------------------------------------------------------
 
 def basis_values(verts, normals, xstar, c0, cmat, pts):
-    """phi (n, m, 2) for one cell at interior points pts (n, 2)."""
+    """phi (..., n, m, 2) at interior points pts (..., n, 2) of one cell or of
+    a stack of equal-size cells: xstar (..., 2), c0 (..., m), cmat (..., m, m)."""
     _, grad = coords_grads(verts, normals, pts)
-    curl = np.stack([-grad[:, :, 1], grad[:, :, 0]], axis=2)
-    phi = np.einsum("ik,nkc->nic", cmat, curl)
-    phi += c0[None, :, None] * (pts[:, None, :] - xstar[None, None, :])
+    curl = np.stack([-grad[..., 1], grad[..., 0]], axis=-1)
+    phi = np.einsum("...ik,...nkc->...nic", cmat, curl)
+    phi += c0[..., None, :, None] * (pts[..., :, None, :] - xstar[..., None, None, :])
     return phi
 
 
@@ -54,18 +67,16 @@ def basis_values(verts, normals, xstar, c0, cmat, pts):
 # over packed cells.  ``fw`` carries f already multiplied by the quadrature
 # weight; the point block of cell c is rows ptr[c]*npc : ptr[c+1]*npc where
 # npc is the number of points per sub-triangle (each cell has m sub-tris).
+# Cells are evaluated in chunks of at most CHUNK cells of equal size.
 # ---------------------------------------------------------------------------
 
 def cell_moments(cell_ptr, verts, normals, xstar, c0, cmat_ptr, cmat, pts, fw, npc):
-    nc = cell_ptr.shape[0] - 1
-    mom = np.zeros(cell_ptr[-1])
-    for c in range(nc):
-        lo, hi = cell_ptr[c], cell_ptr[c + 1]
-        m = hi - lo
-        sl = slice(lo * npc, hi * npc)
-        phi = basis_values(
-            verts[lo:hi], normals[lo:hi], xstar[c], c0[lo:hi],
-            cmat[cmat_ptr[c]:cmat_ptr[c + 1]].reshape(m, m), pts[sl],
-        )
-        mom[lo:hi] = np.einsum("nic,nc->i", phi, fw[sl])
+    mom = np.empty(cell_ptr[-1])
+    for m, cells, slots in _size_groups(cell_ptr):
+        for lo in range(0, len(cells), CHUNK):
+            cc, sl = cells[lo:lo + CHUNK], slots[lo:lo + CHUNK]
+            rows = (cell_ptr[cc] * npc)[:, None] + np.arange(m * npc)
+            cm = cmat[cmat_ptr[cc][:, None] + np.arange(m * m)].reshape(len(cc), m, m)
+            phi = basis_values(verts[sl], normals[sl], xstar[cc], c0[sl], cm, pts[rows])
+            mom[sl] = np.einsum("knic,knc->ki", phi, fw[rows])
     return mom

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from . import _kernels
 from .hdivrec import rt_coefficients
-from .mesh import StaggeredMesh
+from .mesh import StaggeredMesh, _size_groups
 from .quadrature import map_to_triangles, triangle_rule
 from .spaces import VelocityField, interp_velocity
 
@@ -122,15 +122,15 @@ class RTTable:
     def __init__(self, stag: StaggeredMesh):
         s = stag
         self.stag = s
-        nloc = s.cell_ptr[-1]
-        self.c0 = np.empty(nloc)
-        self.cmat_flat = np.empty(int(np.sum(s.cell_sizes ** 2)))
-        self.cmat_ptr = np.concatenate([[0], np.cumsum(s.cell_sizes ** 2)])
-        for ci in range(s.n_cells):
-            lo, hi = s.cell_ptr[ci], s.cell_ptr[ci + 1]
-            c0, cmat = rt_coefficients(s.celen[lo:hi], s.tri_area[lo:hi])
-            self.c0[lo:hi] = c0
-            self.cmat_flat[self.cmat_ptr[ci]:self.cmat_ptr[ci + 1]] = cmat.ravel()
+        sq = s.cell_sizes ** 2
+        self.c0 = np.empty(s.cell_ptr[-1])
+        self.cmat_flat = np.empty(int(np.sum(sq)))
+        self.cmat_ptr = np.concatenate([[0], np.cumsum(sq)])
+        for m, cells, slots in _size_groups(s.cell_ptr):
+            c0, cmat = rt_coefficients(s.celen[slots], s.tri_area[slots])
+            self.c0[slots] = c0
+            self.cmat_flat[self.cmat_ptr[cells][:, None] + np.arange(m * m)] = \
+                cmat.reshape(len(cells), m * m)
 
 
 def load_moments(stag: StaggeredMesh, f, rt: RTTable | None = None,

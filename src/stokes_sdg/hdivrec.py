@@ -50,16 +50,16 @@ class RTBasis:
 
 
 def rt_coefficients(edge_len, subareas):
-    """(c0, C) from edge lengths and fan-triangle areas of one cell."""
-    m = len(edge_len)
-    area = subareas.sum()
+    """(c0, C) from the edge lengths and fan-triangle areas (..., m) of one
+    cell or of a stack of cells of equal size; C has shape (..., m, m)."""
+    m = edge_len.shape[-1]
+    area = subareas.sum(axis=-1)[..., None]
     c0 = edge_len / (2.0 * area)
-    b = np.diag(edge_len) - np.outer(edge_len, subareas) / area
-    cmat = np.empty((m, m))
+    b = (edge_len[..., :, None] * np.eye(m)
+         - edge_len[..., :, None] * subareas[..., None, :] / area[..., None])
+    # C[i, k] = -(1/m) sum_l l * b[i, (k + l) % m], l = 1 .. m-1
     ell = np.arange(1, m)
-    for k in range(m):
-        cmat[:, k] = -(ell * b[:, (k + ell) % m]).sum(axis=1) / m
-    return c0, cmat
+    return c0, -(ell * b[..., (np.arange(m)[:, None] + ell) % m]).sum(axis=-1) / m
 
 
 def build_basis(verts, xstar=None) -> RTBasis:

@@ -14,6 +14,7 @@ Orientation rules (fixed once, so jump signs are reproducible):
     points away from; on the boundary [v] = v_first.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -30,77 +31,155 @@ class MeshError(ValueError):
     """Raised for malformed mesh files or invalid mesh geometry."""
 
 
-def _signed_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - xn * y))
+# ---------------------------------------------------------------------------
+# Polygon toolkit.  Every helper takes one polygon (m, 2) or a stack of
+# equal-size polygons (..., m, 2), vertices counterclockwise.
+# ---------------------------------------------------------------------------
+
+def _signed_area(poly: np.ndarray) -> np.ndarray:
+    x, y = poly[..., 0], poly[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    return 0.5 * np.sum(x * yn - xn * y, axis=-1)
 
 
 def _centroid(poly: np.ndarray) -> np.ndarray:
-    """Area centroid of a CCW polygon: the split point x* of its fan."""
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    """Area centroid (..., 2) of a CCW polygon: the split point x* of its fan."""
+    x, y = poly[..., 0], poly[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
     cross = x * yn - xn * y
-    a = 0.5 * np.sum(cross)
-    cx = np.sum((x + xn) * cross) / (6.0 * a)
-    cy = np.sum((y + yn) * cross) / (6.0 * a)
-    return np.array([cx, cy])
+    a = 0.5 * np.sum(cross, axis=-1)
+    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * a)
+    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * a)
+    return np.stack([cx, cy], axis=-1)
 
 
-def _is_strictly_convex_ccw(poly: np.ndarray) -> bool:
+def _is_strictly_convex_ccw(poly: np.ndarray) -> np.ndarray:
     """Edges of positive length, each corner turning left by more than a
-    relative cross product of 1e-13."""
-    tang = np.roll(poly, -1, axis=0) - poly
-    elen = np.linalg.norm(tang, axis=1)
-    if np.any(elen <= 0.0):
-        return False
-    nxt = np.roll(tang, -1, axis=0)
-    cross = tang[:, 0] * nxt[:, 1] - tang[:, 1] * nxt[:, 0]
-    return bool(np.all(cross > 1e-13 * elen * np.roll(elen, -1)))
+    relative cross product of 1e-13; one flag per polygon."""
+    tang = np.roll(poly, -1, axis=-2) - poly
+    elen = np.linalg.norm(tang, axis=-1)
+    nxt = np.roll(tang, -1, axis=-2)
+    cross = tang[..., 0] * nxt[..., 1] - tang[..., 1] * nxt[..., 0]
+    return np.all(elen > 0.0, axis=-1) & np.all(
+        cross > 1e-13 * elen * np.roll(elen, -1, axis=-1), axis=-1)
 
 
 def _edge_normals(poly: np.ndarray):
-    """Lengths and outward unit normals of the edges v_i -> v_i+1 of a CCW polygon."""
-    tang = np.roll(poly, -1, axis=0) - poly
-    elen = np.linalg.norm(tang, axis=1)
-    return elen, np.stack([tang[:, 1], -tang[:, 0]], axis=1) / elen[:, None]
+    """Lengths (..., m) and outward unit normals (..., m, 2) of the edges
+    v_i -> v_i+1 of a CCW polygon."""
+    tang = np.roll(poly, -1, axis=-2) - poly
+    elen = np.linalg.norm(tang, axis=-1)
+    return elen, np.stack([tang[..., 1], -tang[..., 0]], axis=-1) / elen[..., None]
+
+
+def _diameter(poly: np.ndarray) -> np.ndarray:
+    """Largest vertex-to-vertex distance of a polygon."""
+    diff = poly[..., :, None, :] - poly[..., None, :, :]
+    return np.max(np.linalg.norm(diff, axis=-1), axis=(-2, -1))
 
 
 def _fan_triangles(poly: np.ndarray, xstar: np.ndarray) -> np.ndarray:
-    """(m, 3, 2) fan sub-triangles (x*, v_i, v_i+1) of a polygon, CCW."""
-    tri = np.empty((len(poly), 3, 2))
-    tri[:, 0] = xstar
-    tri[:, 1] = poly
-    tri[:, 2] = np.roll(poly, -1, axis=0)
+    """(..., m, 3, 2) fan sub-triangles (x*, v_i, v_i+1) of a polygon, CCW."""
+    tri = np.empty(poly.shape[:-1] + (3, 2))
+    tri[..., 0, :] = xstar[..., None, :]
+    tri[..., 1, :] = poly
+    tri[..., 2, :] = np.roll(poly, -1, axis=-2)
     return tri
 
 
 def _fan_areas(tri_verts: np.ndarray) -> np.ndarray:
     """Signed areas of the (x*, v_k, v_k+1) sub-triangles; all must be positive."""
-    e1 = tri_verts[:, 1] - tri_verts[:, 0]
-    e2 = tri_verts[:, 2] - tri_verts[:, 0]
-    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    e1 = tri_verts[..., 1, :] - tri_verts[..., 0, :]
+    e2 = tri_verts[..., 2, :] - tri_verts[..., 0, :]
+    area = 0.5 * (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
     bad = np.flatnonzero(~(area > 0.0))
     if bad.size:
         t = int(bad[0])
-        raise MeshError(f"sub-triangle {t}: non-positive area {area[t]:g}")
+        raise MeshError(f"sub-triangle {t}: non-positive area {area.flat[t]:g}")
     return area
+
+
+# ---------------------------------------------------------------------------
+# Packed cells.  Cell c owns the slots cell_ptr[c]:cell_ptr[c+1] of every
+# packed per-vertex array; slot s of cell c at local position k holds vertex
+# k of the cell, edge k (vertex k -> k+1), sub-triangle k and dual edge k.
+# ---------------------------------------------------------------------------
+
+def _is_index_type(t) -> bool:
+    return issubclass(t, (int, np.integer)) and not issubclass(t, (bool, np.bool_))
+
+
+def _pack_cells(cells):
+    """(cell_ptr, cell_idx) of a sequence of vertex-index cycles."""
+    try:
+        sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+        flat = list(itertools.chain.from_iterable(cells))
+    except TypeError as exc:
+        raise MeshError(f"cells must be lists of vertex indices: {exc}") from exc
+    cell_ptr = np.concatenate([[0], np.cumsum(sizes)])
+    if not all(map(_is_index_type, set(map(type, flat)))):
+        k = next(k for k, i in enumerate(flat) if not _is_index_type(type(i)))
+        ci = int(np.searchsorted(cell_ptr, k, side="right")) - 1
+        raise MeshError(f"cell {ci}: vertex index {flat[k]!r} is not an integer")
+    try:
+        cell_idx = np.array(flat, dtype=np.int64)
+    except OverflowError as exc:
+        raise MeshError(f"vertex index out of range: {exc}") from exc
+    return cell_ptr, cell_idx
+
+
+def _cycle_slots(cell_ptr):
+    """(nxt, prv): the packed slot of the next and of the previous vertex of
+    each slot's cell, cyclically."""
+    slots = np.arange(cell_ptr[-1])
+    nxt, prv = slots + 1, slots - 1
+    nxt[cell_ptr[1:] - 1] = cell_ptr[:-1]
+    prv[cell_ptr[:-1]] = cell_ptr[1:] - 1
+    return nxt, prv
+
+
+def _edge_keys(cell_ptr, cell_idx, nv):
+    """Per-slot key min*nv + max of the edge from the slot's vertex to the next."""
+    a, b = cell_idx, cell_idx[_cycle_slots(cell_ptr)[0]]
+    return np.minimum(a, b) * nv + np.maximum(a, b)
+
+
+def _size_groups(cell_ptr):
+    """(m, cells, slots) for each distinct cell size m: the cells with m
+    vertices, ascending, and their packed slots, shape (len(cells), m)."""
+    sizes = np.diff(cell_ptr)
+    for m in np.unique(sizes):
+        cells = np.flatnonzero(sizes == m)
+        yield int(m), cells, cell_ptr[cells][:, None] + np.arange(m)
+
+
+def _raise_first(checks):
+    """Raise MeshError for the lowest index flagged by any of the (flags,
+    message(index)) checks; at a tie the earlier check names it."""
+    hits = [(int(np.argmax(flags)), k) for k, (flags, _) in enumerate(checks)
+            if flags.any()]
+    if hits:
+        i, k = min(hits)
+        raise MeshError(checks[k][1](i))
 
 
 class PrimalMesh:
     """Conforming mesh of convex polygons.
 
-    vertices : (nv, 2) float array
-    cells    : list of integer index arrays, each a CCW cycle
+    vertices  : (nv, 2) float array, each vertex used by some cell
+    cell_ptr  : (nc+1,) offsets of the cells in cell_idx
+    cell_idx  : (sum m,) packed vertex indices, each cell a CCW cycle
+    edge_key  : (sum m,) key min*nv + max of each slot's edge
 
-    The constructor checks orientation, strict convexity, and edge sharing;
-    the generators and the mesh-file reader additionally guarantee that the
-    cells tile the unit square.
+    The constructor takes the cells as a sequence of index cycles.  It
+    checks orientation, strict convexity, and edge sharing; the generators
+    and the mesh-file reader additionally guarantee that the cells tile the
+    unit square.
     """
 
     def __init__(self, vertices, cells):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.cells = [np.asarray(c, dtype=np.int64) for c in cells]
+        self.cell_ptr, self.cell_idx = _pack_cells(cells)
         self._validate_structure()
 
     @property
@@ -109,48 +188,75 @@ class PrimalMesh:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.cell_ptr) - 1
+
+    @property
+    def cells(self) -> list:
+        """Per-cell views of cell_idx."""
+        return np.split(self.cell_idx, self.cell_ptr[1:-1])
 
     def _validate_structure(self):
-        nv = self.n_vertices
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
+        v, ptr, idx = self.vertices, self.cell_ptr, self.cell_idx
+        if v.ndim != 2 or v.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
-        areas = np.empty(self.n_cells)
-        for ci, cell in enumerate(self.cells):
-            if len(cell) < 3:
-                raise MeshError(f"cell {ci}: fewer than 3 vertices")
-            if len(np.unique(cell)) != len(cell):
-                raise MeshError(f"cell {ci}: repeated vertex index")
-            if cell.min() < 0 or cell.max() >= nv:
-                raise MeshError(f"cell {ci}: vertex index {int(cell.max())} out of range")
-            poly = self.vertices[cell]
-            a = _signed_area(poly)
-            if a <= 0.0:
-                raise MeshError(
-                    f"cell {ci}: vertices not counterclockwise (signed area {a:g})"
-                )
-            if not _is_strictly_convex_ccw(poly):
-                raise MeshError(f"cell {ci}: not strictly convex")
-            areas[ci] = a
+        nv, nc = self.n_vertices, self.n_cells
+        _raise_first([(~np.all(np.isfinite(v), axis=1),
+                       lambda i: f"vertex {i}: coordinates {v[i].tolist()} are not finite")])
+        sizes = np.diff(ptr)
+        slot_cell = np.repeat(np.arange(nc), sizes)
+        off = (idx < 0) | (idx >= nv)
+        out_of_range = np.zeros(nc, dtype=bool)
+        out_of_range[slot_cell[off]] = True
+        repeated = np.zeros(nc, dtype=bool)
+        for m, cells, slots in _size_groups(ptr):
+            s = np.sort(idx[slots], axis=1)
+            repeated[cells] = np.any(s[:, 1:] == s[:, :-1], axis=1)
+        _raise_first([
+            (sizes < 3, lambda c: f"cell {c}: fewer than 3 vertices"),
+            (repeated, lambda c: f"cell {c}: repeated vertex index"),
+            (out_of_range, lambda c: "cell {}: vertex index {} out of range".format(
+                c, int(idx[ptr[c] + np.argmax(off[ptr[c]:ptr[c + 1]])]))),
+        ])
+        unused = np.ones(nv, dtype=bool)
+        unused[idx] = False
+        _raise_first([(unused, lambda i: f"vertex {i} is used by no cell")])
+
+        areas = np.empty(nc)
+        convex = np.empty(nc, dtype=bool)
+        for m, cells, slots in _size_groups(ptr):
+            poly = v[idx[slots]]
+            areas[cells] = _signed_area(poly)
+            convex[cells] = _is_strictly_convex_ccw(poly)
+        _raise_first([
+            (areas <= 0.0, lambda c: (f"cell {c}: vertices not counterclockwise "
+                                      f"(signed area {areas[c]:g})")),
+            (~convex, lambda c: f"cell {c}: not strictly convex"),
+        ])
         self.cell_areas = areas
+
         # edge table: interior edges must be shared by exactly two cells with
         # opposite orientation, boundary edges by exactly one
-        seen: dict[tuple[int, int], list] = {}
-        for ci, cell in enumerate(self.cells):
-            for k in range(len(cell)):
-                a, b = int(cell[k]), int(cell[(k + 1) % len(cell)])
-                key = (min(a, b), max(a, b))
-                seen.setdefault(key, []).append((ci, k, a < b))
+        key = _edge_keys(ptr, idx, nv)
+        uniq, first, inverse, users = np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True)
+        forward = np.bincount(inverse, weights=idx < idx[_cycle_slots(ptr)[0]],
+                              minlength=len(uniq))
+        order = np.argsort(first)  # edges in order of first appearance
+        uniq, users, forward = uniq[order], users[order], forward[order]
+
+        def pair(e):
+            return (int(uniq[e] // nv), int(uniq[e] % nv))
+        _raise_first([
+            (users > 2, lambda e: f"edge {pair(e)} shared by more than two cells"),
+            ((users == 2) & (forward != 1),
+             lambda e: f"edge {pair(e)} traversed twice in the same direction"),
+        ])
         boundary_vertex = np.zeros(nv, dtype=bool)
-        for key, users in seen.items():
-            if len(users) > 2:
-                raise MeshError(f"edge {key} shared by more than two cells")
-            if len(users) == 2 and users[0][2] == users[1][2]:
-                raise MeshError(f"edge {key} traversed twice in the same direction")
-            if len(users) == 1:
-                boundary_vertex[list(key)] = True
+        bd = uniq[users == 1]
+        boundary_vertex[bd // nv] = True
+        boundary_vertex[bd % nv] = True
         self.boundary_vertex = boundary_vertex
-        self._edge_users = seen
+        self.edge_key = key
 
     def total_area(self) -> float:
         return float(self.cell_areas.sum())
@@ -158,9 +264,9 @@ class PrimalMesh:
     def __eq__(self, other):
         if not isinstance(other, PrimalMesh):
             return NotImplemented
-        if self.n_cells != other.n_cells or self.n_vertices != other.n_vertices:
-            return False
-        if any((a != b).any() for a, b in zip(self.cells, other.cells)):
+        if not (self.n_vertices == other.n_vertices
+                and np.array_equal(self.cell_ptr, other.cell_ptr)
+                and np.array_equal(self.cell_idx, other.cell_idx)):
             return False
         return bool(np.all(np.abs(self.vertices - other.vertices) <= 1e-15))
 
@@ -312,10 +418,9 @@ def read_mesh(stream) -> PrimalMesh:
         raise MeshError('mesh file must be an object with "vertices" and "cells"')
     try:
         verts = np.asarray(data["vertices"], dtype=float)
-        cells = [np.asarray(c, dtype=np.int64) for c in data["cells"]]
     except (TypeError, ValueError) as exc:
         raise MeshError(f"malformed vertex/cell arrays: {exc}") from exc
-    mesh = PrimalMesh(verts, cells)
+    mesh = PrimalMesh(verts, data["cells"])
     # the file contract pins the domain to the unit square
     if abs(mesh.total_area() - 1.0) > 1e-12:
         raise MeshError(
@@ -335,8 +440,11 @@ def _check_unit_square_boundary(mesh: PrimalMesh):
         raise MeshError(
             f"mesh does not tile the unit square: vertex {i} at {v[i].tolist()} lies outside it"
         )
-    bd = np.array([key for key, users in mesh._edge_users.items() if len(users) == 1],
-                  dtype=np.int64).reshape(-1, 2)
+    # boundary edges (used by one cell), in order of first appearance
+    nv = mesh.n_vertices
+    keys, first, users = np.unique(mesh.edge_key, return_index=True, return_counts=True)
+    bd = keys[users == 1][np.argsort(first[users == 1])]
+    bd = np.stack([bd // nv, bd % nv], axis=1)
     a, b = v[bd[:, 0]], v[bd[:, 1]]
     # both endpoints share the coordinate of one side: 0 or 1, in x or in y
     on_side = (((np.abs(a) <= tol) & (np.abs(b) <= tol))
@@ -351,9 +459,11 @@ def _check_unit_square_boundary(mesh: PrimalMesh):
 
 
 def write_mesh(mesh: PrimalMesh) -> str:
+    idx = mesh.cell_idx.tolist()
+    ptr = mesh.cell_ptr.tolist()
     data = {
-        "vertices": [[float(x), float(y)] for x, y in mesh.vertices],
-        "cells": [[int(i) for i in c] for c in mesh.cells],
+        "vertices": mesh.vertices.tolist(),
+        "cells": [idx[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])],
     }
     return json.dumps(data, separators=(",", ":"))
 
@@ -395,92 +505,64 @@ class StaggeredMesh:
 
     def _build(self):
         mesh = self.primal
+        verts, ptr, idx = mesh.vertices, mesh.cell_ptr, mesh.cell_idx
         nc = mesh.n_cells
-        sizes = np.array([len(c) for c in mesh.cells], dtype=np.int64)
-        cell_ptr = np.concatenate([[0], np.cumsum(sizes)])
-        total = int(cell_ptr[-1])
+        sizes = np.diff(ptr)
+        total = int(ptr[-1])
+        slot = np.arange(total)
+        slot_cell = np.repeat(np.arange(nc), sizes)
+        nxt, prv = _cycle_slots(ptr)
 
-        # primal edge table, ordered deterministically by first appearance
-        edge_index: dict[tuple[int, int], int] = {}
-        users: list[list] = []
-        for ci, cell in enumerate(mesh.cells):
-            for k in range(len(cell)):
-                a, b = int(cell[k]), int(cell[(k + 1) % len(cell)])
-                key = (min(a, b), max(a, b))
-                if key not in edge_index:
-                    edge_index[key] = len(users)
-                    users.append([])
-                users[edge_index[key]].append((ci, k))
-        ne = len(users)
-        edge_verts = np.empty((ne, 2), dtype=np.int64)
-        edge_cells = np.full((ne, 2), -1, dtype=np.int64)
-        edge_normal = np.empty((ne, 2))
-        edge_len = np.empty(ne)
-        loc_edge = np.empty(total, dtype=np.int64)
-        for e, us in enumerate(users):
-            us.sort()  # first cell = lower-indexed cell
-            ci, k = us[0]
-            cell = mesh.cells[ci]
-            a, b = int(cell[k]), int(cell[(k + 1) % len(cell)])
-            va, vb = mesh.vertices[a], mesh.vertices[b]
-            tang = vb - va
-            ln = float(np.hypot(*tang))
-            edge_verts[e] = (a, b)
-            edge_len[e] = ln
-            edge_normal[e] = (tang[1] / ln, -tang[0] / ln)  # outward for first cell
-            for rank, (cj, kj) in enumerate(us):
-                edge_cells[e, rank] = cj
-                loc_edge[cell_ptr[cj] + kj] = e
+        # primal edge table, numbered by first appearance; the first user of
+        # an edge is its lower-indexed cell, which also uses it first
+        _, first, inverse = np.unique(mesh.edge_key, return_index=True, return_inverse=True)
+        ne = len(first)
+        order = np.argsort(first)
+        rank = np.empty(ne, dtype=np.int64)
+        rank[order] = np.arange(ne)
+        loc_edge = rank[inverse]
+        first_slot = first[order]
+        second_slot = np.full(ne, -1, dtype=np.int64)
+        later = slot != first_slot[loc_edge]
+        second_slot[loc_edge[later]] = slot[later]
+        edge_verts = np.stack([idx[first_slot], idx[nxt[first_slot]]], axis=1)
+        edge_cells = np.stack([slot_cell[first_slot],
+                               np.where(second_slot >= 0, slot_cell[second_slot], -1)], axis=1)
+        tang = verts[edge_verts[:, 1]] - verts[edge_verts[:, 0]]
+        edge_len = np.hypot(tang[:, 0], tang[:, 1])
+        # outward for the first cell
+        edge_normal = np.stack([tang[:, 1] / edge_len, -tang[:, 0] / edge_len], axis=1)
         edge_interior = edge_cells[:, 1] >= 0
 
-        # packed cell geometry and centroids
-        cvert = np.empty((total, 2))
+        # packed cell geometry, centroids and fan sub-triangles (cell c,
+        # local k), per group of equal-size cells
+        cvert = verts[idx]
         cnorm = np.empty((total, 2))
         celen = np.empty(total)
         xstar = np.empty((nc, 2))
-        for ci, cell in enumerate(mesh.cells):
-            poly = mesh.vertices[cell]
-            lo, hi = cell_ptr[ci], cell_ptr[ci + 1]
-            cvert[lo:hi] = poly
-            celen[lo:hi], cnorm[lo:hi] = _edge_normals(poly)
-            xstar[ci] = _centroid(poly)
-            d = np.einsum("mc,mc->m", poly - xstar[ci], cnorm[lo:hi])
-            if not np.all(d > 0.0):
-                raise MeshError(f"cell {ci}: centroid not interior to the cell")
-
-        # sub-triangles (cell c, local k) and dual edges (cell c, vertex k);
-        # both share the packed slot cell_ptr[c] + k
+        tri_verts = np.empty((total, 3, 2))
+        for m, cells, slots in _size_groups(ptr):
+            poly = cvert[slots]
+            celen[slots], cnorm[slots] = _edge_normals(poly)
+            xstar[cells] = _centroid(poly)
+            tri_verts[slots] = _fan_triangles(poly, xstar[cells])
+        # dual edge k of a cell runs from x* to vertex k, between fan
+        # triangles k-1 and k; it shares the packed slot of sub-triangle k
+        xs = xstar[slot_cell]
+        seg = cvert - xs
+        d = np.einsum("sc,sc->s", seg, cnorm)
+        _raise_first([(~(d > 0.0),
+                       lambda t: f"cell {slot_cell[t]}: centroid not interior to the cell")])
         nt = total
-        tri_cell = np.repeat(np.arange(nc), sizes)
-        tri_base = loc_edge.copy()
-        tri_verts = np.empty((nt, 3, 2))
-        tri_dual = np.empty((nt, 2), dtype=np.int64)
-        dual_normal = np.empty((nt, 2))
-        dual_len = np.empty(nt)
-        dual_tris = np.empty((nt, 2), dtype=np.int64)
-        for ci, cell in enumerate(mesh.cells):
-            m = len(cell)
-            lo = cell_ptr[ci]
-            poly = mesh.vertices[cell]
-            tri_verts[lo:lo + m] = _fan_triangles(poly, xstar[ci])
-            for k in range(m):
-                tri_dual[lo + k] = (lo + k, lo + (k + 1) % m)
-                # dual edge k runs from x* to vertex k, between fan triangles
-                # k-1 and k
-                d = lo + k
-                ta, tb = lo + (k - 1) % m, lo + k
-                first, second = (ta, tb) if ta < tb else (tb, ta)
-                dual_tris[d] = (first, second)
-                seg = poly[k] - xstar[ci]
-                ln = float(np.hypot(*seg))
-                nvec = np.array([seg[1], -seg[0]]) / ln
-                # orient from the first toward the second sub-triangle
-                kk = second - lo
-                cen = (xstar[ci] + poly[kk] + poly[(kk + 1) % m]) / 3.0
-                if np.dot(nvec, cen - xstar[ci]) < 0.0:
-                    nvec = -nvec
-                dual_normal[d] = nvec
-                dual_len[d] = ln
+        tri_dual = np.stack([slot, nxt], axis=1)
+        dual_tris = np.stack([np.minimum(prv, slot), np.maximum(prv, slot)], axis=1)
+        dual_len = np.hypot(seg[:, 0], seg[:, 1])
+        dual_normal = np.stack([seg[:, 1], -seg[:, 0]], axis=1) / dual_len[:, None]
+        # orient from the first toward the second sub-triangle
+        second = dual_tris[:, 1]
+        cen = (xs + cvert[second] + cvert[nxt[second]]) / 3.0
+        flip = np.einsum("sc,sc->s", dual_normal, cen - xs) < 0.0
+        dual_normal[flip] = -dual_normal[flip]
         tri_area = _fan_areas(tri_verts)
         sides = np.stack([
             np.linalg.norm(tri_verts[:, 1] - tri_verts[:, 0], axis=1),
@@ -490,14 +572,10 @@ class StaggeredMesh:
         tri_diam = sides.max(axis=1)
 
         # dual regions D(e): base sub-triangles ordered [first cell, second]
-        edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        for t in range(nt):
-            e = tri_base[t]
-            rank = 0 if tri_cell[t] == edge_cells[e, 0] else 1
-            edge_tris[e, rank] = t
+        edge_tris = np.stack([first_slot, second_slot], axis=1)
 
         self.n_cells = nc
-        self.cell_ptr = cell_ptr
+        self.cell_ptr = ptr
         self.cell_sizes = sizes
         self.cell_area = mesh.cell_areas
         self.xstar = xstar
@@ -513,7 +591,7 @@ class StaggeredMesh:
         self.n_duals = nt
         self.dual_normal, self.dual_len, self.dual_tris = dual_normal, dual_len, dual_tris
         self.n_tris = nt
-        self.tri_cell, self.tri_base = tri_cell, tri_base
+        self.tri_cell, self.tri_base = slot_cell, loc_edge.copy()
         self.tri_dual, self.tri_verts = tri_dual, tri_verts
         self.tri_area, self.tri_diam = tri_area, tri_diam
         self.h = float(tri_diam.max())
@@ -553,11 +631,9 @@ def validate(stag: StaggeredMesh, rho_e_min: float = 0.1,
     # diameter over twice the inradius (= 1 for the equilateral limit 1.0*...)
     aspect = stag.tri_diam * perim / (4.0 * stag.tri_area)
     rho = np.inf
-    for ci in range(stag.n_cells):
-        lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
-        poly = stag.cvert[lo:hi]
-        diam = np.max(np.linalg.norm(poly[:, None, :] - poly[None, :, :], axis=2))
-        rho = min(rho, float(stag.celen[lo:hi].min() / diam))
+    for m, cells, slots in _size_groups(stag.cell_ptr):
+        ratio = stag.celen[slots].min(axis=1) / _diameter(stag.cvert[slots])
+        rho = min(rho, float(ratio.min()))
     ok = (rho >= rho_e_min) and (float(aspect.max()) <= aspect_max_allowed)
     return RegularityReport(
         h=stag.h,

@@ -11,7 +11,7 @@ weights.
 import numpy as np
 
 from . import _kernels
-from .mesh import _edge_normals, _is_strictly_convex_ccw
+from .mesh import _diameter, _edge_normals, _is_strictly_convex_ccw
 
 __all__ = ["PolygonGeom", "eval_coords", "eval_grads", "eval_curls", "interp_nodal"]
 
@@ -32,9 +32,7 @@ class PolygonGeom:
         self.verts = verts
         self.m = verts.shape[0]
         self.edge_len, self.normals = _edge_normals(verts)
-        self.diam = np.max(
-            np.linalg.norm(verts[:, None, :] - verts[None, :, :], axis=2)
-        )
+        self.diam = _diameter(verts)
 
     def distances(self, pts):
         """Signed distances d_i = (v_i - x) . n_i, shape (n, m)."""

@@ -94,3 +94,12 @@ def test_mesh_file_off_the_unit_square_exit_1(tmp_path, capsys):
     code = main(["run", "--case", "taylor", "--mesh", f"file:{path}"])
     assert code == 1
     assert "unit square" in capsys.readouterr().err
+
+
+def test_fractional_vertex_index_exit_1(tmp_path, capsys):
+    # vertex index 2.7 on the unit square: once truncated to 2 and solved
+    path = tmp_path / "bad.json"
+    path.write_text('{"vertices":[[0,0],[1,0],[1,1],[0,1]],"cells":[[0,1,2.7,3]]}')
+    code = main(["run", "--case", "taylor", "--mesh", f"file:{path}"])
+    assert code == 1
+    assert "not an integer" in capsys.readouterr().err

@@ -1,12 +1,15 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
-from stokes_sdg.mesh import (MeshError, PrimalMesh, _fan_areas,
-                             build_staggered, generate_polygonal,
-                             generate_trapezoidal, generate_triangular,
-                             read_mesh, validate, write_mesh)
+from stokes_sdg.mesh import (MeshError, PrimalMesh, RegularityReport, _centroid,
+                             _edge_keys, _edge_normals, _fan_areas,
+                             _fan_triangles, _pack_cells, build_staggered,
+                             generate_polygonal, generate_trapezoidal,
+                             generate_triangular, read_mesh, validate,
+                             write_mesh)
 from stokes_sdg.wachspress import PolygonGeom
 
 SPEC_EXAMPLE = ('{"vertices":[[0,0],[0.5,0],[1,0],[1,1],[0.5,1],[0,1]],'
@@ -109,6 +112,13 @@ def test_vertex_index_out_of_range():
         read_mesh(bad)
 
 
+@pytest.mark.parametrize("index", ["-1", "100000000000000000000"])
+def test_negative_or_oversized_vertex_index_rejected(index):
+    bad = f'{{"vertices":[[0,0],[1,0],[0,1]],"cells":[[0,1,{index}]]}}'
+    with pytest.raises(MeshError, match="out of range"):
+        read_mesh(bad)
+
+
 def test_malformed_json_reports_line():
     with pytest.raises(MeshError, match="line"):
         read_mesh('{"vertices": [[0,0],\n  oops')
@@ -139,6 +149,39 @@ def test_boundary_edge_off_the_square_rejected():
            '"cells":[[0,1,2],[3,4,5]]}')
     with pytest.raises(MeshError, match=r"boundary edge \(1, 2\) does not lie"):
         read_mesh(bad)
+
+
+@pytest.mark.parametrize("index", ["2.7", '"2"', "2.0", "true"])
+def test_non_integer_vertex_index_rejected(index):
+    # 2.7 used to be truncated to vertex 2 and "2" parsed as 2
+    bad = f'{{"vertices":[[0,0],[1,0],[1,1],[0,1]],"cells":[[0,1,{index},3]]}}'
+    with pytest.raises(MeshError, match="cell 0: vertex index .* is not an integer"):
+        read_mesh(bad)
+
+
+@pytest.mark.parametrize("coord", ["NaN", "Infinity"])
+def test_non_finite_vertex_rejected(coord):
+    # vertex 4 is used by no cell, so no area or convexity check sees it
+    bad = f'{{"vertices":[[0,0],[1,0],[1,1],[0,1],[{coord},0]],"cells":[[0,1,2,3]]}}'
+    with pytest.raises(MeshError, match="vertex 4: .* not finite"):
+        read_mesh(bad)
+
+
+def test_unreferenced_vertex_rejected():
+    bad = '{"vertices":[[0,0],[1,0],[1,1],[0,1],[0.5,0.5]],"cells":[[0,1,2,3]]}'
+    with pytest.raises(MeshError, match="vertex 4 is used by no cell"):
+        read_mesh(bad)
+
+
+def test_cells_not_index_lists_rejected():
+    with pytest.raises(MeshError, match="cells must be lists of vertex indices"):
+        read_mesh('{"vertices":[[0,0],[1,0],[1,1],[0,1]],"cells":[0,1,2,3]}')
+
+
+def test_write_mesh_text():
+    text = write_mesh(read_mesh(SPEC_EXAMPLE))
+    assert text == ('{"vertices":[[0.0,0.0],[0.5,0.0],[1.0,0.0],[1.0,1.0],[0.5,1.0],'
+                    '[0.0,1.0]],"cells":[[0,1,4,5],[1,2,3,4]]}')
 
 
 # ------------------------------------------------------------- staggered
@@ -212,13 +255,49 @@ def test_staggered_invariants_on_all_families():
             assert np.all(d > 0.0)
 
 
+
+ORACLE_MESHES = [
+    ("poly", lambda: generate_polygonal(4)),   # 4-, 5- and 6-vertex cells
+    ("tri-jitter", lambda: generate_triangular(8, jitter=0.2, seed=3)),
+]
+
+
+@pytest.mark.parametrize("name,gen", ORACLE_MESHES)
+def test_packed_build_matches_single_polygon_helpers(name, gen):
+    stag = build_staggered(gen())
+    assert set(stag.cell_sizes) == ({4, 5, 6} if name == "poly" else {3})
+    for ci in range(stag.n_cells):
+        lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
+        poly = stag.cvert[lo:hi]
+        xstar = _centroid(poly)
+        elen, normals = _edge_normals(poly)
+        assert np.array_equal(stag.xstar[ci], xstar)
+        assert np.array_equal(stag.celen[lo:hi], elen)
+        assert np.array_equal(stag.cnorm[lo:hi], normals)
+        assert np.array_equal(stag.tri_verts[lo:hi], _fan_triangles(poly, xstar))
+
+
+@pytest.mark.parametrize("name,gen", ORACLE_MESHES)
+def test_packed_build_numbers_edges_by_first_appearance(name, gen):
+    stag = build_staggered(gen())
+    seen = set()
+    for e in stag.loc_edge.tolist():
+        if e not in seen:
+            assert e == len(seen)  # one more than the largest seen before
+            seen.add(e)
+    assert len(seen) == stag.n_edges
+    inter = stag.interior_edges
+    assert np.all(stag.edge_cells[inter, 0] < stag.edge_cells[inter, 1])
+
+
 def _unchecked_primal(vertices, cells):
     """A PrimalMesh that skips the constructor's checks, to reach the
     staggered build's own."""
     mesh = PrimalMesh.__new__(PrimalMesh)
     mesh.vertices = np.asarray(vertices, dtype=float)
-    mesh.cells = [np.asarray(c, dtype=np.int64) for c in cells]
-    mesh.cell_areas = np.ones(len(mesh.cells))
+    mesh.cell_ptr, mesh.cell_idx = _pack_cells(cells)
+    mesh.edge_key = _edge_keys(mesh.cell_ptr, mesh.cell_idx, mesh.n_vertices)
+    mesh.cell_areas = np.ones(mesh.n_cells)
     return mesh
 
 
@@ -276,6 +355,33 @@ def test_validate_structured_mesh_passes():
     # right triangles with legs 1/8: min |e| / h_T = 1/sqrt(2)
     assert abs(report.rho_e - 1.0 / np.sqrt(2.0)) < 1e-12
     assert report.rho_e > 0.1
+
+
+
+@pytest.mark.parametrize("gen", [
+    lambda: generate_polygonal(8),
+    lambda: generate_triangular(8, jitter=0.2, seed=3),
+])
+def test_validate_matches_per_cell_loop(gen):
+    stag = build_staggered(gen())
+
+    def dist(p, q):
+        return math.sqrt((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)
+
+    aspects, rho = [], math.inf
+    for ci in range(stag.n_cells):
+        lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
+        poly = stag.cvert[lo:hi].tolist()
+        for t in range(lo, hi):
+            x, a, b = stag.tri_verts[t].tolist()
+            perim = dist(a, x) + dist(b, a) + dist(x, b)
+            aspects.append(stag.tri_diam[t] * perim / (4.0 * stag.tri_area[t]))
+        diam = max(dist(p, q) for p in poly for q in poly)
+        rho = min(rho, min(stag.celen[lo:hi].tolist()) / diam)
+    expected = RegularityReport(
+        h=stag.h, aspect_min=min(aspects), aspect_max=max(aspects), rho_e=rho,
+        ok=rho >= 0.1 and max(aspects) <= 20.0, rho_e_min=0.1, aspect_max_allowed=20.0)
+    assert validate(stag) == expected
 
 
 def test_validate_sliver_fails():
