@@ -4,8 +4,16 @@ The gradient mass block M couples only the dual-edge traces of one cell, so
 the gradient unknowns q are eliminated cell by cell (static condensation):
 with the system split as [[M, C], [L, A]] over (q, rest), the rest
 (u, p, mu) solves the Schur complement (A - L M^-1 C) y = r - L M^-1 r_q,
-which is LU-factorized, and q = M^-1 (r_q - C y) is recovered afterwards.
-The residual is always checked against the full, uncondensed system.
+and q = M^-1 (r_q - C y) is recovered afterwards.
+
+The pressure-mean multiplier mu is then eliminated exactly as well: every
+velocity column of the divergence rows sums to zero, so summing those rows
+gives (1^T a) mu = 1^T r_p.  With a mu moved to the right-hand side the
+pressure is fixed only up to a constant, so cell 0's pressure row and column
+are dropped and the remaining (u, p) block, free of the multiplier's dense
+row and column, is LU-factorized.  The pressure is then shifted to the mean
+the multiplier row asks for.  The residual is always checked against the
+full, uncondensed system, so a matrix without zero column sums fails there.
 """
 
 from dataclasses import dataclass
@@ -73,20 +81,34 @@ def _cell_block_inverse(mass: sp.csr_matrix, stag: StaggeredMesh) -> sp.csr_matr
 
 
 def solve(system: SaddleSystem, residual_tol: float = _RESIDUAL_TOL) -> FieldSolution:
-    """Condense q out, LU-factorize and solve for (u, p, mu), recover q;
-    raises on singular blocks or factors or poor full-system residuals."""
+    """Condense q out, eliminate mu, pin p_0, LU-factorize and solve for
+    (u, p), restore the pressure mean and recover q; raises on singular
+    blocks or factors, exhausted memory or poor full-system residuals."""
     mat = system.matrix().tocsr()
     rhs = system.rhs()
     nq = system.n_q
     minv = _cell_block_inverse(mat[:nq, :nq], system.stag)
     upper = mat[:nq, nq:]
     lower = mat[nq:, :nq]
-    schur = (mat[nq:, nq:] - lower @ (minv @ upper)).tocsc()
+    schur = (mat[nq:, nq:] - lower @ (minv @ upper)).tocsr()
+    r = rhs[nq:] - lower @ (minv @ rhs[:nq])
+    nu, n = system.n_u, schur.shape[0] - 1  # y[n] is mu
+    border = schur[:, n].toarray().ravel()
+    mean_row = schur[n].toarray().ravel()
+    mu = r[nu:n].sum() / border[nu:n].sum()
+    keep = np.r_[:nu, nu + 1:n]  # pin p_0 = 0, drop mu
     try:
-        lu = spla.splu(schur)
+        lu = spla.splu(schur[keep][:, keep].tocsc())
     except RuntimeError as exc:  # SuperLU reports the failing pivot
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    y = lu.solve(rhs[nq:] - lower @ (minv @ rhs[:nq]))
+    except MemoryError as exc:
+        raise SolverError(
+            f"out of memory in the sparse factorization of {keep.size} unknowns"
+        ) from exc
+    y = np.zeros(n + 1)
+    y[keep] = lu.solve((r - mu * border)[keep])
+    y[n] = mu
+    y[nu:n] += (r[n] - mean_row @ y) / mean_row[nu:n].sum()
     x = np.concatenate([minv @ (rhs[:nq] - upper @ y), y])
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite solution entries")
@@ -98,7 +120,6 @@ def solve(system: SaddleSystem, residual_tol: float = _RESIDUAL_TOL) -> FieldSol
         )
 
     s = system.stag
-    nu = system.n_u
     omega = GradientField(s, x[:nq].reshape(-1, 2))
     uvals = np.zeros((s.n_edges, 2))
     uvals[s.interior_edges] = x[nq:nq + nu].reshape(-1, 2)

@@ -103,3 +103,24 @@ def test_fractional_vertex_index_exit_1(tmp_path, capsys):
     code = main(["run", "--case", "taylor", "--mesh", f"file:{path}"])
     assert code == 1
     assert "not an integer" in capsys.readouterr().err
+
+
+def test_string_vertex_coordinate_exit_1(tmp_path, capsys):
+    # the coordinate "1" was once read as 1.0 and solved
+    path = tmp_path / "bad.json"
+    path.write_text('{"vertices":[[0,0],["1",0],[1,1],[0,1]],"cells":[[0,1,2,3]]}')
+    code = main(["run", "--case", "taylor", "--mesh", f"file:{path}"])
+    assert code == 1
+    assert "is not a number" in capsys.readouterr().err
+
+
+def test_out_of_memory_in_factorization_exit_1(monkeypatch, capsys):
+    import stokes_sdg.solver as solver
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(solver.spla, "splu", exhausted)
+    code = main(["run", "--case", "taylor", "--mesh", "tri", "--levels", "2"])
+    assert code == 1
+    assert "solver error: out of memory" in capsys.readouterr().err

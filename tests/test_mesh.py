@@ -167,6 +167,14 @@ def test_non_finite_vertex_rejected(coord):
         read_mesh(bad)
 
 
+@pytest.mark.parametrize("coord", ['"1"', "true"])
+def test_non_number_coordinate_rejected(coord):
+    # the float conversion alone reads "1" and true as 1.0
+    bad = f'{{"vertices":[[0,0],[1,0],[1,1],[0,{coord}]],"cells":[[0,1,2,3]]}}'
+    with pytest.raises(MeshError, match=f"vertex 3: coordinate {coord} is not a number"):
+        read_mesh(bad)
+
+
 def test_unreferenced_vertex_rejected():
     bad = '{"vertices":[[0,0],[1,0],[1,1],[0,1],[0.5,0.5]],"cells":[[0,1,2,3]]}'
     with pytest.raises(MeshError, match="vertex 4 is used by no cell"):

@@ -164,9 +164,42 @@ def test_one_factorization_per_solve(monkeypatch):
     system = assemble_system(stag, get_case("taylor"), "sdg1", 1.0)
     solve(system)
     solve(system)
-    # the factored matrix is the condensed (u, p, mu) system, not the full one
-    n = system.size - system.n_q
+    # the factored matrix is the condensed (u, p) system with mu eliminated
+    # and cell 0's pressure pinned, not the full one
+    n = system.n_u + system.n_p - 1
     assert calls == [(n, n), (n, n)]
+
+
+@pytest.mark.parametrize("nu", [1.0, 1e-6])
+def test_condensed_solve_matches_dense_oracle_with_nonzero_multiplier(nu):
+    # non-solenoidal boundary data: the net boundary flux, and so mu, is
+    # nonzero, which exercises the elimination of mu from the divergence rows
+    stag = build_staggered(generate_polygonal(2))
+    system = assemble_system(stag, get_case("taylor"), "sdg1", nu)
+    system.ug = np.random.default_rng(7).standard_normal(system.ug.shape)
+    mat, rhs = system.matrix().toarray(), system.rhs()
+    dense = np.linalg.solve(mat, rhs)
+    assert abs(dense[-1]) > 1e-3
+    sol = solve(system)
+    x = _full_vector(sol, stag)
+    assert np.linalg.norm(mat @ x - rhs) <= 1e-14 * np.linalg.norm(rhs)
+    forward = 50.0 * np.finfo(float).eps * np.linalg.cond(mat)
+    assert np.abs(x - dense).max() <= forward * np.abs(dense).max()
+    pnorm = np.sqrt(np.dot(stag.cell_area, sol.p.values**2))
+    assert abs(sol.p.mean()) <= 1e-14 * max(pnorm, 1.0)
+
+
+def test_out_of_memory_in_factorization_raises(monkeypatch):
+    import stokes_sdg.solver as solver
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("not enough memory to factorize")
+
+    monkeypatch.setattr(solver.spla, "splu", exhausted)
+    stag = build_staggered(generate_triangular(2))
+    system = assemble_system(stag, get_case("taylor"), "sdg1", 1.0)
+    with pytest.raises(SolverError, match="out of memory"):
+        solve(system)
 
 
 def test_gradient_coupling_between_cells_raises():
