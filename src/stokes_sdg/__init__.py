@@ -5,7 +5,6 @@ term (method "sdg1") next to the plain piecewise-constant load ("sdg2")."""
 from .assembly import SaddleSystem, assemble_system
 from .bench import CaseSpec, ErrorRecord, convergence_study, robustness_sweep, run_case
 from .cases import case_noflow, case_taylor, case_trig, get_case
-from .hdivrec import build_basis, edge_fluxes, moments, reconstruct
 from .mesh import (PrimalMesh, StaggeredMesh, build_staggered,
                    generate_polygonal, generate_trapezoidal,
                    generate_triangular, read_mesh, validate, write_mesh)
@@ -19,7 +18,6 @@ __all__ = [
     "SaddleSystem", "assemble_system",
     "CaseSpec", "ErrorRecord", "convergence_study", "robustness_sweep", "run_case",
     "case_noflow", "case_taylor", "case_trig", "get_case",
-    "build_basis", "edge_fluxes", "moments", "reconstruct",
     "PrimalMesh", "StaggeredMesh", "build_staggered",
     "generate_polygonal", "generate_trapezoidal", "generate_triangular",
     "read_mesh", "validate", "write_mesh",

@@ -1,7 +1,8 @@
-"""Hot evaluation kernels: Wachspress coordinates and H(div) basis values.
+"""Hot evaluation kernels: Wachspress coordinates, the coefficients of the
+H(div) reconstruction basis and its values.
 
-Every kernel is one vectorized numpy implementation; ``wachspress``,
-``hdivrec`` and ``assembly`` call them through this module's attributes.
+Every kernel is one vectorized numpy implementation; ``assembly`` calls them
+through this module's attributes.
 
 Conventions baked into these kernels (shared with the rest of the package):
 vertices are counterclockwise, edge i runs from vertex i to vertex i+1 with
@@ -49,8 +50,31 @@ def coords_grads(verts, normals, pts):
 
 
 # ---------------------------------------------------------------------------
-# H(div) basis values phi_i(x) = c0_i (x - x*) + sum_k C[i,k] curl lam_k.
+# H(div) basis on a convex cell with m edges:
+#
+#     phi_i(x) = c_{i,0} (x - x*) + sum_k c_{i,k} curl lam_k,
+#
+# with c_{i,0} = |e_i| / (2|T|), b_{i,l} = delta_il |e_l| - |e_i| |T_l| / |T|
+# and c_{i,k} = -(1/m) sum_{l=1}^{m-1} l * b_{i,k+l} (indices mod m), where
+# |T_l| is the area of the fan triangle (x*, v_l, v_l+1).  The coefficients
+# satisfy c_{i,k} - c_{i,k+1} = b_{i,k}, which is exactly what makes the
+# normal traces Kronecker: phi_i . n_j = delta_ij on edge j.  The divergence
+# is the constant 2 c_{i,0}, so the reconstruction sum_i r_i phi_i of the
+# edge fluxes r_i has divergence sum_i 2 c_{i,0} r_i.
 # ---------------------------------------------------------------------------
+
+def rt_coefficients(edge_len, subareas):
+    """(c0, C) from the edge lengths and fan-triangle areas (..., m) of one
+    cell or of a stack of cells of equal size; C has shape (..., m, m)."""
+    m = edge_len.shape[-1]
+    area = subareas.sum(axis=-1)[..., None]
+    c0 = edge_len / (2.0 * area)
+    b = (edge_len[..., :, None] * np.eye(m)
+         - edge_len[..., :, None] * subareas[..., None, :] / area[..., None])
+    # C[i, k] = -(1/m) sum_l l * b[i, (k + l) % m], l = 1 .. m-1
+    ell = np.arange(1, m)
+    return c0, -(ell * b[..., (np.arange(m)[:, None] + ell) % m]).sum(axis=-1) / m
+
 
 def basis_values(verts, normals, xstar, c0, cmat, pts):
     """phi (..., n, m, 2) at interior points pts (..., n, 2) of one cell or of

@@ -22,7 +22,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .hdivrec import rt_coefficients
 from .mesh import StaggeredMesh, _size_groups
 from .quadrature import map_to_triangles, triangle_rule
 from .spaces import VelocityField, interp_velocity
@@ -127,19 +126,18 @@ class RTTable:
         self.cmat_flat = np.empty(int(np.sum(sq)))
         self.cmat_ptr = np.concatenate([[0], np.cumsum(sq)])
         for m, cells, slots in _size_groups(s.cell_ptr):
-            c0, cmat = rt_coefficients(s.celen[slots], s.tri_area[slots])
+            c0, cmat = _kernels.rt_coefficients(s.celen[slots], s.tri_area[slots])
             self.c0[slots] = c0
             self.cmat_flat[self.cmat_ptr[cells][:, None] + np.arange(m * m)] = \
                 cmat.reshape(len(cells), m * m)
 
 
-def load_moments(stag: StaggeredMesh, f, rt: RTTable | None = None,
-                 degree: int = _RHS_DEGREE) -> np.ndarray:
+def load_moments(stag: StaggeredMesh, f, rt: RTTable | None = None) -> np.ndarray:
     """int_T f . phi_i for every (cell, local edge), packed like loc_edge."""
     if rt is None:
         rt = RTTable(stag)
     s = stag
-    rule = triangle_rule(degree)
+    rule = triangle_rule(_RHS_DEGREE)
     pts, w = map_to_triangles(rule, s.tri_verts)
     npc = rule.points.shape[0]
     flat = pts.reshape(-1, 2)

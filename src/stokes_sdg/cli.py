@@ -2,7 +2,7 @@
 
     stokes-sdg run   --case taylor|noflow|trig --mesh tri|trap|poly|file:<path>
                      --method sdg1|sdg2 --nu <float> --levels <n> --out <path>
-                     [--format csv|md] [--jitter <float>]
+                     [--format csv|md] [--jitter <float>, tri only]
     stokes-sdg sweep --case <id> --mesh <fam> --level <k>
                      --nu-list <comma-floats> --out <path> [--format csv|md]
     stokes-sdg mesh  --family tri|trap|poly --n <k> --out <path>
@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 solver/validation failure, 2 argument errors.
 """
 
 import argparse
+import math
 import sys
 
 from .bench import (CaseSpec, convergence_study, emit, emit_sweep,
@@ -66,7 +67,22 @@ def _emit_output(text: str, out_path):
             fh.write(text)
 
 
+def _bad_viscosity(nus):
+    """Message naming the first viscosity that is not positive and finite."""
+    for nu in nus:
+        if not (math.isfinite(nu) and nu > 0.0):
+            return f"viscosity must be positive and finite, got {nu:g}"
+    return None
+
+
 def _cmd_run(args) -> int:
+    bad = _bad_viscosity([args.nu])
+    if bad:
+        print(f"--nu: {bad}", file=sys.stderr)
+        return 2
+    if args.jitter != 0.0 and args.mesh != "tri":
+        print(f"--jitter applies only to --mesh tri, not {args.mesh!r}", file=sys.stderr)
+        return 2
     if args.mesh.startswith("file:"):
         path = args.mesh[len("file:"):]
         with open(path, "r", encoding="utf-8") as fh:
@@ -97,6 +113,10 @@ def _cmd_sweep(args) -> int:
         return 2
     if not nu_list:
         print("--nu-list is empty", file=sys.stderr)
+        return 2
+    bad = _bad_viscosity(nu_list)
+    if bad:
+        print(f"--nu-list: {bad}", file=sys.stderr)
         return 2
     rows = robustness_sweep(args.case, args.mesh, args.level, nu_list)
     _emit_output(emit_sweep(rows, args.format), args.out)

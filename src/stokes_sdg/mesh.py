@@ -633,8 +633,11 @@ class RegularityReport:
     aspect_max_allowed: float
 
 
-def validate(stag: StaggeredMesh, rho_e_min: float = 0.1,
-             aspect_max_allowed: float = 20.0) -> RegularityReport:
+_RHO_E_MIN = 0.1
+_ASPECT_MAX = 20.0
+
+
+def validate(stag: StaggeredMesh) -> RegularityReport:
     """Shape-regularity report: sub-triangle aspect ratios and edge/diameter ratio."""
     tv = stag.tri_verts
     sides = np.stack([
@@ -649,13 +652,13 @@ def validate(stag: StaggeredMesh, rho_e_min: float = 0.1,
     for m, cells, slots in _size_groups(stag.cell_ptr):
         ratio = stag.celen[slots].min(axis=1) / _diameter(stag.cvert[slots])
         rho = min(rho, float(ratio.min()))
-    ok = (rho >= rho_e_min) and (float(aspect.max()) <= aspect_max_allowed)
+    ok = (rho >= _RHO_E_MIN) and (float(aspect.max()) <= _ASPECT_MAX)
     return RegularityReport(
         h=stag.h,
         aspect_min=float(aspect.min()),
         aspect_max=float(aspect.max()),
         rho_e=rho,
         ok=bool(ok),
-        rho_e_min=rho_e_min,
-        aspect_max_allowed=aspect_max_allowed,
+        rho_e_min=_RHO_E_MIN,
+        aspect_max_allowed=_ASPECT_MAX,
     )

@@ -80,7 +80,7 @@ def _cell_block_inverse(mass: sp.csr_matrix, stag: StaggeredMesh) -> sp.csr_matr
     )
 
 
-def solve(system: SaddleSystem, residual_tol: float = _RESIDUAL_TOL) -> FieldSolution:
+def solve(system: SaddleSystem) -> FieldSolution:
     """Condense q out, eliminate mu, pin p_0, LU-factorize and solve for
     (u, p), restore the pressure mean and recover q; raises on singular
     blocks or factors, exhausted memory or poor full-system residuals."""
@@ -114,9 +114,9 @@ def solve(system: SaddleSystem, residual_tol: float = _RESIDUAL_TOL) -> FieldSol
         raise SolverError("factorization produced non-finite solution entries")
     scale = np.linalg.norm(rhs)
     residual = np.linalg.norm(mat @ x - rhs) / (scale if scale > 0.0 else 1.0)
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise SolverError(
-            f"solve residual {residual:.3e} exceeds tolerance {residual_tol:.1e}"
+            f"solve residual {residual:.3e} exceeds tolerance {_RESIDUAL_TOL:.1e}"
         )
 
     s = system.stag

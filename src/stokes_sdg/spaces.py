@@ -18,7 +18,6 @@ __all__ = [
     "interp_velocity", "interp_gradient", "interp_pressure",
     "jump_norm", "discrete_l2_norm", "pressure_norm",
     "error_velocity", "error_gradient", "error_pressure", "error_super",
-    "field_edge_fluxes",
 ]
 
 _EDGE_RULE = 8
@@ -109,9 +108,9 @@ def interp_gradient(stag: StaggeredMesh, omega) -> GradientField:
     return GradientField(stag, dofs)
 
 
-def interp_pressure(stag: StaggeredMesh, p, degree: int = _TRI_DEGREE) -> PressureField:
+def interp_pressure(stag: StaggeredMesh, p) -> PressureField:
     """Cell-mean interpolant via sub-triangle quadrature."""
-    rule = triangle_rule(degree)
+    rule = triangle_rule(_TRI_DEGREE)
     pts, w = map_to_triangles(rule, stag.tri_verts)
     vals = np.asarray(p(pts.reshape(-1, 2))).reshape(w.shape)
     per_tri = np.einsum("tq,tq->t", vals, w)
@@ -157,34 +156,34 @@ def pressure_norm(q: PressureField) -> float:
 # Error functionals
 # ---------------------------------------------------------------------------
 
-def _tri_quad(stag, degree):
-    rule = triangle_rule(degree)
+def _tri_quad(stag):
+    rule = triangle_rule(_TRI_DEGREE)
     pts, w = map_to_triangles(rule, stag.tri_verts)
     return pts.reshape(-1, 2), w
 
 
-def error_velocity(u_h: VelocityField, u, degree: int = _TRI_DEGREE) -> float:
+def error_velocity(u_h: VelocityField, u) -> float:
     """||u - u_h||_0 with u evaluable at points."""
     s = u_h.stag
-    pts, w = _tri_quad(s, degree)
+    pts, w = _tri_quad(s)
     exact = np.asarray(u(pts)).reshape(w.shape[0], w.shape[1], 2)
     diff = exact - u_h.on_tris()[:, None, :]
     return float(np.sqrt(np.einsum("tqc,tqc,tq->", diff, diff, w)))
 
 
-def error_gradient(omega_h: GradientField, omega, degree: int = _TRI_DEGREE) -> float:
+def error_gradient(omega_h: GradientField, omega) -> float:
     """||omega - omega_h||_0 (Frobenius) with omega a tensor field."""
     s = omega_h.stag
-    pts, w = _tri_quad(s, degree)
+    pts, w = _tri_quad(s)
     exact = np.asarray(omega(pts)).reshape(w.shape[0], w.shape[1], 2, 2)
     diff = exact - omega_h.tensors()[:, None, :, :]
     return float(np.sqrt(np.einsum("tqij,tqij,tq->", diff, diff, w)))
 
 
-def error_pressure(p_h: PressureField, p, degree: int = _TRI_DEGREE) -> float:
+def error_pressure(p_h: PressureField, p) -> float:
     """||p - p_h||_0."""
     s = p_h.stag
-    pts, w = _tri_quad(s, degree)
+    pts, w = _tri_quad(s)
     exact = np.asarray(p(pts)).reshape(w.shape)
     diff = exact - p_h.values[s.tri_cell][:, None]
     return float(np.sqrt(np.einsum("tq,tq,tq->", diff, diff, w)))
@@ -196,11 +195,3 @@ def error_super(u_h: VelocityField, u) -> float:
     ih = interp_velocity(s, u)
     diff = ih.on_tris() - u_h.on_tris()
     return float(np.sqrt(np.einsum("t,tc,tc->", s.tri_area, diff, diff)))
-
-
-def field_edge_fluxes(v: VelocityField, cell: int) -> np.ndarray:
-    """Exact fluxes r_i = v|_{D(e_i)} . n_out of a piecewise-constant velocity on one cell."""
-    s = v.stag
-    lo, hi = s.cell_ptr[cell], s.cell_ptr[cell + 1]
-    dofs = v.values[s.loc_edge[lo:hi]]
-    return np.einsum("mc,mc->m", dofs, s.cnorm[lo:hi])

@@ -10,17 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from stokes_sdg import hdivrec as hd
-from stokes_sdg.assembly import assemble_Bh, assemble_bh, assemble_system
+from stokes_sdg.assembly import RTTable, assemble_Bh, assemble_bh, assemble_system
 from stokes_sdg.bench import CaseSpec, convergence_study, robustness_sweep
 from stokes_sdg.cases import ManufacturedCase, case_taylor, get_case
-from stokes_sdg.mesh import build_staggered, generate_triangular
+from stokes_sdg.mesh import _diameter, build_staggered, generate_triangular
 from stokes_sdg.solver import solve
-from stokes_sdg.spaces import (GradientField, VelocityField,
-                               field_edge_fluxes, interp_velocity)
-from stokes_sdg.wachspress import eval_coords, eval_curls, eval_grads
+from stokes_sdg.spaces import GradientField
 
-from conftest import interior_points, random_convex_polygon
+from conftest import (interior_points, one_cell, random_convex_polygon,
+                      reconstruction_divergence, rt_basis, rt_cell, wachspress)
 
 
 def _report(criterion: int, ok: bool, detail: str):
@@ -167,53 +165,52 @@ def test_criterion_6_property_suite():
     worst_pu = worst_lp = worst_fd = 0.0
     for m in range(3, 9):
         verts = random_convex_polygon(m, rng)
-        basis = hd.build_basis(verts)
         pts = interior_points(verts, rng, 100, pull=0.9)
-        lam = eval_coords(basis.poly, pts)
+        lam, grad = wachspress(verts, pts)
         worst_pu = max(worst_pu, np.abs(lam.sum(axis=1) - 1.0).max())
         worst_lp = max(worst_lp, np.abs(lam @ verts - pts).max())
-        grad = eval_grads(basis.poly, pts)
-        step = 1e-6 * basis.poly.diam
+        step = 1e-6 * _diameter(verts)
         fd = np.empty_like(grad)
         for c, off in enumerate(np.eye(2)):
-            fd[:, :, c] = (eval_coords(basis.poly, pts + step * off)
-                           - eval_coords(basis.poly, pts - step * off)) / (2 * step)
+            fd[:, :, c] = (wachspress(verts, pts + step * off)[0]
+                           - wachspress(verts, pts - step * off)[0]) / (2 * step)
         worst_fd = max(worst_fd,
                        np.abs(grad - fd).max() / np.abs(grad).max())
     checks.append(("wachspress partition of unity", worst_pu <= 1e-9))
     checks.append(("wachspress linear precision", worst_lp <= 1e-9))
     checks.append(("wachspress gradient vs FD", worst_fd <= 1e-5))
 
-    # Kronecker traces and constant divergence
-    from test_hdivrec import trace_matrix
+    # Kronecker traces and constant divergence: the packed table's 2 c0, which
+    # the divergences below are built from, is the per-cell one
+    from test_hdivrec import edge_fluxes, trace_matrix
     worst_tr = worst_div = 0.0
     for m in (3, 5, 8):
-        basis = hd.build_basis(random_convex_polygon(m, rng))
-        worst_tr = max(worst_tr, np.abs(trace_matrix(basis) - np.eye(m)).max())
-        for i in range(m):
-            worst_div = max(worst_div,
-                            abs(hd.divergence(basis, i) - 2.0 * basis.c0[i]))
+        verts = random_convex_polygon(m, rng)
+        worst_tr = max(worst_tr, np.abs(trace_matrix(verts) - np.eye(m)).max())
+        worst_div = max(worst_div, np.abs(
+            2.0 * RTTable(one_cell(verts)).c0 - 2.0 * rt_cell(verts)[3]).max())
     checks.append(("kronecker normal traces", worst_tr <= 1e-8))
     checks.append(("divergence = 2 c0", worst_div == 0.0))
 
     # RT0 reduction on the reference triangle
-    tri = hd.build_basis(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    pts = interior_points(tri.poly.verts, rng, 20)
-    phi = hd.eval_basis_all(tri, pts)
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    pts = interior_points(tri, rng, 20)
+    phi = rt_basis(tri, pts)
     opposite = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
     rt0_dev = max(
-        np.abs(phi[:, i, :] - tri.poly.edge_len[i] * (pts - opposite[i])).max()
+        np.abs(phi[:, i, :] - rt_cell(tri)[1][i] * (pts - opposite[i])).max()
         for i in range(3)
     )
     checks.append(("RT0 reduction", rt0_dev <= 1e-10))
 
     # reconstruction reproduces constants; commuting identity
-    hexa = hd.build_basis(random_convex_polygon(6, rng))
+    hexa = random_convex_polygon(6, rng)
     cfun = lambda p: np.broadcast_to([1.5, -0.5], p.shape).copy()
-    pts = interior_points(hexa.poly.verts, rng, 30)
-    rec = hd.reconstruct(hexa, hd.edge_fluxes(hexa, cfun))
+    pts = interior_points(hexa, rng, 30)
+    phi = rt_basis(hexa, pts)
+    rec = np.einsum("nic,i->nc", phi, edge_fluxes(hexa, cfun))
     checks.append(("constant reproduction",
-                   np.abs(rec(pts) - [1.5, -0.5]).max() <= 1e-9))
+                   np.abs(rec - [1.5, -0.5]).max() <= 1e-9))
 
     def scalar(p):
         return p[..., 0] ** 2 + p[..., 0] * p[..., 1]
@@ -221,10 +218,11 @@ def test_criterion_6_property_suite():
     def curl_scalar(p):
         return np.stack([-p[..., 0], 2.0 * p[..., 0] + p[..., 1]], axis=-1)
 
-    rec = hd.reconstruct(hexa, hd.edge_fluxes(hexa, curl_scalar))
-    expected = np.einsum("i,nic->nc", scalar(hexa.poly.verts),
-                         eval_curls(hexa.poly, pts))
-    checks.append(("commuting identity", np.abs(rec(pts) - expected).max() <= 1e-9))
+    rec = np.einsum("nic,i->nc", phi, edge_fluxes(hexa, curl_scalar))
+    grad = wachspress(hexa, pts)[1]
+    expected = np.einsum("i,nic->nc", scalar(hexa),
+                         np.stack([-grad[..., 1], grad[..., 0]], axis=-1))
+    checks.append(("commuting identity", np.abs(rec - expected).max() <= 1e-9))
 
     # adjointness of the discrete forms on a small mesh
     stag = build_staggered(generate_triangular(2))
@@ -246,26 +244,14 @@ def test_criterion_6_property_suite():
         worst_adj = max(worst_adj, abs(lhs - rhs) / max(abs(lhs), 1.0))
         qc = rng.standard_normal(stag.n_cells)
         lhs2 = qc @ (dmat @ vals.ravel())
-        rhs2 = 0.0
-        vel = VelocityField(stag, vals)
-        for ci in range(stag.n_cells):
-            lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
-            b = hd.build_basis(stag.cvert[lo:hi], stag.xstar[ci])
-            rhs2 -= qc[ci] * hd.reconstruct(
-                b, field_edge_fluxes(vel, ci)).divergence() * stag.cell_area[ci]
+        rhs2 = -np.sum(qc * reconstruction_divergence(stag, vals) * stag.cell_area)
         worst_adj = max(worst_adj, abs(lhs2 - rhs2) / max(abs(lhs2), 1.0))
     checks.append(("adjointness (both forms)", worst_adj <= 1e-12))
 
     # post-solve divergence-free reconstruction
     sol = solve(assemble_system(stag, get_case("taylor"), "sdg1", 1.0))
     unorm = np.abs(sol.u.values).max()
-    worst_divfree = max(
-        abs(hd.reconstruct(
-            hd.build_basis(stag.cvert[stag.cell_ptr[ci]:stag.cell_ptr[ci + 1]],
-                           stag.xstar[ci]),
-            field_edge_fluxes(sol.u, ci)).divergence())
-        for ci in range(stag.n_cells)
-    )
+    worst_divfree = np.abs(reconstruction_divergence(stag, sol.u.values)).max()
     checks.append(("post-solve divergence-free", worst_divfree <= 1e-11 * unorm))
 
     # velocity invariance under f -> f + lam grad(chi)

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from stokes_sdg import _kernels
-from stokes_sdg import hdivrec as hd
 from stokes_sdg.assembly import (AssemblyError, RTTable, assemble_Bh,
                                  assemble_bh, assemble_mass, assemble_rhs,
                                  assemble_system, load_moments)
 from stokes_sdg.cases import case_noflow, case_taylor, get_case
 from stokes_sdg.mesh import (PrimalMesh, build_staggered, generate_polygonal,
                              generate_trapezoidal, generate_triangular)
-from stokes_sdg.spaces import (GradientField, VelocityField,
-                               field_edge_fluxes, interp_pressure)
+from stokes_sdg.spaces import GradientField, interp_pressure
+
+from conftest import reconstruction_divergence, rt_basis, rt_cell, rt_moments
 
 
 def bh_star_oracle(stag, vals, tens):
@@ -23,16 +23,10 @@ def bh_star_oracle(stag, vals, tens):
     return total
 
 
-def bh_pressure_oracle(stag, qvals, vel):
-    """b_h*(q, v) = -sum_T q_T int_T div(reconstruct(v)), via the per-cell
-    flux reconstruction (test-only path)."""
-    total = 0.0
-    for ci in range(stag.n_cells):
-        lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
-        basis = hd.build_basis(stag.cvert[lo:hi], stag.xstar[ci])
-        rec = hd.reconstruct(basis, field_edge_fluxes(vel, ci))
-        total -= qvals[ci] * rec.divergence() * stag.cell_area[ci]
-    return total
+def bh_pressure_oracle(stag, qvals, vals):
+    """b_h*(q, v) = -sum_T q_T int_T div(reconstruct(v)), through the
+    divergence of the flux reconstruction."""
+    return -np.sum(qvals * reconstruction_divergence(stag, vals) * stag.cell_area)
 
 
 MESHES = [
@@ -68,7 +62,7 @@ def test_pressure_adjointness_random_vectors(name, gen):
         vals = rng.standard_normal((stag.n_edges, 2))
         vals[stag.boundary_edges] = 0.0
         lhs = q @ (mat @ vals.ravel())
-        rhs = bh_pressure_oracle(stag, q, VelocityField(stag, vals))
+        rhs = bh_pressure_oracle(stag, q, vals)
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -232,11 +226,8 @@ def test_reconstruction_divergence_free_after_solve():
         stag = build_staggered(generate_polygonal(2))
         sol = solve(assemble_system(stag, get_case("taylor"), method, 1.0))
         unorm = np.abs(sol.u.values).max()
-        for ci in range(stag.n_cells):
-            lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
-            basis = hd.build_basis(stag.cvert[lo:hi], stag.xstar[ci])
-            rec = hd.reconstruct(basis, field_edge_fluxes(sol.u, ci))
-            assert abs(rec.divergence()) <= 1e-11 * unorm
+        div = reconstruction_divergence(stag, sol.u.values)
+        assert np.abs(div).max() <= 1e-11 * unorm
 
 
 def test_reconstruction_proximity_constant_across_refinement():
@@ -251,13 +242,13 @@ def test_reconstruction_proximity_constant_across_refinement():
         stag = build_staggered(generate_triangular(n))
         v = interp_velocity(stag, case.u)
         tv = v.on_tris()
+        flux = np.einsum("sc,sc->s", v.values[stag.loc_edge], stag.cnorm)
         err2 = 0.0
         for ci in range(stag.n_cells):
             lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
-            basis = hd.build_basis(stag.cvert[lo:hi], stag.xstar[ci])
-            rec = hd.reconstruct(basis, field_edge_fluxes(v, ci))
             pts, w = map_to_triangles(rule, stag.tri_verts[lo:hi])
-            vals = rec(pts.reshape(-1, 2)).reshape(pts.shape)
+            phi = rt_basis(stag.cvert[lo:hi], pts.reshape(-1, 2))
+            vals = np.einsum("nic,i->nc", phi, flux[lo:hi]).reshape(pts.shape)
             diff = vals - tv[lo:hi][:, None, :]
             err2 += np.einsum("tqc,tqc,tq->", diff, diff, w)
         consts.append(np.sqrt(err2) / (stag.h * jump_norm(v)))
@@ -283,10 +274,10 @@ def test_packed_moments_match_per_cell_basis(name, gen):
     assert set(np.diff(stag.cell_ptr)) >= ({3} if name == "tri-jitter" else {4, 5, 6})
     for ci in range(stag.n_cells):
         lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
-        basis = hd.build_basis(stag.cvert[lo:hi], stag.xstar[ci])
-        ref = hd.moments(basis, f)
+        _, _, _, c0, cmat = rt_cell(stag.cvert[lo:hi])
+        ref = rt_moments(stag.cvert[lo:hi], f)
         assert np.abs(mom[lo:hi] - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert np.array_equal(rt.c0[lo:hi], basis.c0)
+        assert np.array_equal(rt.c0[lo:hi], c0)
         assert np.array_equal(
             rt.cmat_flat[rt.cmat_ptr[ci]:rt.cmat_ptr[ci + 1]].reshape(hi - lo, hi - lo),
-            basis.cmat)
+            cmat)

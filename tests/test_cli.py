@@ -124,3 +124,24 @@ def test_out_of_memory_in_factorization_exit_1(monkeypatch, capsys):
     code = main(["run", "--case", "taylor", "--mesh", "tri", "--levels", "2"])
     assert code == 1
     assert "solver error: out of memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--case", "taylor", "--mesh", "tri", "--levels", "2", "--nu", nu]
+    for nu in ("-1", "0", "nan", "inf")
+] + [["sweep", "--case", "taylor", "--mesh", "tri", "--level", "2", "--nu-list", "1,0"]],
+    ids=["nu-1", "nu0", "nu-nan", "nu-inf", "nu-list-1,0"])
+def test_bad_viscosity_exit_2(argv, capsys):
+    # -1 once printed a table; 0, nan and inf failed in the factorization with
+    # exit 1
+    assert main(argv) == 2
+    value = argv[-1].split(",")[-1]
+    assert f"viscosity must be positive and finite, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mesh", ["trap", "poly", "file:unread.json"])
+def test_jitter_off_the_tri_family_exit_2(mesh, capsys):
+    code = main(["run", "--case", "taylor", "--mesh", mesh, "--levels", "2",
+                 "--jitter", "0.15"])
+    assert code == 2
+    assert "--jitter applies only to --mesh tri" in capsys.readouterr().err

@@ -2,68 +2,73 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from stokes_sdg import hdivrec as hd
+from stokes_sdg.assembly import load_moments
+from stokes_sdg.mesh import _centroid, _diameter, _fan_areas, _fan_triangles
 from stokes_sdg.quadrature import edge_points, edge_rule
-from stokes_sdg.wachspress import eval_curls, interp_nodal
+from stokes_sdg.spaces import interp_velocity
 
-from conftest import interior_points, random_convex_polygon
+from conftest import (interior_points, one_cell, random_convex_polygon,
+                      rt_basis, rt_cell, rt_moments, wachspress)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
-def trace_matrix(basis, n_gauss=8):
+def fan_areas(verts):
+    return _fan_areas(_fan_triangles(verts, _centroid(verts)))
+
+
+def trace_matrix(verts, n_gauss=8):
     """(1/|e_j|) int_{e_j} phi_i . n_j ds, taken in the interior limit by
     linear extrapolation from offsets eps and 2*eps."""
     rule = edge_rule(n_gauss)
-    m = basis.m
-    v0 = basis.poly.verts
-    v1 = np.roll(v0, -1, axis=0)
-    eps = 1e-7 * basis.poly.diam
+    m = len(verts)
+    normals, edge_len = rt_cell(verts)[:2]
+    v1 = np.roll(verts, -1, axis=0)
+    eps = 1e-7 * _diameter(verts)
 
     def at_offset(delta):
         tr = np.empty((m, m))
         for j in range(m):
-            pts, w = edge_points(rule, v0[j][None], v1[j][None])
-            p = pts[0] - delta * basis.poly.normals[j]
-            phi = hd.eval_basis_all(basis, p)
-            tr[:, j] = np.einsum(
-                "nic,c,n->i", phi, basis.poly.normals[j], w[0]
-            ) / basis.poly.edge_len[j]
+            pts, w = edge_points(rule, verts[j][None], v1[j][None])
+            phi = rt_basis(verts, pts[0] - delta * normals[j])
+            tr[:, j] = np.einsum("nic,c,n->i", phi, normals[j], w[0]) / edge_len[j]
         return tr
 
     return 2.0 * at_offset(eps) - at_offset(2.0 * eps)
 
 
+def edge_fluxes(verts, field):
+    """r_i = (1/|e_i|) int_{e_i} field . n_i ds as the solver forms them: the
+    edge-average velocity dofs dotted with the cell's outward normals."""
+    stag = one_cell(verts)
+    dofs = interp_velocity(stag, field).values[stag.loc_edge]
+    return np.einsum("sc,sc->s", dofs, stag.cnorm)
+
+
 # ------------------------------------------------------------- coefficients
 
 def test_unit_square_coefficients():
-    basis = hd.build_basis(UNIT_SQUARE)
-    assert np.allclose(basis.c0, 0.5, atol=1e-14)
-    assert np.allclose(basis.subareas, 0.25, atol=1e-14)
+    _, edge_len, _, c0, _ = rt_cell(UNIT_SQUARE)
+    sub = fan_areas(UNIT_SQUARE)
+    assert np.allclose(c0, 0.5, atol=1e-14)
+    assert np.allclose(sub, 0.25, atol=1e-14)
     # b_{i,l} = delta_il |e_l| - |e_i| |T_l| / |T| = delta_il - 1/4
-    b = np.diag(basis.poly.edge_len) - np.outer(
-        basis.poly.edge_len, basis.subareas
-    )
+    b = np.diag(edge_len) - np.outer(edge_len, sub)
     assert np.allclose(b, np.eye(4) - 0.25, atol=1e-14)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
 def test_b_rows_sum_to_zero(m):
     rng = np.random.default_rng(m)
-    basis = hd.build_basis(random_convex_polygon(m, rng))
-    b = np.diag(basis.poly.edge_len) - np.outer(
-        basis.poly.edge_len, basis.subareas / basis.area
-    )
+    verts = random_convex_polygon(m, rng)
+    _, edge_len, _, c0, cmat = rt_cell(verts)
+    sub = fan_areas(verts)
+    b = np.diag(edge_len) - np.outer(edge_len, sub / sub.sum())
     assert np.abs(b.sum(axis=1)).max() < 1e-13
-    assert np.all(basis.c0 > 0.0)
+    assert np.all(c0 > 0.0)
     # the coefficient solution satisfies c_{i,k} - c_{i,k+1} = b_{i,k}
-    diff = basis.cmat - np.roll(basis.cmat, -1, axis=1)
+    diff = cmat - np.roll(cmat, -1, axis=1)
     assert np.abs(diff - b).max() < 1e-12
-
-
-def test_exterior_split_point_rejected():
-    with pytest.raises(ValueError):
-        hd.build_basis(UNIT_SQUARE, xstar=np.array([1.5, 0.5]))
 
 
 # ------------------------------------------------------------------ traces
@@ -72,14 +77,12 @@ def test_exterior_split_point_rejected():
 def test_kronecker_normal_traces_random_polygons(m):
     rng = np.random.default_rng(40 + m)
     for rep in range(3):
-        basis = hd.build_basis(random_convex_polygon(m, rng))
-        tr = trace_matrix(basis)
+        tr = trace_matrix(random_convex_polygon(m, rng))
         assert np.abs(tr - np.eye(m)).max() < 1e-8
 
 
 def test_unit_square_traces_tight():
-    basis = hd.build_basis(UNIT_SQUARE)
-    tr = trace_matrix(basis)
+    tr = trace_matrix(UNIT_SQUARE)
     assert np.abs(tr - np.eye(4)).max() < 1e-9
 
 
@@ -88,65 +91,61 @@ def test_unit_square_traces_tight():
 def test_rt0_reduction_on_reference_triangle():
     # closed-form lowest-order Raviart-Thomas basis with unit normal density:
     # psi_i = (|e_i| / 2|T|) (x - P_i), P_i the vertex opposite edge i
-    basis = hd.build_basis(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    edge_len = rt_cell(tri)[1]
     rng = np.random.default_rng(5)
-    pts = interior_points(basis.poly.verts, rng, 20)
-    phi = hd.eval_basis_all(basis, pts)
+    pts = interior_points(tri, rng, 20)
+    phi = rt_basis(tri, pts)
     opposite = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
     for i in range(3):
-        psi = basis.poly.edge_len[i] * (pts - opposite[i])
+        psi = edge_len[i] * (pts - opposite[i])
         assert np.abs(phi[:, i, :] - psi).max() < 1e-10
 
 
 def test_divergence_constants():
-    basis = hd.build_basis(UNIT_SQUARE)
+    c0 = rt_cell(UNIT_SQUARE)[3]
     for i in range(4):
-        assert abs(hd.divergence(basis, i) - 1.0) < 1e-14
-    tri = hd.build_basis(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    assert abs(hd.divergence(tri, 0) - 2.0) < 1e-14  # |e_0|=1, |T|=1/2
+        assert abs(2.0 * c0[i] - 1.0) < 1e-14
+    c0 = rt_cell(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))[3]
+    assert abs(2.0 * c0[0] - 2.0) < 1e-14  # |e_0|=1, |T|=1/2
 
 
 def test_divergence_matches_finite_differences():
     rng = np.random.default_rng(6)
-    basis = hd.build_basis(random_convex_polygon(5, rng))
-    x0 = basis.xstar
-    step = 1e-6 * basis.poly.diam
+    verts = random_convex_polygon(5, rng)
+    _, _, x0, c0, _ = rt_cell(verts)
+    step = 1e-6 * _diameter(verts)
+    phi = rt_basis(verts, x0 + step * np.array([[1.0, 0.0], [-1.0, 0.0],
+                                                 [0.0, 1.0], [0.0, -1.0]]))
+    fd = (phi[0, :, 0] - phi[1, :, 0] + phi[2, :, 1] - phi[3, :, 1]) / (2 * step)
     for i in range(5):
-        ddx = (hd.eval_basis(basis, i, x0 + [step, 0.0])
-               - hd.eval_basis(basis, i, x0 - [step, 0.0]))[0] / (2 * step)
-        ddy = (hd.eval_basis(basis, i, x0 + [0.0, step])
-               - hd.eval_basis(basis, i, x0 - [0.0, step]))[1] / (2 * step)
-        fd = ddx + ddy
-        assert abs(fd - hd.divergence(basis, i)) < 1e-6 * max(
-            1.0, abs(hd.divergence(basis, i))
-        )
+        assert abs(fd[i] - 2.0 * c0[i]) < 1e-6 * max(1.0, abs(2.0 * c0[i]))
 
 
 def test_edge_integrated_divergence_is_edge_length():
     rng = np.random.default_rng(8)
-    basis = hd.build_basis(random_convex_polygon(6, rng))
+    verts = random_convex_polygon(6, rng)
+    _, edge_len, _, c0, _ = rt_cell(verts)
+    area = fan_areas(verts).sum()
     for i in range(6):
-        total = hd.divergence(basis, i) * basis.area
-        assert abs(total - basis.poly.edge_len[i]) < 1e-12
+        assert abs(2.0 * c0[i] * area - edge_len[i]) < 1e-12
 
 
 # -------------------------------------------------------------- edge fluxes
 
 def test_constant_field_fluxes_are_normal_components():
-    basis = hd.build_basis(UNIT_SQUARE)
-
     def field(p):
         return np.broadcast_to(np.array([1.0, 0.0]), p.shape).copy()
 
-    r = hd.edge_fluxes(basis, field)
-    assert np.abs(r - basis.poly.normals[:, 0]).max() < 1e-14
+    r = edge_fluxes(UNIT_SQUARE, field)
+    assert np.abs(r - rt_cell(UNIT_SQUARE)[0][:, 0]).max() < 1e-14
 
 
 def test_curl_field_fluxes_telescope_vertex_values():
     # curl(phi) . n on edge i is the negative tangential derivative, so the
     # edge average is (phi(v_i) - phi(v_i+1)) / |e_i|
     rng = np.random.default_rng(9)
-    basis = hd.build_basis(random_convex_polygon(5, rng))
+    v = random_convex_polygon(5, rng)
 
     def scalar(p):
         return np.sin(p[..., 0]) * p[..., 1]
@@ -156,9 +155,8 @@ def test_curl_field_fluxes_telescope_vertex_values():
         gy = np.sin(p[..., 0])
         return np.stack([-gy, gx], axis=-1)
 
-    r = hd.edge_fluxes(basis, curl_scalar)
-    v = basis.poly.verts
-    expected = (scalar(v) - scalar(np.roll(v, -1, axis=0))) / basis.poly.edge_len
+    r = edge_fluxes(v, curl_scalar)
+    expected = (scalar(v) - scalar(np.roll(v, -1, axis=0))) / rt_cell(v)[1]
     assert np.abs(r - expected).max() < 1e-12
 
 
@@ -167,15 +165,16 @@ def test_curl_field_fluxes_telescope_vertex_values():
 def test_constant_reproduction():
     rng = np.random.default_rng(10)
     for m in (3, 4, 6, 8):
-        basis = hd.build_basis(random_convex_polygon(m, rng))
+        verts = random_convex_polygon(m, rng)
         c = np.array([2.0, -3.0])
 
         def field(p, c=c):
             return np.broadcast_to(c, p.shape).copy()
 
-        rec = hd.reconstruct(basis, hd.edge_fluxes(basis, field))
-        pts = interior_points(basis.poly.verts, rng, 20)
-        assert np.abs(rec(pts) - c).max() < 1e-10
+        r = edge_fluxes(verts, field)
+        pts = interior_points(verts, rng, 20)
+        rec = np.einsum("nic,i->nc", rt_basis(verts, pts), r)
+        assert np.abs(rec - c).max() < 1e-10
 
 
 def test_commuting_identity_with_nodal_interpolant():
@@ -183,7 +182,6 @@ def test_commuting_identity_with_nodal_interpolant():
     rng = np.random.default_rng(12)
     for m in (4, 5, 6):
         verts = random_convex_polygon(m, rng)
-        basis = hd.build_basis(verts)
 
         def scalar(p):
             return p[..., 0] ** 2 + p[..., 0] * p[..., 1]
@@ -193,57 +191,55 @@ def test_commuting_identity_with_nodal_interpolant():
             gy = p[..., 0]
             return np.stack([-gy, gx], axis=-1)
 
-        rec = hd.reconstruct(basis, hd.edge_fluxes(basis, curl_scalar))
+        r = edge_fluxes(verts, curl_scalar)
         pts = interior_points(verts, rng, 30)
-        curls = eval_curls(basis.poly, pts)
+        rec = np.einsum("nic,i->nc", rt_basis(verts, pts), r)
+        grad = wachspress(verts, pts)[1]
+        curls = np.stack([-grad[..., 1], grad[..., 0]], axis=-1)
         expected = np.einsum("i,nic->nc", scalar(verts), curls)
-        assert np.abs(rec(pts) - expected).max() < 1e-9
+        assert np.abs(rec - expected).max() < 1e-9
 
 
 def test_reconstruction_divergence_accumulates_fluxes():
+    # div(sum_i r_i phi_i) = sum_i 2 c0_i r_i integrates over the cell to the
+    # boundary flux sum_i |e_i| r_i
     rng = np.random.default_rng(14)
-    basis = hd.build_basis(random_convex_polygon(6, rng))
+    verts = random_convex_polygon(6, rng)
+    _, edge_len, _, c0, _ = rt_cell(verts)
     r = rng.standard_normal(6)
-    rec = hd.reconstruct(basis, r)
-    assert abs(rec.divergence() - np.sum(2.0 * basis.c0 * r)) < 1e-14
+    total = np.sum(2.0 * c0 * r) * fan_areas(verts).sum()
+    assert abs(total - np.sum(edge_len * r)) < 1e-14
 
 
 def test_basis_norm_bounded_by_edge_length():
     # finite-sample proxy of ||phi_i||_{0,T} <= C(m) |e_i| with C = 10
     rng = np.random.default_rng(15)
     for m in (3, 4, 5, 6, 7, 8):
-        basis = hd.build_basis(random_convex_polygon(m, rng))
+        verts = random_convex_polygon(m, rng)
+        edge_len = rt_cell(verts)[1]
         for i in range(m):
-            sq = hd.moments(
-                basis,
-                lambda p, i=i: hd.eval_basis_all(basis, p)[:, i, :],
-                degree=8,
-            )
-            norm = np.sqrt(sq[i])
-            assert norm <= 10.0 * basis.poly.edge_len[i]
+            sq = rt_moments(verts, lambda p, i=i: rt_basis(verts, p)[:, i, :])
+            assert np.sqrt(sq[i]) <= 10.0 * edge_len[i]
 
 
 # ----------------------------------------------------------------- moments
 
 def test_moments_zero_forcing():
-    basis = hd.build_basis(UNIT_SQUARE)
-
     def zero(p):
         return np.zeros_like(p)
 
-    assert np.abs(hd.moments(basis, zero)).max() == 0.0
+    assert np.abs(load_moments(one_cell(UNIT_SQUARE), zero)).max() == 0.0
 
 
 def test_moments_exact_on_triangles():
     # on a triangle the basis is linear, so degree-8 quadrature is exact;
     # oracle: closed-form RT0 integral of f . psi_i for linear f
     tri = np.array([[0.2, 0.1], [0.9, 0.3], [0.4, 0.8]])
-    basis = hd.build_basis(tri)
 
     def f(p):
         return np.stack([p[..., 0], 2.0 * p[..., 1] - 1.0], axis=-1)
 
-    got = hd.moments(basis, f, degree=8)
+    got = load_moments(one_cell(tri), f)
     # brute-force oracle on a dense barycentric grid (midpoint composite)
     rng_pts = []
     k = 220
@@ -254,27 +250,23 @@ def test_moments_exact_on_triangles():
             rng_pts.append((l1, l2))
     bary = np.array(rng_pts)
     pts = (1 - bary.sum(axis=1))[:, None] * tri[0] + bary[:, 0:1] * tri[1] + bary[:, 1:2] * tri[2]
-    area = basis.area
-    cellw = area / len(pts)
-    phi = hd.eval_basis_all(basis, pts)
-    oracle = np.einsum("nic,nc->i", phi, f(pts)) * cellw
+    cellw = fan_areas(tri).sum() / len(pts)
+    oracle = np.einsum("nic,nc->i", rt_basis(tri, pts), f(pts)) * cellw
     assert np.abs(got - oracle).max() < 5e-3 * np.abs(oracle).max()
     # tighter: degree-8 equals degree-10 to machine precision on triangles
-    assert np.abs(got - hd.moments(basis, f, degree=10)).max() < 1e-12
+    assert np.abs(got - rt_moments(tri, f, degree=10)).max() < 1e-12
 
 
 def test_moments_constant_forcing_against_quasi_monte_carlo():
     # int_T phi_i dx estimated with ~1e5 scrambled Sobol points
-    basis = hd.build_basis(UNIT_SQUARE)
     c = np.array([0.7, -1.3])
 
     def f(p):
         return np.broadcast_to(c, p.shape).copy()
 
-    got = hd.moments(basis, f, degree=8)
+    got = load_moments(one_cell(UNIT_SQUARE), f)
     sob = qmc.Sobol(d=2, scramble=True, seed=123)
     pts = sob.random_base2(m=17)  # 131072 points in the unit square
     pts = 1e-9 + (1.0 - 2e-9) * pts  # keep strictly interior
-    phi = hd.eval_basis_all(basis, pts)
-    mc = np.einsum("nic,c->i", phi, c) / len(pts)
+    mc = np.einsum("nic,c->i", rt_basis(UNIT_SQUARE, pts), c) / len(pts)
     assert np.abs(got - mc).max() < 1e-4 * np.abs(got).max()

@@ -10,7 +10,6 @@ from stokes_sdg.mesh import (MeshError, PrimalMesh, RegularityReport, _centroid,
                              generate_polygonal, generate_trapezoidal,
                              generate_triangular, read_mesh, validate,
                              write_mesh)
-from stokes_sdg.wachspress import PolygonGeom
 
 SPEC_EXAMPLE = ('{"vertices":[[0,0],[0.5,0],[1,0],[1,1],[0.5,1],[0,1]],'
                 '"cells":[[0,1,4,5],[1,2,3,4]]}')
@@ -326,12 +325,10 @@ def test_fan_areas_rejects_clockwise_sub_triangle():
 
 def test_convexity_tolerance_shared_by_mesh_and_polygon():
     # the corner at (1, 0) turns by a relative cross product of 5e-14: inside
-    # the tolerance 1e-13 that PrimalMesh and PolygonGeom now both apply
+    # the tolerance 1e-13 of the one convexity helper, _is_strictly_convex_ccw
     quad = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 5e-14], [0.0, 1.0]])
     with pytest.raises(MeshError, match="not strictly convex"):
         PrimalMesh(quad, [[0, 1, 2, 3]])
-    with pytest.raises(ValueError, match="not strictly convex"):
-        PolygonGeom(quad)
 
 
 def test_boundary_normals_point_outward():

@@ -5,7 +5,7 @@ from stokes_sdg.cases import case_taylor
 from stokes_sdg.mesh import build_staggered, generate_polygonal, generate_triangular
 from stokes_sdg.quadrature import edge_points, edge_rule
 from stokes_sdg.spaces import (GradientField, PressureField, VelocityField,
-                               error_super, error_velocity, field_edge_fluxes,
+                               error_super, error_velocity,
                                interp_gradient, interp_pressure,
                                interp_velocity, pressure_norm, discrete_l2_norm, jump_norm)
 
@@ -145,20 +145,6 @@ def test_error_super_zero_for_interpolant():
     stag = build_staggered(generate_triangular(3))
     ih = interp_velocity(stag, case.u)
     assert error_super(ih, case.u) == 0.0
-
-
-def test_field_edge_fluxes_exact():
-    stag = build_staggered(generate_triangular(2))
-    rng = np.random.default_rng(4)
-    vals = rng.standard_normal((stag.n_edges, 2))
-    v = VelocityField(stag, vals)
-    for ci in (0, 3):
-        lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
-        r = field_edge_fluxes(v, ci)
-        expected = np.einsum(
-            "mc,mc->m", vals[stag.loc_edge[lo:hi]], stag.cnorm[lo:hi]
-        )
-        assert np.array_equal(r, expected)
 
 
 # -------------------------------------------------- interpolation identities
