@@ -16,24 +16,20 @@ pressure coupling in the momentum rows is assembled as D0^T (the discrete
 adjoint), never from cell divergences of the reconstruction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
 from .mesh import StaggeredMesh, _size_groups
-from .quadrature import map_to_triangles, triangle_rule
-from .spaces import VelocityField, interp_velocity
+from .spaces import VelocityField, _tri_quad, interp_velocity
 
 __all__ = [
     "AssemblyError", "SaddleSystem",
     "assemble_Bh", "assemble_bh", "assemble_mass", "assemble_rhs",
     "assemble_system", "RTTable",
 ]
-
-_RHS_DEGREE = 8
-
 
 class AssemblyError(RuntimeError):
     pass
@@ -77,8 +73,10 @@ def assemble_bh(stag: StaggeredMesh) -> sp.csr_matrix:
     cols.append(2 * inter + 1)
     vals.append(w[inter, 0])
     vals.append(w[inter, 1])
+    vals = np.concatenate(vals)
+    nz = vals != 0.0  # an axis-aligned edge has one zero normal component
     return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (vals[nz], (np.concatenate(rows)[nz], np.concatenate(cols)[nz])),
         shape=(s.n_cells, 2 * s.n_edges),
     )
 
@@ -137,14 +135,11 @@ def load_moments(stag: StaggeredMesh, f, rt: RTTable | None = None) -> np.ndarra
     if rt is None:
         rt = RTTable(stag)
     s = stag
-    rule = triangle_rule(_RHS_DEGREE)
-    pts, w = map_to_triangles(rule, s.tri_verts)
-    npc = rule.points.shape[0]
-    flat = pts.reshape(-1, 2)
-    fw = np.asarray(f(flat)) * w.reshape(-1, 1)
+    pts, w = _tri_quad(s)
+    fw = np.asarray(f(pts)) * w.reshape(-1, 1)
     return _kernels.cell_moments(
         s.cell_ptr, s.cvert, s.cnorm, s.xstar,
-        rt.c0, rt.cmat_ptr, rt.cmat_flat, flat, fw, npc,
+        rt.c0, rt.cmat_ptr, rt.cmat_flat, pts, fw, w.shape[1],
     )
 
 
@@ -163,9 +158,8 @@ def assemble_rhs(stag: StaggeredMesh, f, method: str,
         contrib = mom[:, None] * s.cnorm
         np.add.at(rhs, s.loc_edge, contrib)
     elif method == "sdg2":
-        rule = triangle_rule(_RHS_DEGREE)
-        pts, w = map_to_triangles(rule, s.tri_verts)
-        fvals = np.asarray(f(pts.reshape(-1, 2))).reshape(*w.shape, 2)
+        pts, w = _tri_quad(s)
+        fvals = np.asarray(f(pts)).reshape(*w.shape, 2)
         per_tri = np.einsum("tqc,tq->tc", fvals, w)
         np.add.at(rhs, s.tri_base, per_tri)
     else:
@@ -194,7 +188,6 @@ class SaddleSystem:
     Dg: sp.csr_matrix
     F: np.ndarray          # momentum rhs restricted to interior dofs
     ug: np.ndarray         # boundary dof values (Dirichlet averages)
-    _matrix: sp.csr_matrix | None = field(default=None, repr=False)
 
     @property
     def n_q(self) -> int:
@@ -213,18 +206,18 @@ class SaddleSystem:
         return self.n_q + self.n_u + self.n_p + 1
 
     def matrix(self) -> sp.csr_matrix:
-        if self._matrix is None:
-            area = sp.csr_matrix(self.stag.cell_area[:, None])
-            self._matrix = sp.bmat(
-                [
-                    [self.M, -self.nu * self.B0.T, None, None],
-                    [self.B0, None, self.D0.T, None],
-                    [None, self.D0, None, area],
-                    [None, None, area.T, None],
-                ],
-                format="csr",
-            )
-        return self._matrix
+        """The bordered (q, u, p, mu) matrix, built anew from the blocks on
+        every call, so it cannot go stale when a block is replaced."""
+        area =sp.csr_matrix(self.stag.cell_area[:, None])
+        return sp.bmat(
+            [
+                [self.M, -self.nu * self.B0.T, None, None],
+                [self.B0, None, self.D0.T, None],
+                [None, self.D0, None, area],
+                [None, None, area.T, None],
+            ],
+            format="csr",
+        )
 
     def rhs(self) -> np.ndarray:
         out = np.zeros(self.size)

@@ -176,38 +176,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _render(columns, rows, fmt: str) -> str:
+    """CSV or markdown text of a table of formatted cells; markdown shows an
+    empty cell as N/A."""
+    if fmt == "csv":
+        lines = [",".join(columns)] + [",".join(row) for row in rows]
+    elif fmt == "md":
+        lines = ["| " + " | ".join(columns) + " |", "|" + "---|" * len(columns)]
+        lines += ["| " + " | ".join(c if c else "N/A" for c in row) + " |" for row in rows]
+    else:
+        raise ValueError(f"unknown output format {fmt!r}; expected 'csv' or 'md'")
+    return "\n".join(lines) + "\n"
+
+
 def emit(records: list[ErrorRecord], fmt: str = "csv") -> str:
     """Render a convergence table; columns are fixed (see CSV_COLUMNS)."""
     rows = [[_fmt(getattr(r, c)) for c in CSV_COLUMNS] for r in records]
-    if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join(row) for row in rows]
-        return "\n".join(lines) + "\n"
-    if fmt == "md":
-        # Table-1 style layout: Error | Order pairs per quantity
-        head = ["level", "h", "dof",
-                "err_omega", "ord", "err_u", "ord", "err_p", "ord",
-                "err_super", "ord"]
-        perm = [0, 1, 2, 3, 7, 4, 8, 5, 9, 6, 10]
-        lines = ["| " + " | ".join(head) + " |",
-                 "|" + "---|" * len(head)]
-        for row in rows:
-            shuffled = [row[i] if row[i] else "N/A" for i in perm]
-            lines.append("| " + " | ".join(shuffled) + " |")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown output format {fmt!r}; expected 'csv' or 'md'")
+    if fmt != "md":
+        return _render(CSV_COLUMNS, rows, fmt)
+    # Table-1 style layout: Error | Order pairs per quantity
+    head = ("level", "h", "dof", "err_omega", "ord", "err_u", "ord", "err_p", "ord",
+            "err_super", "ord")
+    perm = (0, 1, 2, 3, 7, 4, 8, 5, 9, 6, 10)
+    return _render(head, [[row[i] for i in perm] for row in rows], fmt)
 
 
 def emit_sweep(rows: list[dict], fmt: str = "csv") -> str:
-    data = [[_fmt(row[c]) for c in SWEEP_COLUMNS] for row in rows]
-    if fmt == "csv":
-        lines = [",".join(SWEEP_COLUMNS)]
-        lines += [",".join(row) for row in data]
-        return "\n".join(lines) + "\n"
-    if fmt == "md":
-        lines = ["| " + " | ".join(SWEEP_COLUMNS) + " |",
-                 "|" + "---|" * len(SWEEP_COLUMNS)]
-        for row in data:
-            lines.append("| " + " | ".join(c if c else "N/A" for c in row) + " |")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown output format {fmt!r}; expected 'csv' or 'md'")
+    """Render a viscosity sweep; columns are fixed (see SWEEP_COLUMNS)."""
+    return _render(SWEEP_COLUMNS, [[_fmt(row[c]) for c in SWEEP_COLUMNS] for row in rows], fmt)

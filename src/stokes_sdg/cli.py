@@ -16,7 +16,7 @@ import sys
 
 from .bench import (CaseSpec, convergence_study, emit, emit_sweep,
                     get_case, robustness_sweep, run_case)
-from .mesh import (MeshError, build_staggered, generate_polygonal,
+from .mesh import (MAX_JITTER, MeshError, build_staggered, generate_polygonal,
                    generate_trapezoidal, generate_triangular, read_mesh,
                    write_mesh, validate)
 from .solver import SolverError
@@ -79,6 +79,9 @@ def _cmd_run(args) -> int:
     bad = _bad_viscosity([args.nu])
     if bad:
         print(f"--nu: {bad}", file=sys.stderr)
+        return 2
+    if not 0.0 <= args.jitter <= MAX_JITTER:
+        print(f"--jitter must lie in [0, {MAX_JITTER}], got {args.jitter:g}", file=sys.stderr)
         return 2
     if args.jitter != 0.0 and args.mesh != "tri":
         print(f"--jitter applies only to --mesh tri, not {args.mesh!r}", file=sys.stderr)

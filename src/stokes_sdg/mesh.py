@@ -275,20 +275,24 @@ class PrimalMesh:
 # Generators
 # ---------------------------------------------------------------------------
 
+MAX_JITTER = 0.2
+
+
 def generate_triangular(n: int, jitter: float = 0.0, seed: int = 0) -> PrimalMesh:
     """n x n grid of squares, each split along its SW-NE diagonal.
 
     ``jitter`` displaces interior grid vertices uniformly in
-    [-jitter*h, jitter*h] per coordinate; values above 0.2 are rejected
-    because they can break convexity/orientation.  Up to 0.2 every triangle
-    stays convex and counter-clockwise, but a seed may still give staggered
+    [-jitter*h, jitter*h] per coordinate.  nan and values outside
+    [0, MAX_JITTER] are rejected, since larger ones can break convexity or
+    orientation.  Up to 0.2 every triangle stays convex and
+    counter-clockwise, but a seed may still give staggered
     sub-triangles beyond ``validate``'s aspect-ratio limit of 20: at n = 64
     and jitter 0.2, seeds 20, 40, 41, 52 and 220 do (aspect 22.4 for 220).
     """
     if n < 1:
         raise MeshError("triangular generator needs n >= 1")
-    if jitter < 0.0 or jitter > 0.2:
-        raise MeshError("jitter must lie in [0, 0.2]")
+    if not 0.0 <= jitter <= MAX_JITTER:
+        raise MeshError(f"jitter must lie in [0, {MAX_JITTER}], got {jitter:g}")
     h = 1.0 / n
     xs = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")

@@ -31,6 +31,15 @@ def _checked(values, shape, what):
     return values
 
 
+def _tri_quad(stag):
+    """The _TRI_DEGREE triangle rule mapped to every sub-triangle: points
+    (nt*nq, 2) and weights (nt, nq), shared by the loads, the pressure
+    interpolant and the error functionals."""
+    rule = triangle_rule(_TRI_DEGREE)
+    pts, w = map_to_triangles(rule, stag.tri_verts)
+    return pts.reshape(-1, 2), w
+
+
 class VelocityField:
     """Piecewise-constant velocity: values (ne, 2) on the primal edges;
     boundary entries carry the Dirichlet data rather than unknowns."""
@@ -110,9 +119,8 @@ def interp_gradient(stag: StaggeredMesh, omega) -> GradientField:
 
 def interp_pressure(stag: StaggeredMesh, p) -> PressureField:
     """Cell-mean interpolant via sub-triangle quadrature."""
-    rule = triangle_rule(_TRI_DEGREE)
-    pts, w = map_to_triangles(rule, stag.tri_verts)
-    vals = np.asarray(p(pts.reshape(-1, 2))).reshape(w.shape)
+    pts, w = _tri_quad(stag)
+    vals = np.asarray(p(pts)).reshape(w.shape)
     per_tri = np.einsum("tq,tq->t", vals, w)
     sums = np.zeros(stag.n_cells)
     np.add.at(sums, stag.tri_cell, per_tri)
@@ -155,12 +163,6 @@ def pressure_norm(q: PressureField) -> float:
 # ---------------------------------------------------------------------------
 # Error functionals
 # ---------------------------------------------------------------------------
-
-def _tri_quad(stag):
-    rule = triangle_rule(_TRI_DEGREE)
-    pts, w = map_to_triangles(rule, stag.tri_verts)
-    return pts.reshape(-1, 2), w
-
 
 def error_velocity(u_h: VelocityField, u) -> float:
     """||u - u_h||_0 with u evaluable at points."""

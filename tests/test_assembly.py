@@ -91,6 +91,16 @@ def test_constant_velocity_annihilates_divergence_rows():
     assert np.abs(mat @ const).max() < 1e-12
 
 
+@pytest.mark.parametrize("gen", [generate_triangular, generate_trapezoidal],
+                         ids=["tri", "trap"])
+def test_bh_stores_no_zeros(gen):
+    # axis-aligned edges have one zero normal component; a stored zero would
+    # enlarge the sparsity pattern the solver factorizes
+    mat = assemble_bh(build_staggered(gen(8)))
+    assert mat.nnz > 0
+    assert np.all(mat.data != 0.0)
+
+
 def test_divergence_columns_telescope():
     # each interior edge contributes +- symmetrically, so cell-row sums vanish
     stag = build_staggered(generate_triangular(2))

@@ -49,6 +49,20 @@ def test_emit_markdown_pairs_error_and_order():
     assert "N/A" in lines[2]  # first level has no order
 
 
+def test_emit_sweep_markdown_marks_missing_ratios():
+    row = {"method": "sdg1", "nu": 1.0, "h": 0.5, "dof": 10, "err_omega": 0.25,
+           "err_u": 1e-15, "err_p": 2.0, "err_super": 0.125,
+           "ratio_omega": None, "ratio_u": None}
+    text = emit_sweep([row, dict(row, nu=0.1, ratio_omega=10.0, ratio_u=1.0)], "md")
+    assert text == (
+        "| method | nu | h | dof | err_omega | err_u | err_p | err_super"
+        " | ratio_omega | ratio_u |\n"
+        "|---|---|---|---|---|---|---|---|---|---|\n"
+        "| sdg1 | 1 | 0.5 | 10 | 0.25 | 1e-15 | 2 | 0.125 | N/A | N/A |\n"
+        "| sdg1 | 0.1 | 0.5 | 10 | 0.25 | 1e-15 | 2 | 0.125 | 10 | 1 |\n"
+    )
+
+
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit([], "tex")

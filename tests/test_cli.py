@@ -139,6 +139,16 @@ def test_bad_viscosity_exit_2(argv, capsys):
     assert f"viscosity must be positive and finite, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jitter", ["5", "-0.1", "nan"])
+def test_bad_jitter_exit_2(jitter, capsys):
+    # 5 once failed in the mesh generator with exit 1, and nan gave an
+    # unjittered mesh
+    code = main(["run", "--case", "taylor", "--mesh", "tri", "--levels", "2",
+                 "--jitter", jitter])
+    assert code == 2
+    assert f"--jitter must lie in [0, 0.2], got {jitter}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mesh", ["trap", "poly", "file:unread.json"])
 def test_jitter_off_the_tri_family_exit_2(mesh, capsys):
     code = main(["run", "--case", "taylor", "--mesh", mesh, "--levels", "2",

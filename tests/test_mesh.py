@@ -34,6 +34,8 @@ def test_triangular_convex_with_and_without_jitter():
     generate_triangular(4, jitter=0.2, seed=3)  # bounded jitter stays valid
     with pytest.raises(MeshError):
         generate_triangular(4, jitter=0.3)
+    with pytest.raises(MeshError, match="got nan"):  # nan fails every comparison
+        generate_triangular(4, jitter=float("nan"))
     with pytest.raises(MeshError):
         generate_triangular(0)
 

@@ -112,9 +112,9 @@ def test_pressure_mean_is_zero():
 def test_singular_system_raises():
     stag = build_staggered(generate_triangular(1))
     system = assemble_system(stag, get_case("noflow"), "sdg1", 1.0)
-    mat = system.matrix().tolil()
+    mat = system.M.tolil()
     mat[0, :] = 0.0  # destroy a gradient row
-    system._matrix = mat.tocsr()
+    system.M = mat.tocsr()
     with pytest.raises(SolverError):
         solve(system)
 
@@ -171,6 +171,29 @@ def test_one_factorization_per_solve(monkeypatch):
 
 
 @pytest.mark.parametrize("nu", [1.0, 1e-6])
+def test_factored_matrix_matches_dense_schur_complement(nu, monkeypatch):
+    import stokes_sdg.solver as solver
+    factored = []
+    splu = solver.spla.splu
+
+    def capture(mat, *args, **kwargs):
+        factored.append(mat.toarray())
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", capture)
+    stag = build_staggered(generate_polygonal(2))
+    system = assemble_system(stag, get_case("taylor"), "sdg1", nu)
+    solve(system)
+    full = system.matrix().toarray()
+    nq = system.n_q
+    schur = full[nq:, nq:] - full[nq:, :nq] @ np.linalg.solve(full[:nq, :nq], full[:nq, nq:])
+    keep = np.r_[:system.n_u, system.n_u + 1:schur.shape[0] - 1]  # drop p_0 and mu
+    oracle = schur[np.ix_(keep, keep)]
+    assert len(factored) == 1
+    assert np.abs(factored[0] - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("nu", [1.0, 1e-6])
 def test_condensed_solve_matches_dense_oracle_with_nonzero_multiplier(nu):
     # non-solenoidal boundary data: the net boundary flux, and so mu, is
     # nonzero, which exercises the elimination of mu from the divergence rows
@@ -205,9 +228,9 @@ def test_out_of_memory_in_factorization_raises(monkeypatch):
 def test_gradient_coupling_between_cells_raises():
     stag = build_staggered(generate_triangular(1))
     system = assemble_system(stag, get_case("noflow"), "sdg1", 1.0)
-    mat = system.matrix().tolil()
+    mat = system.M.tolil()
     # first gradient dof of cell 0 against the first of cell 1
     mat[0, 2 * stag.cell_ptr[1]] = 1e-3
-    system._matrix = mat.tocsr()
+    system.M = mat.tocsr()
     with pytest.raises(SolverError, match="couples two cells"):
         solve(system)
