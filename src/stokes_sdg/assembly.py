@@ -39,8 +39,8 @@ def assemble_Bh(stag: StaggeredMesh) -> sp.csr_matrix:
     """Matrix of B_h(omega, v) over all primal-edge dofs (rows) and dual-edge
     dofs (columns): B_h = -sum_{dual e} |e| q_e . (v_first - v_second)."""
     s = stag
-    first = s.tri_base[s.dual_tris[:, 0]]
-    second = s.tri_base[s.dual_tris[:, 1]]
+    first = s.loc_edge[s.dual_tris[:, 0]]
+    second = s.loc_edge[s.dual_tris[:, 1]]
     d = np.arange(s.n_duals)
     rows = np.concatenate([2 * first, 2 * first + 1, 2 * second, 2 * second + 1])
     cols = np.concatenate([2 * d, 2 * d + 1, 2 * d, 2 * d + 1])
@@ -85,9 +85,8 @@ def assemble_mass(stag: StaggeredMesh) -> sp.csr_matrix:
     """Gradient-space mass matrix: per sub-triangle, (omega, psi)_tau through the tensor
     recovery from the two dual-edge traces; block-diagonal per cell, SPD."""
     s = stag
-    n1 = s.dual_normal[s.tri_dual[:, 0]]
-    n2 = s.dual_normal[s.tri_dual[:, 1]]
-    c = np.einsum("tc,tc->t", n1, n2)
+    # sub-triangle t is flanked by dual edges t and next_slot[t]
+    c = np.einsum("tc,tc->t", s.dual_normal, s.dual_normal[s.next_slot])
     det = 1.0 - c * c
     if np.any(det <= 1e-12):
         t = int(np.argmin(det))
@@ -98,7 +97,7 @@ def assemble_mass(stag: StaggeredMesh) -> sp.csr_matrix:
     fac = s.tri_area / det
     s11 = fac
     s12 = -c * fac
-    e1, e2 = s.tri_dual[:, 0], s.tri_dual[:, 1]
+    e1, e2 = np.arange(s.n_duals), s.next_slot
     rows, cols, vals = [], [], []
     for comp in (0, 1):
         rows += [2 * e1 + comp, 2 * e2 + comp, 2 * e1 + comp, 2 * e2 + comp]
@@ -161,17 +160,10 @@ def assemble_rhs(stag: StaggeredMesh, f, method: str,
         pts, w = _tri_quad(s)
         fvals = np.asarray(f(pts)).reshape(*w.shape, 2)
         per_tri = np.einsum("tqc,tq->tc", fvals, w)
-        np.add.at(rhs, s.tri_base, per_tri)
+        np.add.at(rhs, s.loc_edge, per_tri)
     else:
         raise ValueError(f"unknown method {method!r}; expected 'sdg1' or 'sdg2'")
     return rhs.ravel()
-
-
-def _dof_split(n_edges, interior):
-    idx = np.arange(n_edges)
-    i2 = np.stack([2 * idx, 2 * idx + 1], axis=1).ravel()
-    mask = np.repeat(interior, 2)
-    return i2[mask], i2[~mask]
 
 
 @dataclass
@@ -235,7 +227,8 @@ def assemble_system(stag: StaggeredMesh, case, method: str, nu: float,
     bfull = assemble_Bh(s)
     dfull = assemble_bh(s)
     mass = assemble_mass(s)
-    idof, gdof = _dof_split(s.n_edges, s.edge_interior)
+    idof, gdof = (np.stack([2 * e, 2 * e + 1], axis=1).ravel()
+                  for e in (s.interior_edges, s.boundary_edges))
     ug_field: VelocityField = interp_velocity(s, case.u)
     ug = ug_field.values.ravel()[gdof]
     fvec = assemble_rhs(s, lambda x: case.f(x, nu), method, rt)

@@ -15,7 +15,7 @@ import math
 import sys
 
 from .bench import (CaseSpec, convergence_study, emit, emit_sweep,
-                    get_case, robustness_sweep, run_case)
+                    get_case, robustness_sweep, study_on_meshes)
 from .mesh import (MAX_JITTER, MeshError, build_staggered, generate_polygonal,
                    generate_trapezoidal, generate_triangular, read_mesh,
                    write_mesh, validate)
@@ -95,8 +95,8 @@ def _cmd_run(args) -> int:
         if not report.ok:
             print(f"mesh fails regularity thresholds: {report}", file=sys.stderr)
             return 1
-        rec, _ = run_case(get_case(args.case), stag, args.method, args.nu, level=1)
-        _emit_output(emit([rec], args.format), args.out)
+        records = study_on_meshes(get_case(args.case), [stag], args.method, args.nu)
+        _emit_output(emit(records, args.format), args.out)
         return 0
     if args.mesh not in _FAMILIES:
         print(f"unknown mesh family {args.mesh!r}", file=sys.stderr)

@@ -102,7 +102,8 @@ def _fan_areas(tri_verts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Packed cells.  Cell c owns the slots cell_ptr[c]:cell_ptr[c+1] of every
 # packed per-vertex array; slot s of cell c at local position k holds vertex
-# k of the cell, edge k (vertex k -> k+1), sub-triangle k and dual edge k.
+# k of the cell, edge k (vertex k -> k+1), sub-triangle k (x*, v_k, v_k+1)
+# and dual edge k (x* -> v_k, between sub-triangles k-1 and k).
 # ---------------------------------------------------------------------------
 
 def _is_index_type(t) -> bool:
@@ -138,10 +139,28 @@ def _cycle_slots(cell_ptr):
     return nxt, prv
 
 
-def _edge_keys(cell_ptr, cell_idx, nv):
-    """Per-slot key min*nv + max of the edge from the slot's vertex to the next."""
+def _edge_table(cell_ptr, cell_idx, nv):
+    """The primal edges, numbered by first appearance.
+
+    Returns (loc_edge, edge_slots, users, forward): the edge of each slot
+    (vertex k -> k+1 of its cell), each edge's [first slot, second slot or
+    -1], and per edge the number of slots that use it and how many of them
+    run from its lower to its higher vertex index.  The first user of an
+    edge is its lower-indexed cell, which also uses it first.
+    """
     a, b = cell_idx, cell_idx[_cycle_slots(cell_ptr)[0]]
-    return np.minimum(a, b) * nv + np.maximum(a, b)
+    _, first, inverse, users = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                                         return_index=True, return_inverse=True,
+                                         return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    loc_edge = rank[inverse]
+    edge_slots = np.stack([first[order], np.full(len(first), -1, dtype=np.int64)], axis=1)
+    later = np.flatnonzero(np.arange(len(a)) != edge_slots[loc_edge, 0])
+    edge_slots[loc_edge[later], 1] = later
+    forward = np.bincount(loc_edge, weights=a < b, minlength=len(first))
+    return loc_edge, edge_slots, users[order], forward
 
 
 def _size_groups(cell_ptr):
@@ -166,10 +185,12 @@ def _raise_first(checks):
 class PrimalMesh:
     """Conforming mesh of convex polygons.
 
-    vertices  : (nv, 2) float array, each vertex used by some cell
-    cell_ptr  : (nc+1,) offsets of the cells in cell_idx
-    cell_idx  : (sum m,) packed vertex indices, each cell a CCW cycle
-    edge_key  : (sum m,) key min*nv + max of each slot's edge
+    vertices   : (nv, 2) float array, each vertex used by some cell
+    cell_ptr   : (nc+1,) offsets of the cells in cell_idx
+    cell_idx   : (sum m,) packed vertex indices, each cell a CCW cycle
+    cell_areas : (nc,) cell areas
+    loc_edge   : (sum m,) primal edge of each slot, numbered by first appearance
+    edge_slots : (ne, 2) [first slot, second slot or -1] of each edge
 
     The constructor takes the cells as a sequence of index cycles.  It
     checks orientation, strict convexity, and edge sharing; the generators
@@ -234,29 +255,20 @@ class PrimalMesh:
         ])
         self.cell_areas = areas
 
-        # edge table: interior edges must be shared by exactly two cells with
-        # opposite orientation, boundary edges by exactly one
-        key = _edge_keys(ptr, idx, nv)
-        uniq, first, inverse, users = np.unique(
-            key, return_index=True, return_inverse=True, return_counts=True)
-        forward = np.bincount(inverse, weights=idx < idx[_cycle_slots(ptr)[0]],
-                              minlength=len(uniq))
-        order = np.argsort(first)  # edges in order of first appearance
-        uniq, users, forward = uniq[order], users[order], forward[order]
+        # interior edges must be shared by exactly two cells with opposite
+        # orientation, boundary edges by exactly one
+        loc_edge, edge_slots, users, forward = _edge_table(ptr, idx, nv)
 
         def pair(e):
-            return (int(uniq[e] // nv), int(uniq[e] % nv))
+            s = edge_slots[e, 0]
+            a, b = int(idx[s]), int(idx[_cycle_slots(ptr)[0][s]])
+            return (min(a, b), max(a, b))
         _raise_first([
             (users > 2, lambda e: f"edge {pair(e)} shared by more than two cells"),
             ((users == 2) & (forward != 1),
              lambda e: f"edge {pair(e)} traversed twice in the same direction"),
         ])
-        boundary_vertex = np.zeros(nv, dtype=bool)
-        bd = uniq[users == 1]
-        boundary_vertex[bd // nv] = True
-        boundary_vertex[bd % nv] = True
-        self.boundary_vertex = boundary_vertex
-        self.edge_key = key
+        self.loc_edge, self.edge_slots = loc_edge, edge_slots
 
     def total_area(self) -> float:
         return float(self.cell_areas.sum())
@@ -460,10 +472,9 @@ def _check_unit_square_boundary(mesh: PrimalMesh):
             f"mesh does not tile the unit square: vertex {i} at {v[i].tolist()} lies outside it"
         )
     # boundary edges (used by one cell), in order of first appearance
-    nv = mesh.n_vertices
-    keys, first, users = np.unique(mesh.edge_key, return_index=True, return_counts=True)
-    bd = keys[users == 1][np.argsort(first[users == 1])]
-    bd = np.stack([bd // nv, bd % nv], axis=1)
+    first = mesh.edge_slots[mesh.edge_slots[:, 1] < 0, 0]
+    nxt = _cycle_slots(mesh.cell_ptr)[0]
+    bd = np.sort(mesh.cell_idx[np.stack([first, nxt[first]], axis=1)], axis=1)
     a, b = v[bd[:, 0]], v[bd[:, 1]]
     # both endpoints share the coordinate of one side: 0 or 1, in x or in y
     on_side = (((np.abs(a) <= tol) & (np.abs(b) <= tol))
@@ -494,27 +505,26 @@ def write_mesh(mesh: PrimalMesh) -> str:
 class StaggeredMesh:
     """Primal mesh plus centroid fans: sub-triangles, dual edges, D(e).
 
-    Array attributes (ne = primal edges, nd = dual edges, nt = sub-triangles,
-    nc = cells; "first/second" follow the orientation rules in the module
-    docstring):
+    Sub-triangles and dual edges are numbered by packed slot (see "Packed
+    cells" above).  Array attributes (ne = primal edges, nd = slots = dual
+    edges = sub-triangles, nc = cells; "first/second" follow the orientation
+    rules in the module docstring):
 
-    edge_verts (ne,2) int     endpoints as traversed CCW in the first cell
+    loc_edge (nd,) int        primal edge of each slot (base of sub-triangle)
+    next_slot (nd,) int       slot of the next vertex of the same cell
+    edge_tris (ne,2) int      D(e): [first slot, second slot or -1] of edge e,
+                              the primal mesh's edge_slots array itself
     edge_cells (ne,2) int     [first cell, second cell or -1]
-    edge_normal (ne,2)        fixed unit normal n_e
+    edge_normal (ne,2)        fixed unit normal n_e, outward for the first cell
     edge_len (ne,)
-    edge_interior (ne,) bool
-    edge_tris (ne,2) int      D(e): base sub-tris [in first cell, second or -1]
+    interior_edges, boundary_edges   edge indices, ascending
     dual_normal (nd,2), dual_len (nd,), dual_tris (nd,2)
-    tri_cell, tri_base (nt,)  owning cell, base primal edge
-    tri_dual (nt,2)           the two flanking dual edges
-    tri_verts (nt,3,2)        (x*, v_i, v_i+1), CCW
-    tri_area, tri_diam (nt,)
-    cell_ptr (nc+1,)          packed per-cell offsets (cell c owns slots
-                              cell_ptr[c]:cell_ptr[c+1] in loc_* arrays,
-                              sub-tris and dual edges alike)
-    loc_edge (sum m,)         global primal edge of each local edge
-    cvert, cnorm (sum m, 2)   packed cell vertices / outward edge normals
-    celen (sum m,)
+    tri_cell (nd,)            owning cell
+    tri_verts (nd,3,2)        (x*, v_k, v_k+1), CCW
+    tri_area, tri_diam (nd,)
+    cell_ptr (nc+1,), cell_sizes (nc,), cell_area (nc,)
+    cvert, cnorm (nd,2)       packed cell vertices / outward edge normals
+    celen (nd,)
     xstar (nc,2)              centroids
     """
 
@@ -532,30 +542,17 @@ class StaggeredMesh:
         slot_cell = np.repeat(np.arange(nc), sizes)
         nxt, prv = _cycle_slots(ptr)
 
-        # primal edge table, numbered by first appearance; the first user of
-        # an edge is its lower-indexed cell, which also uses it first
-        _, first, inverse = np.unique(mesh.edge_key, return_index=True, return_inverse=True)
-        ne = len(first)
-        order = np.argsort(first)
-        rank = np.empty(ne, dtype=np.int64)
-        rank[order] = np.arange(ne)
-        loc_edge = rank[inverse]
-        first_slot = first[order]
-        second_slot = np.full(ne, -1, dtype=np.int64)
-        later = slot != first_slot[loc_edge]
-        second_slot[loc_edge[later]] = slot[later]
-        edge_verts = np.stack([idx[first_slot], idx[nxt[first_slot]]], axis=1)
-        edge_cells = np.stack([slot_cell[first_slot],
-                               np.where(second_slot >= 0, slot_cell[second_slot], -1)], axis=1)
-        tang = verts[edge_verts[:, 1]] - verts[edge_verts[:, 0]]
+        cvert = verts[idx]
+        first, second = mesh.edge_slots[:, 0], mesh.edge_slots[:, 1]
+        edge_cells = np.stack([slot_cell[first],
+                               np.where(second >= 0, slot_cell[second], -1)], axis=1)
+        tang = cvert[nxt[first]] - cvert[first]
         edge_len = np.hypot(tang[:, 0], tang[:, 1])
         # outward for the first cell
         edge_normal = np.stack([tang[:, 1] / edge_len, -tang[:, 0] / edge_len], axis=1)
-        edge_interior = edge_cells[:, 1] >= 0
 
-        # packed cell geometry, centroids and fan sub-triangles (cell c,
-        # local k), per group of equal-size cells
-        cvert = verts[idx]
+        # packed cell geometry, centroids and fan sub-triangles, per group
+        # of equal-size cells
         cnorm = np.empty((total, 2))
         celen = np.empty(total)
         xstar = np.empty((nc, 2))
@@ -565,22 +562,16 @@ class StaggeredMesh:
             celen[slots], cnorm[slots] = _edge_normals(poly)
             xstar[cells] = _centroid(poly)
             tri_verts[slots] = _fan_triangles(poly, xstar[cells])
-        # dual edge k of a cell runs from x* to vertex k, between fan
-        # triangles k-1 and k; it shares the packed slot of sub-triangle k
-        xs = xstar[slot_cell]
-        seg = cvert - xs
+        seg = cvert - xstar[slot_cell]
         d = np.einsum("sc,sc->s", seg, cnorm)
         _raise_first([(~(d > 0.0),
                        lambda t: f"cell {slot_cell[t]}: centroid not interior to the cell")])
-        nt = total
-        tri_dual = np.stack([slot, nxt], axis=1)
         dual_tris = np.stack([np.minimum(prv, slot), np.maximum(prv, slot)], axis=1)
         dual_len = np.hypot(seg[:, 0], seg[:, 1])
+        # (seg_y, -seg_x) points into sub-triangle prv; flip it where prv is
+        # the first of the two, so it points from the first to the second
         dual_normal = np.stack([seg[:, 1], -seg[:, 0]], axis=1) / dual_len[:, None]
-        # orient from the first toward the second sub-triangle
-        second = dual_tris[:, 1]
-        cen = (xs + cvert[second] + cvert[nxt[second]]) / 3.0
-        flip = np.einsum("sc,sc->s", dual_normal, cen - xs) < 0.0
+        flip = prv < slot
         dual_normal[flip] = -dual_normal[flip]
         tri_area = _fan_areas(tri_verts)
         sides = np.stack([
@@ -590,36 +581,31 @@ class StaggeredMesh:
         ], axis=1)
         tri_diam = sides.max(axis=1)
 
-        # dual regions D(e): base sub-triangles ordered [first cell, second]
-        edge_tris = np.stack([first_slot, second_slot], axis=1)
-
         self.n_cells = nc
         self.cell_ptr = ptr
         self.cell_sizes = sizes
         self.cell_area = mesh.cell_areas
         self.xstar = xstar
         self.cvert, self.cnorm, self.celen = cvert, cnorm, celen
-        self.loc_edge = loc_edge
-        self.n_edges = ne
-        self.edge_verts, self.edge_cells = edge_verts, edge_cells
+        self.loc_edge, self.next_slot = mesh.loc_edge, nxt
+        self.n_edges = len(first)
+        self.edge_cells = edge_cells
         self.edge_normal, self.edge_len = edge_normal, edge_len
-        self.edge_interior = edge_interior
-        self.edge_tris = edge_tris
-        self.interior_edges = np.flatnonzero(edge_interior)
-        self.boundary_edges = np.flatnonzero(~edge_interior)
-        self.n_duals = nt
+        self.edge_tris = mesh.edge_slots
+        self.interior_edges = np.flatnonzero(second >= 0)
+        self.boundary_edges = np.flatnonzero(second < 0)
+        self.n_duals = total
         self.dual_normal, self.dual_len, self.dual_tris = dual_normal, dual_len, dual_tris
-        self.n_tris = nt
-        self.tri_cell, self.tri_base = slot_cell, loc_edge.copy()
-        self.tri_dual, self.tri_verts = tri_dual, tri_verts
+        self.tri_cell, self.tri_verts = slot_cell, tri_verts
         self.tri_area, self.tri_diam = tri_area, tri_diam
         self.h = float(tri_diam.max())
 
     # convenience views -----------------------------------------------------
     def edge_endpoints(self):
-        """(v0, v1) coordinate arrays of the primal edges, shape (ne, 2) each."""
-        return (self.primal.vertices[self.edge_verts[:, 0]],
-                self.primal.vertices[self.edge_verts[:, 1]])
+        """(v0, v1) coordinate arrays of the primal edges, shape (ne, 2) each,
+        as traversed CCW in the first cell."""
+        first = self.edge_tris[:, 0]
+        return self.cvert[first], self.cvert[self.next_slot[first]]
 
 
 def build_staggered(primal: PrimalMesh) -> StaggeredMesh:

@@ -27,24 +27,13 @@ class QuadRule:
     degree: int
 
 
-# Dunavant symmetric triangle rules, stored as barycentric orbits:
+# Dunavant symmetric triangle rules, stored as barycentric orbits (degree 8
+# is the package's rule, degree 10 the reference it is checked against):
 # ("c", w)           -> centroid
 # ("s", w, a)        -> 3 permutations of (a, b, b), b = (1 - a) / 2
 # ("p", w, a, b, c)  -> all 6 permutations of (a, b, c)
 # Weights are normalized to sum to 1 over the orbit expansion.
 _TRI_ORBITS = {
-    2: [
-        ("s", 0.333333333333333333, 0.666666666666666667),
-    ],
-    4: [
-        ("s", 0.223381589678011, 0.108103018168070),
-        ("s", 0.109951743655322, 0.816847572980459),
-    ],
-    6: [
-        ("s", 0.050844906370207, 0.873821971016996),
-        ("s", 0.116786275726379, 0.501426509658179),
-        ("p", 0.082851075618374, 0.053145049844817, 0.310352451033784, 0.636502499121398),
-    ],
     8: [
         ("c", 0.144315607677787),
         ("s", 0.095091634267285, 0.081414823414554),
@@ -62,7 +51,7 @@ _TRI_ORBITS = {
     ],
 }
 
-_EDGE_SIZES = (2, 4, 8)
+_EDGE_SIZES = (8,)
 
 _tri_cache: dict[int, QuadRule] = {}
 _edge_cache: dict[int, QuadRule] = {}

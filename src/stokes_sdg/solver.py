@@ -77,9 +77,9 @@ def solve(system: SaddleSystem) -> FieldSolution:
     s, b0, area = system.stag, system.B0, system.stag.cell_area
     nu_b0t = system.nu * b0.T
     minv = _cell_block_inverse(system.M, s)
-    r_q = system.nu * (system.Bg.T @ system.ug)
-    r_u = system.F - b0 @ (minv @ r_q)
-    r_p = -(system.Dg @ system.ug)
+    rhs = system.rhs()
+    r_q, f, r_p, _ = np.split(rhs, np.cumsum([system.n_q, system.n_u, system.n_p]))
+    r_u = f - b0 @ (minv @ r_q)
     mu = r_p.sum() / area.sum()
     d0 = system.D0[1:]  # pin p_0 = 0
     # K = B0 (M^-1 nu B0^T); (B0 M^-1) nu B0^T would store a larger pattern
@@ -100,7 +100,6 @@ def solve(system: SaddleSystem) -> FieldSolution:
     x = np.concatenate([q, u, p, [mu]])
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite solution entries")
-    rhs = system.rhs()
     scale = np.linalg.norm(rhs)
     residual = np.linalg.norm(system.matrix() @ x - rhs) / (scale if scale > 0.0 else 1.0)
     if residual > _RESIDUAL_TOL:

@@ -50,7 +50,7 @@ class VelocityField:
 
     def on_tris(self) -> np.ndarray:
         """Per-sub-triangle constant value (the base edge's dof), (nt, 2)."""
-        return self.values[self.stag.tri_base]
+        return self.values[self.stag.loc_edge]
 
 
 class GradientField:
@@ -64,11 +64,9 @@ class GradientField:
     def tensors(self) -> np.ndarray:
         """Per-sub-triangle 2x2 tensors, solving psi [n1 n2] = [q1 q2]."""
         s = self.stag
-        n1 = s.dual_normal[s.tri_dual[:, 0]]
-        n2 = s.dual_normal[s.tri_dual[:, 1]]
-        nmat = np.stack([n1, n2], axis=2)          # columns n1, n2
-        qmat = np.stack([self.values[s.tri_dual[:, 0]],
-                         self.values[s.tri_dual[:, 1]]], axis=2)
+        # sub-triangle t is flanked by dual edges t and next_slot[t]
+        nmat = np.stack([s.dual_normal, s.dual_normal[s.next_slot]], axis=2)
+        qmat = np.stack([self.values, self.values[s.next_slot]], axis=2)
         return qmat @ np.linalg.inv(nmat)
 
     def traces_from_tensors(self, tensors) -> np.ndarray:

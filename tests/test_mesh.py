@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stokes_sdg.mesh import (MeshError, PrimalMesh, RegularityReport, _centroid,
-                             _edge_keys, _edge_normals, _fan_areas,
+                             _edge_normals, _edge_table, _fan_areas,
                              _fan_triangles, _pack_cells, build_staggered,
                              generate_polygonal, generate_trapezoidal,
                              generate_triangular, read_mesh, validate,
@@ -63,8 +63,11 @@ def test_polygonal_tiling_and_shapes(n):
     sizes = {len(c) for c in mesh.cells}
     assert sizes <= {3, 4, 5, 6}
     if n >= 3:  # at n=2 every hexagon touches the boundary
-        interior = [c for c in mesh.cells
-                    if not np.any(mesh.boundary_vertex[c])]
+        # the boundary is one CCW loop, so each of its vertices starts
+        # exactly one boundary edge
+        on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
+        on_boundary[mesh.cell_idx[mesh.edge_slots[mesh.edge_slots[:, 1] < 0, 0]]] = True
+        interior = [c for c in mesh.cells if not np.any(on_boundary[c])]
         assert interior and all(len(c) == 6 for c in interior)
 
 
@@ -198,7 +201,7 @@ def test_write_mesh_text():
 def test_single_triangle_fan():
     mesh = PrimalMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [[0, 1, 2]])
     stag = build_staggered(mesh)
-    assert stag.n_tris == 3
+    assert len(stag.tri_verts) == 3
     assert stag.n_duals == 3
     assert len(stag.boundary_edges) == 3
     assert len(stag.interior_edges) == 0
@@ -208,7 +211,7 @@ def test_single_hexagon_fan():
     ang = 2.0 * np.pi * np.arange(6) / 6
     verts = 0.5 + 0.2 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     stag = build_staggered(PrimalMesh(verts, [np.arange(6)]))
-    assert stag.n_tris == 6
+    assert len(stag.tri_verts) == 6
     assert stag.n_duals == 6
 
 
@@ -242,13 +245,13 @@ def test_staggered_invariants_on_all_families():
         assert abs(stag.tri_area.sum() - 1.0) < 1e-12
         # every sub-triangle belongs to exactly one dual region, its base's
         counted = stag.edge_tris[stag.edge_tris >= 0]
-        assert np.array_equal(np.sort(counted), np.arange(stag.n_tris))
-        base_of = np.full(stag.n_tris, -1)
+        assert np.array_equal(np.sort(counted), np.arange(stag.n_duals))
+        base_of = np.full(stag.n_duals, -1)
         for e in range(stag.n_edges):
             for t in stag.edge_tris[e]:
                 if t >= 0:
                     base_of[t] = e
-        assert np.array_equal(base_of, stag.tri_base)
+        assert np.array_equal(base_of, stag.loc_edge)
         # normals are unit and respect the lower-to-higher orientation rule
         assert np.abs(np.linalg.norm(stag.edge_normal, axis=1) - 1.0).max() < 1e-13
         assert np.abs(np.linalg.norm(stag.dual_normal, axis=1) - 1.0).max() < 1e-13
@@ -299,13 +302,40 @@ def test_packed_build_numbers_edges_by_first_appearance(name, gen):
     assert np.all(stag.edge_cells[inter, 0] < stag.edge_cells[inter, 1])
 
 
+ORIENTATION_MESHES = ORACLE_MESHES + [("trap", lambda: generate_trapezoidal(8))]
+
+
+@pytest.mark.parametrize("name,gen", ORIENTATION_MESHES)
+def test_edge_slots_match_per_cell_dict(name, gen):
+    mesh = gen()
+    slots_of = {}  # unordered vertex pair -> the slots that traverse it
+    for ci, cell in enumerate(mesh.cells):
+        lo = mesh.cell_ptr[ci]
+        for k, a in enumerate(cell.tolist()):
+            b = int(cell[(k + 1) % len(cell)])
+            slots_of.setdefault(frozenset((a, b)), []).append(lo + k)
+    # numbered by first appearance: the edges in order of their first slot
+    expected = sorted((s + [-1])[:2] for s in slots_of.values())
+    assert mesh.edge_slots.tolist() == expected
+
+
+@pytest.mark.parametrize("name,gen", ORIENTATION_MESHES)
+def test_dual_normals_point_into_second_sub_triangle(name, gen):
+    stag = build_staggered(gen())
+    second = stag.tri_verts[stag.dual_tris[:, 1]]
+    xstar = stag.xstar[stag.tri_cell]
+    assert np.all(np.einsum("dc,dc->d", stag.dual_normal,
+                            second.mean(axis=1) - xstar) > 0.0)
+
+
 def _unchecked_primal(vertices, cells):
     """A PrimalMesh that skips the constructor's checks, to reach the
     staggered build's own."""
     mesh = PrimalMesh.__new__(PrimalMesh)
     mesh.vertices = np.asarray(vertices, dtype=float)
     mesh.cell_ptr, mesh.cell_idx = _pack_cells(cells)
-    mesh.edge_key = _edge_keys(mesh.cell_ptr, mesh.cell_idx, mesh.n_vertices)
+    mesh.loc_edge, mesh.edge_slots = _edge_table(mesh.cell_ptr, mesh.cell_idx,
+                                                 mesh.n_vertices)[:2]
     mesh.cell_areas = np.ones(mesh.n_cells)
     return mesh
 

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from stokes_sdg.assembly import assemble_system
+from stokes_sdg.bench import mesh_for, run_case
 from stokes_sdg.cases import ManufacturedCase, get_case
 from stokes_sdg.mesh import (build_staggered, generate_polygonal,
                              generate_trapezoidal, generate_triangular)
@@ -46,6 +47,19 @@ def test_noflow_velocity_is_machine_zero():
         stag = build_staggered(gen(4))
         sol = solve(assemble_system(stag, get_case("noflow"), "sdg1", 1.0))
         assert np.abs(sol.u.values).max() <= 1e-10
+
+
+def test_noflow_velocity_on_hexagons_is_quadrature_limited():
+    # the degree-8 rule integrates the rational Wachspress basis on pentagons
+    # and hexagons only approximately, so the no-flow velocity there is small
+    # and falls with h, but is not machine zero as on tri and trap meshes
+    errs = []
+    for level, bound in ((2, 2e-8), (3, 2e-9)):
+        stag = build_staggered(mesh_for("poly", level))
+        rec, _ = run_case(get_case("noflow"), stag, "sdg1", 1.0)
+        assert rec.err_u <= bound
+        errs.append(rec.err_u)
+    assert errs[1] < errs[0]
 
 
 def test_dense_oracle_on_two_cell_system():
