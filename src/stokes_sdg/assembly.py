@@ -9,11 +9,12 @@ gradient equation is scaled by the viscosity so no 1/nu entry appears:
     [ 0    D0        0     a  ] [p ]   [ -Dg ug     ]
     [ 0    0         a^T   0  ] [mu]   [ 0          ]
 
-where B carries the dual-edge coupling -sum_e |e| q_e . [v], D the interior
-primal-edge coupling -sum_e |e| (v.n)[q] extended with boundary-flux columns
-(Dg) used for Dirichlet lifting, and a is the cell-area vector.  The
-pressure coupling in the momentum rows is assembled as D0^T (the discrete
-adjoint), never from cell divergences of the reconstruction.
+where B carries the dual-edge coupling -sum_e |e| q_e . [v], D the cell
+divergence -sum_{e in dT} |e| v.n_T with n_T each cell's outward normal,
+its boundary-flux columns (Dg) used for Dirichlet lifting, and a is the
+cell-area vector.  The pressure coupling in the momentum rows is assembled
+as D0^T (the discrete adjoint), never from cell divergences of the
+reconstruction.
 """
 
 from dataclasses import dataclass
@@ -52,33 +53,19 @@ def assemble_Bh(stag: StaggeredMesh) -> sp.csr_matrix:
 
 def assemble_bh(stag: StaggeredMesh) -> sp.csr_matrix:
     """Matrix of b_h(v, q) over cells (rows) and all primal-edge dofs
-    (columns); boundary columns carry the natural -|e| v.n_out flux so the
-    same matrix provides the Dirichlet lifting of the divergence rows."""
+    (columns): cell T's row is -|e| n_T over T's own edges, n_T its outward
+    normal.  Boundary columns carry the same natural flux, so the matrix
+    also provides the Dirichlet lifting of the divergence rows."""
     s = stag
-    rows, cols, vals = [], [], []
-    e = np.arange(s.n_edges)
-    c1 = s.edge_cells[:, 0]
-    w = s.edge_len[:, None] * s.edge_normal
-    rows.append(c1)
-    rows.append(c1)
-    cols.append(2 * e)
-    cols.append(2 * e + 1)
-    vals.append(-w[:, 0])
-    vals.append(-w[:, 1])
-    inter = s.interior_edges
-    c2 = s.edge_cells[inter, 1]
-    rows.append(c2)
-    rows.append(c2)
-    cols.append(2 * inter)
-    cols.append(2 * inter + 1)
-    vals.append(w[inter, 0])
-    vals.append(w[inter, 1])
-    vals = np.concatenate(vals)
-    nz = vals != 0.0  # an axis-aligned edge has one zero normal component
-    return sp.csr_matrix(
-        (vals[nz], (np.concatenate(rows)[nz], np.concatenate(cols)[nz])),
-        shape=(s.n_cells, 2 * s.n_edges),
-    )
+    tang = s.cvert[s.next_slot] - s.cvert
+    # -|e| n_T = (-t_y, t_x) for the edge tangent t = v_k+1 - v_k; the slots
+    # are packed cell by cell, so cell c's row holds 2 entries per slot
+    vals = np.stack([-tang[:, 1], tang[:, 0]], axis=1).ravel()
+    cols = (2 * s.loc_edge[:, None] + np.arange(2)).ravel()
+    mat = sp.csr_matrix((vals, cols, 2 * s.cell_ptr), shape=(s.n_cells, 2 * s.n_edges))
+    mat.eliminate_zeros()  # an axis-aligned edge has one zero normal component
+    mat.sort_indices()
+    return mat
 
 
 def assemble_mass(stag: StaggeredMesh) -> sp.csr_matrix:
@@ -129,11 +116,10 @@ class RTTable:
                 cmat.reshape(len(cells), m * m)
 
 
-def load_moments(stag: StaggeredMesh, f, rt: RTTable | None = None) -> np.ndarray:
+def load_moments(stag: StaggeredMesh, f) -> np.ndarray:
     """int_T f . phi_i for every (cell, local edge), packed like loc_edge."""
-    if rt is None:
-        rt = RTTable(stag)
     s = stag
+    rt = RTTable(s)
     pts, w = _tri_quad(s)
     fw = np.asarray(f(pts)) * w.reshape(-1, 1)
     return _kernels.cell_moments(
@@ -142,8 +128,7 @@ def load_moments(stag: StaggeredMesh, f, rt: RTTable | None = None) -> np.ndarra
     )
 
 
-def assemble_rhs(stag: StaggeredMesh, f, method: str,
-                 rt: RTTable | None = None) -> np.ndarray:
+def assemble_rhs(stag: StaggeredMesh, f, method: str) -> np.ndarray:
     """Momentum right-hand side over all primal-edge dofs.
 
     sdg1 tests against the flux reconstruction: entry for edge e picks up
@@ -153,7 +138,7 @@ def assemble_rhs(stag: StaggeredMesh, f, method: str,
     s = stag
     rhs = np.zeros((s.n_edges, 2))
     if method == "sdg1":
-        mom = load_moments(stag, f, rt)
+        mom = load_moments(stag, f)
         contrib = mom[:, None] * s.cnorm
         np.add.at(rhs, s.loc_edge, contrib)
     elif method == "sdg2":
@@ -220,8 +205,7 @@ class SaddleSystem:
         return out
 
 
-def assemble_system(stag: StaggeredMesh, case, method: str, nu: float,
-                    rt: RTTable | None = None) -> SaddleSystem:
+def assemble_system(stag: StaggeredMesh, case, method: str, nu: float) -> SaddleSystem:
     """Build the full system for a manufactured case (f and Dirichlet data)."""
     s = stag
     bfull = assemble_Bh(s)
@@ -231,7 +215,7 @@ def assemble_system(stag: StaggeredMesh, case, method: str, nu: float,
                   for e in (s.interior_edges, s.boundary_edges))
     ug_field: VelocityField = interp_velocity(s, case.u)
     ug = ug_field.values.ravel()[gdof]
-    fvec = assemble_rhs(s, lambda x: case.f(x, nu), method, rt)
+    fvec = assemble_rhs(s, lambda x: case.f(x, nu), method)
     return SaddleSystem(
         stag=s, nu=nu, method=method,
         M=mass,

@@ -11,7 +11,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
-from .assembly import RTTable, assemble_system
+from .assembly import assemble_system
 from .cases import ManufacturedCase, get_case
 from .mesh import (PrimalMesh, StaggeredMesh, build_staggered,
                    generate_polygonal, generate_trapezoidal, generate_triangular)
@@ -79,11 +79,9 @@ def mesh_for(family: str, level: int, jitter: float = 0.0) -> PrimalMesh:
 
 
 def run_case(case: ManufacturedCase, stag: StaggeredMesh, method: str,
-             nu: float, level: int = 0,
-             rt: RTTable | None = None) -> tuple[ErrorRecord, FieldSolution]:
-    """Assemble, solve and measure all four errors on one mesh; pass ``rt``
-    to reuse the mesh's reconstruction table across solves."""
-    system = assemble_system(stag, case, method, nu, rt)
+             nu: float, level: int = 0) -> tuple[ErrorRecord, FieldSolution]:
+    """Assemble, solve and measure all four errors on one mesh."""
+    system = assemble_system(stag, case, method, nu)
     sol = solve(system)
     rec = ErrorRecord(
         level=level,
@@ -144,12 +142,11 @@ def robustness_sweep(case_name: str, family: str, level: int,
     factor), so both read ~10 in their interesting asymptotic regime."""
     case = get_case(case_name)
     stag = build_staggered(mesh_for(family, level, jitter))
-    rt = RTTable(stag)
     rows = []
     for method in ("sdg1", "sdg2"):
         prev = None
         for nu in nu_list:
-            rec, _ = run_case(case, stag, method, nu, rt=rt)
+            rec, _ = run_case(case, stag, method, nu)
             row = {
                 "method": method, "nu": nu, "h": rec.h, "dof": rec.dof,
                 "err_omega": rec.err_omega, "err_u": rec.err_u,

@@ -5,13 +5,12 @@ structure fans every cell from its centroid x*, producing sub-triangles
 (one per cell edge), dual edges (centroid-to-vertex segments), and the dual
 regions D(e) that carry the velocity unknowns.
 
-Orientation rules (fixed once, so jump signs are reproducible):
-  * primal edge normals point from the lower-indexed adjacent cell to the
-    higher-indexed one; boundary normals point out of the domain;
-  * dual edge normals point from the lower-indexed adjacent sub-triangle to
-    the higher-indexed one;
-  * jumps are [v] = v_first - v_second with "first" the entity the normal
-    points away from; on the boundary [v] = v_first.
+Orientation rule: every normal is fixed by its own cell's counterclockwise
+vertex order.  Edge k of a cell (v_k -> v_k+1) carries the cell's outward
+normal, so an interior edge is seen once from each side; dual edge k
+(x* -> v_k) carries the normal from sub-triangle k-1 into sub-triangle k.
+Jumps are [v] = v_first - v_second with "first" the entity the normal
+points away from; on the boundary [v] = v_first.
 """
 
 import itertools
@@ -139,6 +138,17 @@ def _cycle_slots(cell_ptr):
     return nxt, prv
 
 
+def _first_appearance(keys):
+    """(ids, first): the number of each key when the distinct keys are
+    numbered in order of first appearance, and where each number first
+    appears."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    return rank[inverse], first[order]
+
+
 def _edge_table(cell_ptr, cell_idx, nv):
     """The primal edges, numbered by first appearance.
 
@@ -149,18 +159,14 @@ def _edge_table(cell_ptr, cell_idx, nv):
     edge is its lower-indexed cell, which also uses it first.
     """
     a, b = cell_idx, cell_idx[_cycle_slots(cell_ptr)[0]]
-    _, first, inverse, users = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
-                                         return_index=True, return_inverse=True,
-                                         return_counts=True)
-    order = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[order] = np.arange(len(first))
-    loc_edge = rank[inverse]
-    edge_slots = np.stack([first[order], np.full(len(first), -1, dtype=np.int64)], axis=1)
-    later = np.flatnonzero(np.arange(len(a)) != edge_slots[loc_edge, 0])
+    loc_edge, first = _first_appearance(np.minimum(a, b) * nv + np.maximum(a, b))
+    ne = len(first)
+    edge_slots = np.stack([first, np.full(ne, -1, dtype=np.int64)], axis=1)
+    later = np.flatnonzero(np.arange(len(a)) != first[loc_edge])
     edge_slots[loc_edge[later], 1] = later
-    forward = np.bincount(loc_edge, weights=a < b, minlength=len(first))
-    return loc_edge, edge_slots, users[order], forward
+    users = np.bincount(loc_edge, minlength=ne)
+    forward = np.bincount(loc_edge, weights=a < b, minlength=ne)
+    return loc_edge, edge_slots, users, forward
 
 
 def _size_groups(cell_ptr):
@@ -290,6 +296,14 @@ class PrimalMesh:
 MAX_JITTER = 0.2
 
 
+def _grid_quads(n: int) -> np.ndarray:
+    """(n*n, 4) vertex indices, CCW from the lower left, of the squares of
+    the (n+1) x (n+1) grid whose vertex (i, j) is i*(n+1) + j; square (i, j)
+    is row i*n + j."""
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    return np.stack([v00, v00 + n + 1, v00 + n + 2, v00 + 1], axis=1)
+
+
 def generate_triangular(n: int, jitter: float = 0.0, seed: int = 0) -> PrimalMesh:
     """n x n grid of squares, each split along its SW-NE diagonal.
 
@@ -316,18 +330,9 @@ def generate_triangular(n: int, jitter: float = 0.0, seed: int = 0) -> PrimalMes
             & (verts[:, 1] > 0.0) & (verts[:, 1] < 1.0)
         )
         verts[interior] += rng.uniform(-jitter * h, jitter * h, (interior.sum(), 2))
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append([v00, v10, v11])
-            cells.append([v00, v11, v01])
-    return PrimalMesh(verts, cells)
+    # per square (v00, v10, v11) then (v00, v11, v01)
+    cells = _grid_quads(n)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    return PrimalMesh(verts, cells.tolist())
 
 
 def generate_trapezoidal(n: int) -> PrimalMesh:
@@ -341,85 +346,58 @@ def generate_trapezoidal(n: int) -> PrimalMesh:
     if n % 2 != 0:
         raise MeshError("trapezoidal generator needs even n (alternating pattern)")
     h = 1.0 / n
-    verts = np.empty(((n + 1) * (n + 1), 2))
-    for i in range(n + 1):
-        for j in range(n + 1):
-            y = j * h
-            if 0 < j < n:
-                y += 0.25 * h * (1.0 if (i + j) % 2 == 0 else -1.0)
-            verts[i * (n + 1) + j] = (i * h, y)
+    i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    y = j * h
+    inner = (j > 0) & (j < n)
+    y[inner] += 0.25 * h * np.where((i + j) % 2 == 0, 1.0, -1.0)[inner]
+    return PrimalMesh(np.stack([i * h, y], axis=1), _grid_quads(n).tolist())
 
-    def vid(i, j):
-        return i * (n + 1) + j
 
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            cells.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return PrimalMesh(verts, cells)
+# a hexagon around its center, in (w/2, r/2) lattice units, CCW from the bottom
+_HEXAGON = np.array([(0, -2), (1, -1), (1, 1), (0, 2), (-1, 1), (-1, -1)])
+
+
+def _clip_to_square(polys: np.ndarray, nx: int, ny: int):
+    """Clamp a stack (k, m, 2) of convex lattice polygons to [0, nx] x [0, ny].
+
+    Returns the clamped stack and a (k, m) mask of its corners, where the
+    boundary turns: the step to such a vertex from the nearest earlier
+    vertex that differs from it is not parallel to the (nonzero) step on to
+    the next vertex.
+    """
+    p = np.clip(polys, 0, [nx, ny])
+    prv = np.roll(p, 1, axis=1)
+    for shift in range(2, p.shape[1]):  # step back over repeated vertices
+        prv = np.where(np.all(prv == p, axis=2, keepdims=True), np.roll(p, shift, axis=1), prv)
+    a, b = p - prv, np.roll(p, -1, axis=1) - p
+    return p, a[..., 0] * b[..., 1] != a[..., 1] * b[..., 0]
 
 
 def generate_polygonal(n: int) -> PrimalMesh:
-    """Hexagon-dominant tiling: n columns of hexagons, clipped cells on the rim.
+    """Hexagon-dominant tiling: n columns of hexagons, each hexagon clipped
+    to the square.
 
     Hexagons are scaled anisotropically so that an integer number of rows
-    fits the unit square exactly; boundary rows/columns become convex
-    pentagons and quadrilaterals.  Interior cells have 6 vertices.
+    fits the unit square exactly; clipping turns the boundary rows/columns
+    into convex pentagons and quadrilaterals.  Interior cells have 6
+    vertices.
     """
     if n < 2:
         raise MeshError("polygonal generator needs n >= 2")
-    w = 1.0 / n       # hexagon width
-    nrow = n          # rows scale with n so refinement halves h exactly;
-    r = 2.0 / (3.0 * n)  # costs a uniform ~15% vertical stretch of the hexagons
+    w = 1.0 / n          # hexagon width
+    r = 2.0 / (3.0 * n)  # n rows, so refinement halves h exactly; this costs
+    #                      a uniform ~15% vertical stretch of the hexagons
 
-    # all vertex coordinates live on the half-lattice (w/2, r/2)
-    vid: dict[tuple[int, int], int] = {}
-    coords: list[tuple[float, float]] = []
-
-    def node(ix, iy):
-        # ix in units of w/2, iy in units of r/2; clamp to the square
-        key = (ix, iy)
-        if key not in vid:
-            vid[key] = len(coords)
-            coords.append((min(max(ix * 0.5 * w, 0.0), 1.0),
-                           min(max(iy * 0.5 * r, 0.0), 1.0)))
-        return vid[key]
-
-    cells = []
-    for j in range(nrow + 1):
-        cy = 3 * j              # center y in units of r/2
-        odd = j % 2 == 1
-        ncol = n if odd else n + 1
-        bottom, top = j == 0, j == nrow
-        for i in range(ncol):
-            cx = 2 * i + 1 if odd else 2 * i   # center x in units of w/2
-            left = not odd and i == 0          # clipped at x = 0
-            right = not odd and i == ncol - 1  # clipped at x = 1
-            if bottom:
-                if left:
-                    cell = [(cx, cy), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 2)]
-                elif right:
-                    cell = [(cx, cy), (cx, cy + 2), (cx - 1, cy + 1), (cx - 1, cy)]
-                else:
-                    cell = [(cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 2),
-                            (cx - 1, cy + 1), (cx - 1, cy)]
-            elif top:
-                if left:
-                    cell = [(cx, cy - 2), (cx + 1, cy - 1), (cx + 1, cy), (cx, cy)]
-                elif right:
-                    cell = [(cx, cy - 2), (cx, cy), (cx - 1, cy), (cx - 1, cy - 1)]
-                else:
-                    cell = [(cx, cy - 2), (cx + 1, cy - 1), (cx + 1, cy),
-                            (cx - 1, cy), (cx - 1, cy - 1)]
-            elif left:
-                cell = [(cx, cy - 2), (cx + 1, cy - 1), (cx + 1, cy + 1), (cx, cy + 2)]
-            elif right:
-                cell = [(cx, cy - 2), (cx, cy + 2), (cx - 1, cy + 1), (cx - 1, cy - 1)]
-            else:
-                cell = [(cx, cy - 2), (cx + 1, cy - 1), (cx + 1, cy + 1),
-                        (cx, cy + 2), (cx - 1, cy + 1), (cx - 1, cy - 1)]
-            cells.append([node(*p) for p in cell])
-    return PrimalMesh(np.asarray(coords), cells)
+    # row j has its centers at height 3j and, in even rows, on both sides of
+    # the square; vertices are numbered by first appearance
+    centers = np.array([(cx, 3 * j) for j in range(n + 1)
+                        for cx in range(j % 2, 2 * n + 1, 2)])
+    pts, corner = _clip_to_square(centers[:, None] + _HEXAGON, 2 * n, 3 * n)
+    flat = pts[corner]
+    ids, first = _first_appearance(flat[:, 0] * (3 * n + 1) + flat[:, 1])
+    ids, ptr = ids.tolist(), [0] + np.cumsum(corner.sum(axis=1)).tolist()
+    coords = np.clip(flat[first] * 0.5 * [w, r], 0.0, 1.0)
+    return PrimalMesh(coords, [ids[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +485,17 @@ class StaggeredMesh:
 
     Sub-triangles and dual edges are numbered by packed slot (see "Packed
     cells" above).  Array attributes (ne = primal edges, nd = slots = dual
-    edges = sub-triangles, nc = cells; "first/second" follow the orientation
-    rules in the module docstring):
+    edges = sub-triangles, nc = cells):
 
     loc_edge (nd,) int        primal edge of each slot (base of sub-triangle)
     next_slot (nd,) int       slot of the next vertex of the same cell
     edge_tris (ne,2) int      D(e): [first slot, second slot or -1] of edge e,
                               the primal mesh's edge_slots array itself
-    edge_cells (ne,2) int     [first cell, second cell or -1]
-    edge_normal (ne,2)        fixed unit normal n_e, outward for the first cell
     edge_len (ne,)
     interior_edges, boundary_edges   edge indices, ascending
-    dual_normal (nd,2), dual_len (nd,), dual_tris (nd,2)
+    dual_normal (nd,2), dual_len (nd,)
+    dual_tris (nd,2) int      (k-1, k): the sub-triangles dual edge k leaves
+                              and enters
     tri_cell (nd,)            owning cell
     tri_verts (nd,3,2)        (x*, v_k, v_k+1), CCW
     tri_area, tri_diam (nd,)
@@ -543,14 +520,6 @@ class StaggeredMesh:
         nxt, prv = _cycle_slots(ptr)
 
         cvert = verts[idx]
-        first, second = mesh.edge_slots[:, 0], mesh.edge_slots[:, 1]
-        edge_cells = np.stack([slot_cell[first],
-                               np.where(second >= 0, slot_cell[second], -1)], axis=1)
-        tang = cvert[nxt[first]] - cvert[first]
-        edge_len = np.hypot(tang[:, 0], tang[:, 1])
-        # outward for the first cell
-        edge_normal = np.stack([tang[:, 1] / edge_len, -tang[:, 0] / edge_len], axis=1)
-
         # packed cell geometry, centroids and fan sub-triangles, per group
         # of equal-size cells
         cnorm = np.empty((total, 2))
@@ -566,13 +535,9 @@ class StaggeredMesh:
         d = np.einsum("sc,sc->s", seg, cnorm)
         _raise_first([(~(d > 0.0),
                        lambda t: f"cell {slot_cell[t]}: centroid not interior to the cell")])
-        dual_tris = np.stack([np.minimum(prv, slot), np.maximum(prv, slot)], axis=1)
         dual_len = np.hypot(seg[:, 0], seg[:, 1])
-        # (seg_y, -seg_x) points into sub-triangle prv; flip it where prv is
-        # the first of the two, so it points from the first to the second
-        dual_normal = np.stack([seg[:, 1], -seg[:, 0]], axis=1) / dual_len[:, None]
-        flip = prv < slot
-        dual_normal[flip] = -dual_normal[flip]
+        # the left normal of x* -> v_k points into sub-triangle k
+        dual_normal = np.stack([-seg[:, 1], seg[:, 0]], axis=1) / dual_len[:, None]
         tri_area = _fan_areas(tri_verts)
         sides = np.stack([
             np.linalg.norm(tri_verts[:, 1] - tri_verts[:, 0], axis=1),
@@ -588,14 +553,14 @@ class StaggeredMesh:
         self.xstar = xstar
         self.cvert, self.cnorm, self.celen = cvert, cnorm, celen
         self.loc_edge, self.next_slot = mesh.loc_edge, nxt
-        self.n_edges = len(first)
-        self.edge_cells = edge_cells
-        self.edge_normal, self.edge_len = edge_normal, edge_len
         self.edge_tris = mesh.edge_slots
-        self.interior_edges = np.flatnonzero(second >= 0)
-        self.boundary_edges = np.flatnonzero(second < 0)
+        self.n_edges = len(mesh.edge_slots)
+        self.edge_len = celen[mesh.edge_slots[:, 0]]
+        self.interior_edges = np.flatnonzero(mesh.edge_slots[:, 1] >= 0)
+        self.boundary_edges = np.flatnonzero(mesh.edge_slots[:, 1] < 0)
         self.n_duals = total
-        self.dual_normal, self.dual_len, self.dual_tris = dual_normal, dual_len, dual_tris
+        self.dual_normal, self.dual_len = dual_normal, dual_len
+        self.dual_tris = np.stack([prv, slot], axis=1)
         self.tri_cell, self.tri_verts = slot_cell, tri_verts
         self.tri_area, self.tri_diam = tri_area, tri_diam
         self.h = float(tri_diam.max())

@@ -239,7 +239,7 @@ def test_criterion_6_property_suite():
         for e in stag.interior_edges:
             t1, t2 = stag.edge_tris[e]
             rhs += stag.edge_len[e] * vals[e] @ (
-                (tens[t1] - tens[t2]) @ stag.edge_normal[e]
+                (tens[t1] - tens[t2]) @ stag.cnorm[t1]
             )
         worst_adj = max(worst_adj, abs(lhs - rhs) / max(abs(lhs), 1.0))
         qc = rng.standard_normal(stag.n_cells)

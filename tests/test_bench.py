@@ -141,27 +141,3 @@ def test_sweep_rows_and_ratios():
     assert text.splitlines()[0] == "method,nu,h,dof,err_omega,err_u,err_p," \
                                    "err_super,ratio_omega,ratio_u"
 
-
-def test_sweep_builds_one_rt_table(monkeypatch):
-    from stokes_sdg import assembly
-    nus = [1.0, 1e-2, 1e-4]
-    case = get_case("taylor")
-    stag = build_staggered(mesh_for("poly", 1))
-    # the rows as one run_case per solve, each building its own table, give them
-    expected = {(method, nu): run_case(case, stag, method, nu)[0]
-                for method in ("sdg1", "sdg2") for nu in nus}
-    built = []
-    init = assembly.RTTable.__init__
-
-    def counting(self, stag):
-        built.append(stag)
-        init(self, stag)
-
-    monkeypatch.setattr(assembly.RTTable, "__init__", counting)
-    rows = robustness_sweep("taylor", "poly", 1, nus)
-    assert len(built) == 1
-    assert len(rows) == len(expected)
-    for row in rows:
-        rec = expected[(row["method"], row["nu"])]
-        assert (row["dof"], row["err_omega"], row["err_u"], row["err_p"], row["err_super"]) \
-            == (rec.dof, rec.err_omega, rec.err_u, rec.err_p, rec.err_super)

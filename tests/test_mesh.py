@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from stokes_sdg.mesh import (MeshError, PrimalMesh, RegularityReport, _centroid,
-                             _edge_normals, _edge_table, _fan_areas,
-                             _fan_triangles, _pack_cells, build_staggered,
+from stokes_sdg.mesh import (_HEXAGON, MeshError, PrimalMesh, RegularityReport,
+                             _centroid, _clip_to_square, _edge_normals,
+                             _edge_table, _fan_areas, _fan_triangles,
+                             _pack_cells, build_staggered,
                              generate_polygonal, generate_trapezoidal,
                              generate_triangular, read_mesh, validate,
                              write_mesh)
@@ -69,6 +70,37 @@ def test_polygonal_tiling_and_shapes(n):
         on_boundary[mesh.cell_idx[mesh.edge_slots[mesh.edge_slots[:, 1] < 0, 0]]] = True
         interior = [c for c in mesh.cells if not np.any(on_boundary[c])]
         assert interior and all(len(c) == 6 for c in interior)
+
+
+def test_generators_keep_their_numbering():
+    # vertex and cell order are part of the mesh-file text, so they are pinned
+    tri = [[0, 3, 4], [0, 4, 1], [1, 4, 5], [1, 5, 2],
+           [3, 6, 7], [3, 7, 4], [4, 7, 8], [4, 8, 5]]
+    assert [c.tolist() for c in generate_triangular(2).cells] == tri
+    trap = generate_trapezoidal(2)
+    assert [c.tolist() for c in trap.cells] == [[0, 3, 4, 1], [1, 4, 5, 2],
+                                                [3, 6, 7, 4], [4, 7, 8, 5]]
+    assert trap.vertices[:, 1].tolist() == [0.0, 0.375, 1.0, 0.0, 0.625, 1.0,
+                                            0.0, 0.375, 1.0]
+    poly = generate_polygonal(2)
+    assert [c.tolist() for c in poly.cells] == [
+        [0, 1, 2, 3], [4, 5, 6, 2, 1], [7, 8, 5, 4], [2, 6, 9, 10, 11, 3],
+        [5, 8, 12, 13, 9, 6], [11, 10, 14, 15], [9, 13, 16, 14, 10], [12, 17, 16, 13]]
+    # in (w/2, r/2) lattice units
+    assert (poly.vertices * [4, 6]).tolist() == [
+        [0, 0], [1, 0], [1, 1], [0, 2], [3, 0], [3, 1], [2, 2], [4, 0], [4, 2],
+        [2, 4], [1, 5], [0, 4], [4, 4], [3, 5], [1, 6], [0, 6], [3, 6], [4, 6]]
+
+
+def test_clip_to_square_corner_and_bottom_row_hexagons():
+    # lattice square [0, 8] x [0, 12]: a hexagon centred on the corner keeps
+    # a quarter, one centred on the bottom side keeps its upper half, and
+    # one inside the square comes back whole
+    hexagons = np.array([(0, 0), (4, 0), (4, 6)])[:, None] + _HEXAGON
+    pts, corner = _clip_to_square(hexagons, 8, 12)
+    assert pts[0][corner[0]].tolist() == [[0, 0], [1, 0], [1, 1], [0, 2]]
+    assert pts[1][corner[1]].tolist() == [[5, 0], [5, 1], [4, 2], [3, 1], [3, 0]]
+    assert np.array_equal(pts[2][corner[2]], hexagons[2])
 
 
 def test_polygonal_rejects_small_n():
@@ -231,6 +263,13 @@ def test_two_cell_quad_mesh_counts():
     assert stag.n_duals == 8  # one dual edge per cell vertex, 2 x 4
 
 
+def _prev_and_own_slot(stag):
+    """(k-1, k) per packed slot k, cyclically within each cell."""
+    return np.concatenate([
+        np.stack([np.roll(np.arange(lo, hi), 1), np.arange(lo, hi)], axis=1)
+        for lo, hi in zip(stag.cell_ptr[:-1], stag.cell_ptr[1:])])
+
+
 def test_staggered_invariants_on_all_families():
     for gen, n in ((generate_triangular, 3), (generate_trapezoidal, 4),
                    (generate_polygonal, 3)):
@@ -252,13 +291,10 @@ def test_staggered_invariants_on_all_families():
                 if t >= 0:
                     base_of[t] = e
         assert np.array_equal(base_of, stag.loc_edge)
-        # normals are unit and respect the lower-to-higher orientation rule
-        assert np.abs(np.linalg.norm(stag.edge_normal, axis=1) - 1.0).max() < 1e-13
+        # normals are unit; dual edge k runs between sub-triangles k-1 and k
+        assert np.abs(np.linalg.norm(stag.cnorm, axis=1) - 1.0).max() < 1e-13
         assert np.abs(np.linalg.norm(stag.dual_normal, axis=1) - 1.0).max() < 1e-13
-        assert np.all(stag.edge_cells[:, 0] >= 0)
-        inter = stag.interior_edges
-        assert np.all(stag.edge_cells[inter, 0] < stag.edge_cells[inter, 1])
-        assert np.all(stag.dual_tris[:, 0] < stag.dual_tris[:, 1])
+        assert np.array_equal(stag.dual_tris, _prev_and_own_slot(stag))
         # dual edges never lie on the boundary: x* is strictly interior
         for ci in range(stag.n_cells):
             lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
@@ -298,8 +334,7 @@ def test_packed_build_numbers_edges_by_first_appearance(name, gen):
             assert e == len(seen)  # one more than the largest seen before
             seen.add(e)
     assert len(seen) == stag.n_edges
-    inter = stag.interior_edges
-    assert np.all(stag.edge_cells[inter, 0] < stag.edge_cells[inter, 1])
+    assert np.array_equal(stag.dual_tris, _prev_and_own_slot(stag))
 
 
 ORIENTATION_MESHES = ORACLE_MESHES + [("trap", lambda: generate_trapezoidal(8))]
@@ -363,24 +398,18 @@ def test_convexity_tolerance_shared_by_mesh_and_polygon():
         PrimalMesh(quad, [[0, 1, 2, 3]])
 
 
-def test_boundary_normals_point_outward():
-    stag = build_staggered(generate_triangular(2))
-    v0, v1 = stag.edge_endpoints()
-    mid = 0.5 * (v0 + v1)
-    for e in stag.boundary_edges:
-        out = mid[e] + 1e-3 * stag.edge_normal[e]
-        assert not (0.0 < out[0] < 1.0 and 0.0 < out[1] < 1.0)
-
-
-def test_interior_normals_lower_to_higher_cell():
-    stag = build_staggered(generate_triangular(2))
-    v0, v1 = stag.edge_endpoints()
-    mid = 0.5 * (v0 + v1)
-    for e in stag.interior_edges:
-        c2 = stag.edge_cells[e, 1]
-        lo, hi = stag.cell_ptr[c2], stag.cell_ptr[c2 + 1]
-        cen2 = stag.cvert[lo:hi].mean(axis=0)
-        assert np.dot(stag.edge_normal[e], cen2 - mid[e]) > 0.0
+def test_slot_normals_point_out_of_their_cell():
+    for name, gen in ORIENTATION_MESHES:
+        stag = build_staggered(gen())
+        mid = 0.5 * (stag.cvert + stag.cvert[stag.next_slot])
+        cen = np.array([stag.cvert[lo:hi].mean(axis=0)
+                        for lo, hi in zip(stag.cell_ptr[:-1], stag.cell_ptr[1:])])
+        away = np.einsum("sc,sc->s", stag.cnorm, mid - cen[stag.tri_cell])
+        assert np.all(away > 0.0), name
+        # the boundary ones leave the square
+        bd = stag.edge_tris[stag.boundary_edges, 0]
+        out = mid[bd] + 1e-3 * stag.cnorm[bd]
+        assert not np.any(np.all((out > 0.0) & (out < 1.0), axis=1)), name
 
 
 # ------------------------------------------------------------- regularity

@@ -167,7 +167,7 @@ def test_velocity_interpolant_orthogonality():
         total = 0.0
         for e in stag.interior_edges:
             t1, t2 = stag.edge_tris[e]
-            jump_n = (tens[t1] - tens[t2]) @ stag.edge_normal[e]
+            jump_n = (tens[t1] - tens[t2]) @ stag.cnorm[t1]
             diff = ih.values[e][None, :] - uvals[e]
             total += np.einsum("qc,c,q->", diff, jump_n, w[e])
         assert abs(total) < 1e-10 * max(scale, 1.0)
