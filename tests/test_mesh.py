@@ -406,10 +406,33 @@ def test_slot_normals_point_out_of_their_cell():
                         for lo, hi in zip(stag.cell_ptr[:-1], stag.cell_ptr[1:])])
         away = np.einsum("sc,sc->s", stag.cnorm, mid - cen[stag.tri_cell])
         assert np.all(away > 0.0), name
-        # the boundary ones leave the square
-        bd = stag.edge_tris[stag.boundary_edges, 0]
-        out = mid[bd] + 1e-3 * stag.cnorm[bd]
+
+
+def test_boundary_normals_point_outward():
+    for name, gen in ORIENTATION_MESHES:
+        stag = build_staggered(gen())
+        v0, v1 = stag.edge_endpoints()
+        bd = stag.boundary_edges
+        out = 0.5 * (v0[bd] + v1[bd]) + 1e-3 * stag.cnorm[stag.edge_tris[bd, 0]]
         assert not np.any(np.all((out > 0.0) & (out < 1.0), axis=1)), name
+
+
+def test_interior_normals_lower_to_higher_cell():
+    # an interior edge's first slot lies in the lower-numbered cell, whose
+    # outward normal there points into the higher one; the second slot's
+    # normal is its negative
+    for name, gen in ORIENTATION_MESHES:
+        stag = build_staggered(gen())
+        v0, v1 = stag.edge_endpoints()
+        inter = stag.interior_edges
+        mid = 0.5 * (v0[inter] + v1[inter])
+        first, second = stag.edge_tris[inter].T
+        assert np.all(stag.tri_cell[first] < stag.tri_cell[second]), name
+        assert np.allclose(stag.cnorm[first], -stag.cnorm[second],
+                           rtol=0.0, atol=1e-14), name
+        cen = np.array([stag.cvert[stag.cell_ptr[c]:stag.cell_ptr[c + 1]].mean(axis=0)
+                        for c in stag.tri_cell[second]])
+        assert np.all(np.einsum("ec,ec->e", stag.cnorm[first], cen - mid) > 0.0), name
 
 
 # ------------------------------------------------------------- regularity
