@@ -40,8 +40,8 @@ def assemble_Bh(stag: StaggeredMesh) -> sp.csr_matrix:
     """Matrix of B_h(omega, v) over all primal-edge dofs (rows) and dual-edge
     dofs (columns): B_h = -sum_{dual e} |e| q_e . (v_first - v_second)."""
     s = stag
-    first = s.loc_edge[s.dual_tris[:, 0]]
-    second = s.loc_edge[s.dual_tris[:, 1]]
+    first = s.loc_edge[s.prev_slot]
+    second = s.loc_edge
     d = np.arange(s.n_duals)
     rows = np.concatenate([2 * first, 2 * first + 1, 2 * second, 2 * second + 1])
     cols = np.concatenate([2 * d, 2 * d + 1, 2 * d, 2 * d + 1])

@@ -101,14 +101,21 @@ def _cmd_run(args) -> int:
     if args.mesh not in _FAMILIES:
         print(f"unknown mesh family {args.mesh!r}", file=sys.stderr)
         return 2
-    spec = CaseSpec(case=args.case, method=args.method, family=args.mesh,
-                    levels=args.levels, nu=args.nu, jitter=args.jitter)
+    try:
+        spec = CaseSpec(case=args.case, method=args.method, family=args.mesh,
+                        levels=args.levels, nu=args.nu, jitter=args.jitter)
+    except ValueError as exc:
+        print(f"--levels: {exc}", file=sys.stderr)
+        return 2
     records = convergence_study(spec)
     _emit_output(emit(records, args.format), args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    if args.level < 1:
+        print(f"--level must be at least 1, got {args.level}", file=sys.stderr)
+        return 2
     try:
         nu_list = [float(v) for v in args.nu_list.split(",") if v.strip()]
     except ValueError:

@@ -86,18 +86,6 @@ def _fan_triangles(poly: np.ndarray, xstar: np.ndarray) -> np.ndarray:
     return tri
 
 
-def _fan_areas(tri_verts: np.ndarray) -> np.ndarray:
-    """Signed areas of the (x*, v_k, v_k+1) sub-triangles; all must be positive."""
-    e1 = tri_verts[..., 1, :] - tri_verts[..., 0, :]
-    e2 = tri_verts[..., 2, :] - tri_verts[..., 0, :]
-    area = 0.5 * (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
-    bad = np.flatnonzero(~(area > 0.0))
-    if bad.size:
-        t = int(bad[0])
-        raise MeshError(f"sub-triangle {t}: non-positive area {area.flat[t]:g}")
-    return area
-
-
 # ---------------------------------------------------------------------------
 # Packed cells.  Cell c owns the slots cell_ptr[c]:cell_ptr[c+1] of every
 # packed per-vertex array; slot s of cell c at local position k holds vertex
@@ -194,9 +182,11 @@ class PrimalMesh:
     vertices   : (nv, 2) float array, each vertex used by some cell
     cell_ptr   : (nc+1,) offsets of the cells in cell_idx
     cell_idx   : (sum m,) packed vertex indices, each cell a CCW cycle
-    cell_areas : (nc,) cell areas
+    cell_area  : (nc,) cell areas
     loc_edge   : (sum m,) primal edge of each slot, numbered by first appearance
-    edge_slots : (ne, 2) [first slot, second slot or -1] of each edge
+    edge_slots : (ne, 2) [first slot, second slot or -1] of each edge; the
+                 first slot lies in the lower-numbered cell
+    n_vertices, n_cells, cells   nv, nc and per-cell views of cell_idx
 
     The constructor takes the cells as a sequence of index cycles.  It
     checks orientation, strict convexity, and edge sharing; the generators
@@ -259,7 +249,7 @@ class PrimalMesh:
                                       f"(signed area {areas[c]:g})")),
             (~convex, lambda c: f"cell {c}: not strictly convex"),
         ])
-        self.cell_areas = areas
+        self.cell_area = areas
 
         # interior edges must be shared by exactly two cells with opposite
         # orientation, boundary edges by exactly one
@@ -277,7 +267,7 @@ class PrimalMesh:
         self.loc_edge, self.edge_slots = loc_edge, edge_slots
 
     def total_area(self) -> float:
-        return float(self.cell_areas.sum())
+        return float(self.cell_area.sum())
 
     def __eq__(self, other):
         if not isinstance(other, PrimalMesh):
@@ -484,38 +474,38 @@ class StaggeredMesh:
     """Primal mesh plus centroid fans: sub-triangles, dual edges, D(e).
 
     Sub-triangles and dual edges are numbered by packed slot (see "Packed
-    cells" above).  Array attributes (ne = primal edges, nd = slots = dual
+    cells" above): sub-triangle s is (x*, v_k, v_k+1) on primal edge k of its
+    cell, and dual edge s (x* -> v_k) leaves sub-triangle prev_slot[s] and
+    enters sub-triangle s.  Attributes (ne = primal edges, nd = slots = dual
     edges = sub-triangles, nc = cells):
 
-    loc_edge (nd,) int        primal edge of each slot (base of sub-triangle)
-    next_slot (nd,) int       slot of the next vertex of the same cell
-    edge_tris (ne,2) int      D(e): [first slot, second slot or -1] of edge e,
-                              the primal mesh's edge_slots array itself
+    primal                    the PrimalMesh
+    n_cells, n_edges, n_duals nc, ne, nd
+    cell_ptr (nc+1,), cell_sizes (nc,), cell_area (nc,)
+    xstar (nc,2)              centroids x*
+    cvert, cnorm (nd,2)       packed cell vertices / outward edge normals
+    celen (nd,)               packed edge lengths |e_k|
+    loc_edge (nd,) int        primal edge of each slot
+    next_slot, prev_slot (nd,) int   slot of the next / previous vertex of
+                              the same cell
+    edge_slots (ne,2) int     D(e): [first slot, second slot or -1] of edge e
     edge_len (ne,)
     interior_edges, boundary_edges   edge indices, ascending
-    dual_normal (nd,2), dual_len (nd,)
-    dual_tris (nd,2) int      (k-1, k): the sub-triangles dual edge k leaves
-                              and enters
+    dual_normal (nd,2)        unit normal of dual edge s, into sub-triangle s
+    dual_len (nd,)            |x* v_k|
     tri_cell (nd,)            owning cell
     tri_verts (nd,3,2)        (x*, v_k, v_k+1), CCW
-    tri_area, tri_diam (nd,)
-    cell_ptr (nc+1,), cell_sizes (nc,), cell_area (nc,)
-    cvert, cnorm (nd,2)       packed cell vertices / outward edge normals
-    celen (nd,)
-    xstar (nc,2)              centroids
+    tri_area (nd,)            |e_k| d_k / 2, d_k the distance from x* to edge k
+    tri_diam (nd,)            longest of the sides dual_len, dual_len[next_slot]
+                              and celen
+    h                         largest tri_diam
     """
 
     def __init__(self, primal: PrimalMesh):
-        self.primal = primal
-        self._build()
-
-    def _build(self):
-        mesh = self.primal
-        verts, ptr, idx = mesh.vertices, mesh.cell_ptr, mesh.cell_idx
-        nc = mesh.n_cells
+        verts, ptr, idx = primal.vertices, primal.cell_ptr, primal.cell_idx
+        nc = primal.n_cells
         sizes = np.diff(ptr)
         total = int(ptr[-1])
-        slot = np.arange(total)
         slot_cell = np.repeat(np.arange(nc), sizes)
         nxt, prv = _cycle_slots(ptr)
 
@@ -532,44 +522,39 @@ class StaggeredMesh:
             xstar[cells] = _centroid(poly)
             tri_verts[slots] = _fan_triangles(poly, xstar[cells])
         seg = cvert - xstar[slot_cell]
+        # distance from x* to the line of edge k: the height of sub-triangle k
         d = np.einsum("sc,sc->s", seg, cnorm)
         _raise_first([(~(d > 0.0),
                        lambda t: f"cell {slot_cell[t]}: centroid not interior to the cell")])
         dual_len = np.hypot(seg[:, 0], seg[:, 1])
-        # the left normal of x* -> v_k points into sub-triangle k
-        dual_normal = np.stack([-seg[:, 1], seg[:, 0]], axis=1) / dual_len[:, None]
-        tri_area = _fan_areas(tri_verts)
-        sides = np.stack([
-            np.linalg.norm(tri_verts[:, 1] - tri_verts[:, 0], axis=1),
-            np.linalg.norm(tri_verts[:, 2] - tri_verts[:, 0], axis=1),
-            np.linalg.norm(tri_verts[:, 2] - tri_verts[:, 1], axis=1),
-        ], axis=1)
-        tri_diam = sides.max(axis=1)
 
+        self.primal = primal
         self.n_cells = nc
         self.cell_ptr = ptr
         self.cell_sizes = sizes
-        self.cell_area = mesh.cell_areas
+        self.cell_area = primal.cell_area
         self.xstar = xstar
         self.cvert, self.cnorm, self.celen = cvert, cnorm, celen
-        self.loc_edge, self.next_slot = mesh.loc_edge, nxt
-        self.edge_tris = mesh.edge_slots
-        self.n_edges = len(mesh.edge_slots)
-        self.edge_len = celen[mesh.edge_slots[:, 0]]
-        self.interior_edges = np.flatnonzero(mesh.edge_slots[:, 1] >= 0)
-        self.boundary_edges = np.flatnonzero(mesh.edge_slots[:, 1] < 0)
+        self.loc_edge, self.next_slot, self.prev_slot = primal.loc_edge, nxt, prv
+        self.edge_slots = primal.edge_slots
+        self.n_edges = len(primal.edge_slots)
+        self.edge_len = celen[primal.edge_slots[:, 0]]
+        self.interior_edges = np.flatnonzero(primal.edge_slots[:, 1] >= 0)
+        self.boundary_edges = np.flatnonzero(primal.edge_slots[:, 1] < 0)
         self.n_duals = total
-        self.dual_normal, self.dual_len = dual_normal, dual_len
-        self.dual_tris = np.stack([prv, slot], axis=1)
+        # the left normal of x* -> v_k points into sub-triangle k
+        self.dual_normal = np.stack([-seg[:, 1], seg[:, 0]], axis=1) / dual_len[:, None]
+        self.dual_len = dual_len
         self.tri_cell, self.tri_verts = slot_cell, tri_verts
-        self.tri_area, self.tri_diam = tri_area, tri_diam
-        self.h = float(tri_diam.max())
+        self.tri_area = 0.5 * celen * d
+        self.tri_diam = np.maximum(np.maximum(dual_len, dual_len[nxt]), celen)
+        self.h = float(self.tri_diam.max())
 
     # convenience views -----------------------------------------------------
     def edge_endpoints(self):
         """(v0, v1) coordinate arrays of the primal edges, shape (ne, 2) each,
         as traversed CCW in the first cell."""
-        first = self.edge_tris[:, 0]
+        first = self.edge_slots[:, 0]
         return self.cvert[first], self.cvert[self.next_slot[first]]
 
 
@@ -594,14 +579,8 @@ _ASPECT_MAX = 20.0
 
 def validate(stag: StaggeredMesh) -> RegularityReport:
     """Shape-regularity report: sub-triangle aspect ratios and edge/diameter ratio."""
-    tv = stag.tri_verts
-    sides = np.stack([
-        np.linalg.norm(tv[:, 1] - tv[:, 0], axis=1),
-        np.linalg.norm(tv[:, 2] - tv[:, 1], axis=1),
-        np.linalg.norm(tv[:, 0] - tv[:, 2], axis=1),
-    ], axis=1)
-    perim = sides.sum(axis=1)
-    # diameter over twice the inradius (= 1 for the equilateral limit 1.0*...)
+    perim = stag.dual_len + stag.dual_len[stag.next_slot] + stag.celen
+    # diameter over twice the inradius: sqrt(3) for an equilateral triangle
     aspect = stag.tri_diam * perim / (4.0 * stag.tri_area)
     rho = np.inf
     for m, cells, slots in _size_groups(stag.cell_ptr):

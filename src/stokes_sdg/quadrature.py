@@ -3,9 +3,11 @@
 Triangle rules are symmetric interior rules (no node ever lies on an edge),
 which matters here because the generalized barycentric integrands evaluated
 elsewhere in the package have poles on the edge lines.  Triangle tables are
-the classic symmetric rules of Dunavant; edge rules are Gauss-Legendre.
+the classic symmetric rules of Dunavant; the edge rule is 8-point
+Gauss-Legendre.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,6 @@ class QuadRule:
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
 # Dunavant symmetric triangle rules, stored as barycentric orbits (degree 8
@@ -51,11 +52,6 @@ _TRI_ORBITS = {
     ],
 }
 
-_EDGE_SIZES = (8,)
-
-_tri_cache: dict[int, QuadRule] = {}
-_edge_cache: dict[int, QuadRule] = {}
-
 
 def _expand_orbits(orbits):
     bary = []
@@ -81,6 +77,7 @@ def _expand_orbits(orbits):
     return np.asarray(bary), np.asarray(weights)
 
 
+@functools.cache
 def triangle_rule(degree: int) -> QuadRule:
     """Symmetric interior rule on the reference triangle, exact to ``degree``."""
     if degree not in _TRI_ORBITS:
@@ -88,21 +85,15 @@ def triangle_rule(degree: int) -> QuadRule:
             f"unsupported triangle quadrature degree {degree}; "
             f"available: {sorted(_TRI_ORBITS)}"
         )
-    if degree not in _tri_cache:
-        bary, w = _expand_orbits(_TRI_ORBITS[degree])
-        pts = bary[:, 1:3].copy()  # (l1,l2,l3) -> (x,y) = (l2,l3)
-        _tri_cache[degree] = QuadRule(pts, 0.5 * w, degree)
-    return _tri_cache[degree]
+    bary, w = _expand_orbits(_TRI_ORBITS[degree])
+    return QuadRule(bary[:, 1:3].copy(), 0.5 * w)  # (l1,l2,l3) -> (x,y) = (l2,l3)
 
 
-def edge_rule(n: int) -> QuadRule:
-    """n-point Gauss-Legendre rule on [0, 1] (exact to degree 2n-1)."""
-    if n not in _EDGE_SIZES:
-        raise ValueError(f"unsupported edge rule size {n}; available: {_EDGE_SIZES}")
-    if n not in _edge_cache:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _edge_cache[n] = QuadRule(0.5 * (x + 1.0), 0.5 * w, 2 * n - 1)
-    return _edge_cache[n]
+@functools.cache
+def edge_rule() -> QuadRule:
+    """8-point Gauss-Legendre rule on [0, 1], exact to degree 15."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    return QuadRule(0.5 * (x + 1.0), 0.5 * w)
 
 
 def map_to_triangles(rule: QuadRule, tri_verts: np.ndarray):

@@ -20,7 +20,6 @@ __all__ = [
     "error_velocity", "error_gradient", "error_pressure", "error_super",
 ]
 
-_EDGE_RULE = 8
 _TRI_DEGREE = 8
 
 
@@ -72,8 +71,7 @@ class GradientField:
     def traces_from_tensors(self, tensors) -> np.ndarray:
         """Dof extraction psi n_e per dual edge (round-trip of tensors())."""
         s = self.stag
-        owner = s.dual_tris[:, 0]
-        return np.einsum("dij,dj->di", tensors[owner], s.dual_normal)
+        return np.einsum("dij,dj->di", tensors[s.prev_slot], s.dual_normal)
 
 
 class PressureField:
@@ -93,7 +91,7 @@ class PressureField:
 
 def interp_velocity(stag: StaggeredMesh, u) -> VelocityField:
     """Edge-average interpolant: dof on e = (1/|e|) int_e u ds."""
-    rule = edge_rule(_EDGE_RULE)
+    rule = edge_rule()
     v0, v1 = stag.edge_endpoints()
     pts, w = edge_points(rule, v0, v1)
     vals = np.asarray(u(pts.reshape(-1, 2))).reshape(pts.shape)
@@ -103,7 +101,7 @@ def interp_velocity(stag: StaggeredMesh, u) -> VelocityField:
 
 def interp_gradient(stag: StaggeredMesh, omega) -> GradientField:
     """Dual-edge interpolant: q_e = (1/|e|) int_e omega(x) n_e ds."""
-    rule = edge_rule(_EDGE_RULE)
+    rule = edge_rule()
     s = stag
     # dual edge at packed slot d runs from its cell's x* to the vertex cvert[d]
     v0 = s.xstar[s.tri_cell]
@@ -130,10 +128,10 @@ def interp_pressure(stag: StaggeredMesh, p) -> PressureField:
 # ---------------------------------------------------------------------------
 
 def jump_norm(v: VelocityField) -> float:
-    """Jump seminorm over dual edges: sum h_e^-1 ||[v]||_{0,e}^2, h_e = |e|."""
+    """Jump seminorm over dual edges: (sum h_e^-1 ||[v]||_{0,e}^2)^(1/2), h_e = |e|."""
     s = v.stag
     tv = v.on_tris()
-    jump = tv[s.dual_tris[:, 0]] - tv[s.dual_tris[:, 1]]
+    jump = tv[s.prev_slot] - tv
     return float(np.sqrt(np.sum(jump * jump)))
 
 
@@ -151,8 +149,7 @@ def discrete_l2_norm(v: VelocityField) -> float:
 def pressure_norm(q: PressureField) -> float:
     """(||q||_0^2 + sum_{dual e} h_e ||q||_{0,e}^2)^(1/2)."""
     s = q.stag
-    cells = s.tri_cell[s.dual_tris[:, 0]]
-    qd = q.values[cells]
+    qd = q.values[s.tri_cell]
     l2 = np.dot(s.cell_area, q.values ** 2)
     edge = np.sum(s.dual_len ** 2 * qd ** 2)
     return float(np.sqrt(l2 + edge))

@@ -2,8 +2,8 @@ import numpy as np
 
 from stokes_sdg import _kernels
 from stokes_sdg.assembly import RTTable
-from stokes_sdg.mesh import (PrimalMesh, _centroid, _edge_normals, _fan_areas,
-                             _fan_triangles, build_staggered)
+from stokes_sdg.mesh import (PrimalMesh, _centroid, _edge_normals, _fan_triangles,
+                             build_staggered)
 from stokes_sdg.quadrature import map_to_triangles, triangle_rule
 
 
@@ -34,7 +34,7 @@ def rt_cell(verts):
     """(normals, edge_len, xstar, c0, cmat) of one convex CCW polygon."""
     edge_len, normals = _edge_normals(verts)
     xstar = _centroid(verts)
-    c0, cmat = _kernels.rt_coefficients(edge_len, _fan_areas(_fan_triangles(verts, xstar)))
+    c0, cmat = _kernels.rt_coefficients(edge_len, one_cell(verts).tri_area)
     return normals, edge_len, xstar, c0, cmat
 
 

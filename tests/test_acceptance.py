@@ -237,7 +237,7 @@ def test_criterion_6_property_suite():
         tens = GradientField(stag, q).tensors()
         rhs = 0.0
         for e in stag.interior_edges:
-            t1, t2 = stag.edge_tris[e]
+            t1, t2 = stag.edge_slots[e]
             rhs += stag.edge_len[e] * vals[e] @ (
                 (tens[t1] - tens[t2]) @ stag.cnorm[t1]
             )

@@ -18,7 +18,7 @@ def bh_star_oracle(stag, vals, tens):
     n the outward normal of the edge's first cell."""
     total = 0.0
     for e in stag.interior_edges:
-        t1, t2 = stag.edge_tris[e]
+        t1, t2 = stag.edge_slots[e]
         jump = (tens[t1] - tens[t2]) @ stag.cnorm[t1]
         total += stag.edge_len[e] * vals[e] @ jump
     return total
@@ -78,8 +78,7 @@ def test_bh_hand_computed_on_single_triangle():
     vals = rng.standard_normal((stag.n_edges, 2))
     manual = 0.0
     for d in range(stag.n_duals):
-        t1, t2 = stag.dual_tris[d]
-        jump = vals[stag.loc_edge[t1]] - vals[stag.loc_edge[t2]]
+        jump = vals[stag.loc_edge[stag.prev_slot[d]]] - vals[stag.loc_edge[d]]
         manual -= stag.dual_len[d] * q[d] @ jump
     assert abs(vals.ravel() @ mat @ q.ravel() - manual) < 1e-13
 

@@ -38,8 +38,9 @@ def test_mesh_subcommand_roundtrip(tmp_path):
 def test_run_on_mesh_file(tmp_path, capsys):
     mesh_path = tmp_path / "m.json"
     main(["mesh", "--family", "tri", "--n", "2", "--out", str(mesh_path)])
+    # a mesh file is one level, whatever --levels says
     code = main(["run", "--case", "taylor", "--mesh", f"file:{mesh_path}",
-                 "--method", "sdg2"])
+                 "--method", "sdg2", "--levels", "1"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2  # header plus a single record
@@ -62,6 +63,14 @@ def test_bad_arguments_exit_2(capsys):
     assert main(["run", "--case", "taylor", "--mesh", "nosuchfamily"]) == 2
     assert main(["sweep", "--case", "taylor", "--mesh", "tri", "--level", "2",
                  "--nu-list", "abc"]) == 2
+    capsys.readouterr()
+    for levels in ("1", "0"):
+        assert main(["run", "--case", "taylor", "--mesh", "tri", "--levels", levels]) == 2
+        assert "--levels" in capsys.readouterr().err
+    for level in ("0", "-1"):
+        assert main(["sweep", "--case", "taylor", "--mesh", "tri", "--level", level,
+                     "--nu-list", "1"]) == 2
+        assert "--level " in capsys.readouterr().err
 
 
 def test_invalid_mesh_file_exit_1(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import qmc
 
 from stokes_sdg.assembly import load_moments
-from stokes_sdg.mesh import _centroid, _diameter, _fan_areas, _fan_triangles
+from stokes_sdg.mesh import _diameter
 from stokes_sdg.quadrature import edge_points, edge_rule
 from stokes_sdg.spaces import interp_velocity
 
@@ -13,14 +13,10 @@ from conftest import (interior_points, one_cell, random_convex_polygon,
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
-def fan_areas(verts):
-    return _fan_areas(_fan_triangles(verts, _centroid(verts)))
-
-
-def trace_matrix(verts, n_gauss=8):
+def trace_matrix(verts):
     """(1/|e_j|) int_{e_j} phi_i . n_j ds, taken in the interior limit by
     linear extrapolation from offsets eps and 2*eps."""
-    rule = edge_rule(n_gauss)
+    rule = edge_rule()
     m = len(verts)
     normals, edge_len = rt_cell(verts)[:2]
     v1 = np.roll(verts, -1, axis=0)
@@ -49,7 +45,7 @@ def edge_fluxes(verts, field):
 
 def test_unit_square_coefficients():
     _, edge_len, _, c0, _ = rt_cell(UNIT_SQUARE)
-    sub = fan_areas(UNIT_SQUARE)
+    sub = one_cell(UNIT_SQUARE).tri_area
     assert np.allclose(c0, 0.5, atol=1e-14)
     assert np.allclose(sub, 0.25, atol=1e-14)
     # b_{i,l} = delta_il |e_l| - |e_i| |T_l| / |T| = delta_il - 1/4
@@ -62,7 +58,7 @@ def test_b_rows_sum_to_zero(m):
     rng = np.random.default_rng(m)
     verts = random_convex_polygon(m, rng)
     _, edge_len, _, c0, cmat = rt_cell(verts)
-    sub = fan_areas(verts)
+    sub = one_cell(verts).tri_area
     b = np.diag(edge_len) - np.outer(edge_len, sub / sub.sum())
     assert np.abs(b.sum(axis=1)).max() < 1e-13
     assert np.all(c0 > 0.0)
@@ -126,7 +122,7 @@ def test_edge_integrated_divergence_is_edge_length():
     rng = np.random.default_rng(8)
     verts = random_convex_polygon(6, rng)
     _, edge_len, _, c0, _ = rt_cell(verts)
-    area = fan_areas(verts).sum()
+    area = one_cell(verts).tri_area.sum()
     for i in range(6):
         assert abs(2.0 * c0[i] * area - edge_len[i]) < 1e-12
 
@@ -207,7 +203,7 @@ def test_reconstruction_divergence_accumulates_fluxes():
     verts = random_convex_polygon(6, rng)
     _, edge_len, _, c0, _ = rt_cell(verts)
     r = rng.standard_normal(6)
-    total = np.sum(2.0 * c0 * r) * fan_areas(verts).sum()
+    total = np.sum(2.0 * c0 * r) * one_cell(verts).tri_area.sum()
     assert abs(total - np.sum(edge_len * r)) < 1e-14
 
 
@@ -250,7 +246,7 @@ def test_moments_exact_on_triangles():
             rng_pts.append((l1, l2))
     bary = np.array(rng_pts)
     pts = (1 - bary.sum(axis=1))[:, None] * tri[0] + bary[:, 0:1] * tri[1] + bary[:, 1:2] * tri[2]
-    cellw = fan_areas(tri).sum() / len(pts)
+    cellw = one_cell(tri).tri_area.sum() / len(pts)
     oracle = np.einsum("nic,nc->i", rt_basis(tri, pts), f(pts)) * cellw
     assert np.abs(got - oracle).max() < 5e-3 * np.abs(oracle).max()
     # tighter: degree-8 equals degree-10 to machine precision on triangles

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from stokes_sdg.mesh import (_HEXAGON, MeshError, PrimalMesh, RegularityReport,
                              _centroid, _clip_to_square, _edge_normals,
-                             _edge_table, _fan_areas, _fan_triangles,
+                             _edge_table, _fan_triangles,
                              _pack_cells, build_staggered,
                              generate_polygonal, generate_trapezoidal,
                              generate_triangular, read_mesh, validate,
@@ -263,11 +264,10 @@ def test_two_cell_quad_mesh_counts():
     assert stag.n_duals == 8  # one dual edge per cell vertex, 2 x 4
 
 
-def _prev_and_own_slot(stag):
-    """(k-1, k) per packed slot k, cyclically within each cell."""
-    return np.concatenate([
-        np.stack([np.roll(np.arange(lo, hi), 1), np.arange(lo, hi)], axis=1)
-        for lo, hi in zip(stag.cell_ptr[:-1], stag.cell_ptr[1:])])
+def _prev_slots(stag):
+    """k-1 per packed slot k, cyclically within each cell."""
+    return np.concatenate([np.roll(np.arange(lo, hi), 1)
+                           for lo, hi in zip(stag.cell_ptr[:-1], stag.cell_ptr[1:])])
 
 
 def test_staggered_invariants_on_all_families():
@@ -283,18 +283,18 @@ def test_staggered_invariants_on_all_families():
             assert abs(sub - stag.cell_area[ci]) < 1e-12 * stag.cell_area[ci]
         assert abs(stag.tri_area.sum() - 1.0) < 1e-12
         # every sub-triangle belongs to exactly one dual region, its base's
-        counted = stag.edge_tris[stag.edge_tris >= 0]
+        counted = stag.edge_slots[stag.edge_slots >= 0]
         assert np.array_equal(np.sort(counted), np.arange(stag.n_duals))
         base_of = np.full(stag.n_duals, -1)
         for e in range(stag.n_edges):
-            for t in stag.edge_tris[e]:
+            for t in stag.edge_slots[e]:
                 if t >= 0:
                     base_of[t] = e
         assert np.array_equal(base_of, stag.loc_edge)
         # normals are unit; dual edge k runs between sub-triangles k-1 and k
         assert np.abs(np.linalg.norm(stag.cnorm, axis=1) - 1.0).max() < 1e-13
         assert np.abs(np.linalg.norm(stag.dual_normal, axis=1) - 1.0).max() < 1e-13
-        assert np.array_equal(stag.dual_tris, _prev_and_own_slot(stag))
+        assert np.array_equal(stag.prev_slot, _prev_slots(stag))
         # dual edges never lie on the boundary: x* is strictly interior
         for ci in range(stag.n_cells):
             lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
@@ -308,12 +308,14 @@ ORACLE_MESHES = [
     ("poly", lambda: generate_polygonal(4)),   # 4-, 5- and 6-vertex cells
     ("tri-jitter", lambda: generate_triangular(8, jitter=0.2, seed=3)),
 ]
+ORIENTATION_MESHES = ORACLE_MESHES + [("trap", lambda: generate_trapezoidal(8))]
+CELL_SIZES = {"poly": {4, 5, 6}, "tri-jitter": {3}, "trap": {4}}
 
 
-@pytest.mark.parametrize("name,gen", ORACLE_MESHES)
+@pytest.mark.parametrize("name,gen", ORIENTATION_MESHES)
 def test_packed_build_matches_single_polygon_helpers(name, gen):
     stag = build_staggered(gen())
-    assert set(stag.cell_sizes) == ({4, 5, 6} if name == "poly" else {3})
+    assert set(stag.cell_sizes) == CELL_SIZES[name]
     for ci in range(stag.n_cells):
         lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
         poly = stag.cvert[lo:hi]
@@ -322,7 +324,16 @@ def test_packed_build_matches_single_polygon_helpers(name, gen):
         assert np.array_equal(stag.xstar[ci], xstar)
         assert np.array_equal(stag.celen[lo:hi], elen)
         assert np.array_equal(stag.cnorm[lo:hi], normals)
-        assert np.array_equal(stag.tri_verts[lo:hi], _fan_triangles(poly, xstar))
+        tv = _fan_triangles(poly, xstar)
+        assert np.array_equal(stag.tri_verts[lo:hi], tv)
+        # |e_k| d_k / 2 against the cross product, and the longest side
+        e1, e2 = tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]
+        cross = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        assert np.allclose(stag.tri_area[lo:hi], cross, rtol=1e-14, atol=0.0)
+        # the build takes dual lengths by hypot, so they may differ in the last bit
+        sides = np.linalg.norm(tv - np.roll(tv, 1, axis=1), axis=2)
+        assert np.allclose(stag.tri_diam[lo:hi], sides.max(axis=1), rtol=1e-15, atol=0.0)
+    assert np.array_equal(stag.prev_slot[stag.next_slot], np.arange(stag.n_duals))
 
 
 @pytest.mark.parametrize("name,gen", ORACLE_MESHES)
@@ -334,10 +345,7 @@ def test_packed_build_numbers_edges_by_first_appearance(name, gen):
             assert e == len(seen)  # one more than the largest seen before
             seen.add(e)
     assert len(seen) == stag.n_edges
-    assert np.array_equal(stag.dual_tris, _prev_and_own_slot(stag))
-
-
-ORIENTATION_MESHES = ORACLE_MESHES + [("trap", lambda: generate_trapezoidal(8))]
+    assert np.array_equal(stag.prev_slot, _prev_slots(stag))
 
 
 @pytest.mark.parametrize("name,gen", ORIENTATION_MESHES)
@@ -357,7 +365,7 @@ def test_edge_slots_match_per_cell_dict(name, gen):
 @pytest.mark.parametrize("name,gen", ORIENTATION_MESHES)
 def test_dual_normals_point_into_second_sub_triangle(name, gen):
     stag = build_staggered(gen())
-    second = stag.tri_verts[stag.dual_tris[:, 1]]
+    second = stag.tri_verts  # dual edge d enters sub-triangle d
     xstar = stag.xstar[stag.tri_cell]
     assert np.all(np.einsum("dc,dc->d", stag.dual_normal,
                             second.mean(axis=1) - xstar) > 0.0)
@@ -371,7 +379,7 @@ def _unchecked_primal(vertices, cells):
     mesh.cell_ptr, mesh.cell_idx = _pack_cells(cells)
     mesh.loc_edge, mesh.edge_slots = _edge_table(mesh.cell_ptr, mesh.cell_idx,
                                                  mesh.n_vertices)[:2]
-    mesh.cell_areas = np.ones(mesh.n_cells)
+    mesh.cell_area = np.ones(mesh.n_cells)
     return mesh
 
 
@@ -380,14 +388,6 @@ def test_staggered_build_rejects_exterior_centroid():
     dart = _unchecked_primal([[0, 0], [1, 0], [0.2, 0.2], [0, 1]], [[0, 1, 2, 3]])
     with pytest.raises(MeshError, match="centroid not interior"):
         build_staggered(dart)
-
-
-def test_fan_areas_rejects_clockwise_sub_triangle():
-    tris = np.array([[[0.5, 0.5], [0, 0], [1, 0]],
-                     [[0.5, 0.5], [1, 0], [0, 0]]], dtype=float)
-    with pytest.raises(MeshError, match="sub-triangle 1"):
-        _fan_areas(tris)
-    assert _fan_areas(tris[:1]) == pytest.approx([0.25])
 
 
 def test_convexity_tolerance_shared_by_mesh_and_polygon():
@@ -413,7 +413,7 @@ def test_boundary_normals_point_outward():
         stag = build_staggered(gen())
         v0, v1 = stag.edge_endpoints()
         bd = stag.boundary_edges
-        out = 0.5 * (v0[bd] + v1[bd]) + 1e-3 * stag.cnorm[stag.edge_tris[bd, 0]]
+        out = 0.5 * (v0[bd] + v1[bd]) + 1e-3 * stag.cnorm[stag.edge_slots[bd, 0]]
         assert not np.any(np.all((out > 0.0) & (out < 1.0), axis=1)), name
 
 
@@ -426,7 +426,7 @@ def test_interior_normals_lower_to_higher_cell():
         v0, v1 = stag.edge_endpoints()
         inter = stag.interior_edges
         mid = 0.5 * (v0[inter] + v1[inter])
-        first, second = stag.edge_tris[inter].T
+        first, second = stag.edge_slots[inter].T
         assert np.all(stag.tri_cell[first] < stag.tri_cell[second]), name
         assert np.allclose(stag.cnorm[first], -stag.cnorm[second],
                            rtol=0.0, atol=1e-14), name
@@ -470,7 +470,14 @@ def test_validate_matches_per_cell_loop(gen):
     expected = RegularityReport(
         h=stag.h, aspect_min=min(aspects), aspect_max=max(aspects), rho_e=rho,
         ok=rho >= 0.1 and max(aspects) <= 20.0, rho_e_min=0.1, aspect_max_allowed=20.0)
-    assert validate(stag) == expected
+    report = validate(stag)
+    # validate sums the side lengths the build keeps, the loop recomputes them
+    for field in dataclasses.fields(RegularityReport):
+        got, want = getattr(report, field.name), getattr(expected, field.name)
+        if field.name in ("h", "aspect_min", "aspect_max", "rho_e"):
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), field.name
+        else:
+            assert got == want, field.name
 
 
 def test_validate_sliver_fails():
