@@ -98,9 +98,31 @@ def assemble_mass(stag: StaggeredMesh) -> sp.csr_matrix:
     return mat
 
 
+# ---------------------------------------------------------------------------
+# The sdg1 test functions phi_i of a cell T (see _kernels): c0_i (x - x*)
+# plus the curls of the fan hats h_k weighted by C_ik.  c0_i = |e_i| / (2|T|)
+# makes div phi_i the constant 2 c0_i.  C solves C_ik - C_i,k+1 = b_ik =
+# delta_ik |e_k| - |e_i| |tau_k| / |T| with zero row sums, by
+# C_ik = -(1/m) sum_{l=1}^{m-1} l b_i,k+l (indices mod m).  Then the normal
+# trace of phi_i on edge j, c0_i d_j + b_ij / |e_j| with d_j the height of
+# tau_j, is delta_ij, and the normal component of phi_i is continuous across
+# the fan edges because the hats are continuous.
+# ---------------------------------------------------------------------------
+
+def rt_coefficients(edge_len, subareas):
+    """(c0, C) from the edge lengths and fan areas (..., m) of one cell or
+    of a stack of equal-size cells; C has shape (..., m, m)."""
+    m = edge_len.shape[-1]
+    area = subareas.sum(axis=-1)[..., None]
+    c0 = edge_len / (2.0 * area)
+    b = (edge_len[..., :, None] * np.eye(m)
+         - edge_len[..., :, None] * subareas[..., None, :] / area[..., None])
+    ell = np.arange(1, m)
+    return c0, -(ell * b[..., (np.arange(m)[:, None] + ell) % m]).sum(axis=-1) / m
+
+
 class RTTable:
-    """Packed reconstruction coefficients for every cell of a mesh (feeds the
-    evaluation kernels)."""
+    """Packed reconstruction coefficients c0 and C of every cell of a mesh."""
 
     def __init__(self, stag: StaggeredMesh):
         s = stag
@@ -110,22 +132,26 @@ class RTTable:
         self.cmat_flat = np.empty(int(np.sum(sq)))
         self.cmat_ptr = np.concatenate([[0], np.cumsum(sq)])
         for m, cells, slots in _size_groups(s.cell_ptr):
-            c0, cmat = _kernels.rt_coefficients(s.celen[slots], s.tri_area[slots])
+            c0, cmat = rt_coefficients(s.celen[slots], s.tri_area[slots])
             self.c0[slots] = c0
             self.cmat_flat[self.cmat_ptr[cells][:, None] + np.arange(m * m)] = \
                 cmat.reshape(len(cells), m * m)
+
+
+def _weighted_load(stag: StaggeredMesh, f):
+    """The sub-triangle rule's points (nd*nq, 2) and f times its weights
+    there, (nd, nq, 2): the one evaluation of f behind either method's load."""
+    pts, w = _tri_quad(stag)
+    return pts, np.asarray(f(pts)).reshape(*w.shape, 2) * w[..., None]
 
 
 def load_moments(stag: StaggeredMesh, f) -> np.ndarray:
     """int_T f . phi_i for every (cell, local edge), packed like loc_edge."""
     s = stag
     rt = RTTable(s)
-    pts, w = _tri_quad(s)
-    fw = np.asarray(f(pts)) * w.reshape(-1, 1)
-    return _kernels.cell_moments(
-        s.cell_ptr, s.cvert, s.cnorm, s.xstar,
-        rt.c0, rt.cmat_ptr, rt.cmat_flat, pts, fw, w.shape[1],
-    )
+    pts, fw = _weighted_load(s, f)
+    return _kernels.cell_moments(s.cell_ptr, s.cvert, s.tri_area, s.xstar,
+                                 rt.c0, rt.cmat_ptr, rt.cmat_flat, pts, fw)
 
 
 def assemble_rhs(stag: StaggeredMesh, f, method: str) -> np.ndarray:
@@ -133,21 +159,18 @@ def assemble_rhs(stag: StaggeredMesh, f, method: str) -> np.ndarray:
 
     sdg1 tests against the flux reconstruction: entry for edge e picks up
     (int_T f . phi_i) n_out from each adjacent cell.  sdg2 tests against the
-    piecewise-constant velocity itself: entry = int_{D(e)} f.
+    piecewise-constant velocity itself: entry = int_{D(e)} f, the sum of
+    int_tau f over the sub-triangles on e.
     """
     s = stag
-    rhs = np.zeros((s.n_edges, 2))
     if method == "sdg1":
-        mom = load_moments(stag, f)
-        contrib = mom[:, None] * s.cnorm
-        np.add.at(rhs, s.loc_edge, contrib)
+        contrib = load_moments(s, f)[:, None] * s.cnorm
     elif method == "sdg2":
-        pts, w = _tri_quad(s)
-        fvals = np.asarray(f(pts)).reshape(*w.shape, 2)
-        per_tri = np.einsum("tqc,tq->tc", fvals, w)
-        np.add.at(rhs, s.loc_edge, per_tri)
+        contrib = _weighted_load(s, f)[1].sum(axis=1)
     else:
         raise ValueError(f"unknown method {method!r}; expected 'sdg1' or 'sdg2'")
+    rhs = np.zeros((s.n_edges, 2))
+    np.add.at(rhs, s.loc_edge, contrib)
     return rhs.ravel()
 
 

@@ -136,7 +136,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_mesh(args) -> int:
     gen = {"tri": generate_triangular, "trap": generate_trapezoidal,
            "poly": generate_polygonal}[args.family]
-    mesh = gen(args.n)
+    try:
+        mesh = gen(args.n)
+    except MeshError as exc:  # an --n the family cannot take
+        print(f"--n: {exc}", file=sys.stderr)
+        return 2
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(write_mesh(mesh))
     return 0

@@ -77,15 +77,6 @@ def _diameter(poly: np.ndarray) -> np.ndarray:
     return np.max(np.linalg.norm(diff, axis=-1), axis=(-2, -1))
 
 
-def _fan_triangles(poly: np.ndarray, xstar: np.ndarray) -> np.ndarray:
-    """(..., m, 3, 2) fan sub-triangles (x*, v_i, v_i+1) of a polygon, CCW."""
-    tri = np.empty(poly.shape[:-1] + (3, 2))
-    tri[..., 0, :] = xstar[..., None, :]
-    tri[..., 1, :] = poly
-    tri[..., 2, :] = np.roll(poly, -1, axis=-2)
-    return tri
-
-
 # ---------------------------------------------------------------------------
 # Packed cells.  Cell c owns the slots cell_ptr[c]:cell_ptr[c+1] of every
 # packed per-vertex array; slot s of cell c at local position k holds vertex
@@ -494,7 +485,6 @@ class StaggeredMesh:
     dual_normal (nd,2)        unit normal of dual edge s, into sub-triangle s
     dual_len (nd,)            |x* v_k|
     tri_cell (nd,)            owning cell
-    tri_verts (nd,3,2)        (x*, v_k, v_k+1), CCW
     tri_area (nd,)            |e_k| d_k / 2, d_k the distance from x* to edge k
     tri_diam (nd,)            longest of the sides dual_len, dual_len[next_slot]
                               and celen
@@ -510,17 +500,14 @@ class StaggeredMesh:
         nxt, prv = _cycle_slots(ptr)
 
         cvert = verts[idx]
-        # packed cell geometry, centroids and fan sub-triangles, per group
-        # of equal-size cells
+        # packed cell geometry and centroids, per group of equal-size cells
         cnorm = np.empty((total, 2))
         celen = np.empty(total)
         xstar = np.empty((nc, 2))
-        tri_verts = np.empty((total, 3, 2))
         for m, cells, slots in _size_groups(ptr):
             poly = cvert[slots]
             celen[slots], cnorm[slots] = _edge_normals(poly)
             xstar[cells] = _centroid(poly)
-            tri_verts[slots] = _fan_triangles(poly, xstar[cells])
         seg = cvert - xstar[slot_cell]
         # distance from x* to the line of edge k: the height of sub-triangle k
         d = np.einsum("sc,sc->s", seg, cnorm)
@@ -545,7 +532,7 @@ class StaggeredMesh:
         # the left normal of x* -> v_k points into sub-triangle k
         self.dual_normal = np.stack([-seg[:, 1], seg[:, 0]], axis=1) / dual_len[:, None]
         self.dual_len = dual_len
-        self.tri_cell, self.tri_verts = slot_cell, tri_verts
+        self.tri_cell = slot_cell
         self.tri_area = 0.5 * celen * d
         self.tri_diam = np.maximum(np.maximum(dual_len, dual_len[nxt]), celen)
         self.h = float(self.tri_diam.max())

@@ -1,10 +1,10 @@
 """Fixed-degree quadrature rules on reference triangles and edges.
 
 Triangle rules are symmetric interior rules (no node ever lies on an edge),
-which matters here because the generalized barycentric integrands evaluated
-elsewhere in the package have poles on the edge lines.  Triangle tables are
-the classic symmetric rules of Dunavant; the edge rule is 8-point
-Gauss-Legendre.
+so mapped onto the sub-triangles of a centroid fan no node lies on a fan
+edge, across which the discrete fields and the sdg1 test functions jump.
+Triangle tables are the classic symmetric rules of Dunavant; the edge rule
+is 8-point Gauss-Legendre.
 """
 
 import functools
@@ -96,23 +96,18 @@ def edge_rule() -> QuadRule:
     return QuadRule(0.5 * (x + 1.0), 0.5 * w)
 
 
-def map_to_triangles(rule: QuadRule, tri_verts: np.ndarray):
+def map_to_triangles(rule: QuadRule, x0, x1, x2, area):
     """Map a reference triangle rule onto physical triangles.
 
-    tri_verts : (nt, 3, 2) vertex coordinates.
+    x0, x1, x2 : (nt, 2) vertices; area : (nt,) the triangles' areas.
     Returns points (nt, nq, 2) and weights (nt, nq) such that the integral
     over triangle t of f is  sum_q weights[t, q] * f(points[t, q]).
     """
-    tri_verts = np.asarray(tri_verts, dtype=float)
     l2 = rule.points[:, 0]
     l3 = rule.points[:, 1]
-    l1 = 1.0 - l2 - l3
-    bary = np.stack([l1, l2, l3], axis=1)  # (nq, 3)
-    pts = np.einsum("qk,tkc->tqc", bary, tri_verts)
-    e1 = tri_verts[:, 1] - tri_verts[:, 0]
-    e2 = tri_verts[:, 2] - tri_verts[:, 0]
-    area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    w = 2.0 * area[:, None] * rule.weights[None, :]
+    bary = np.stack([1.0 - l2 - l3, l2, l3], axis=1)  # (nq, 3)
+    pts = np.einsum("qk,ktc->tqc", bary, np.stack([x0, x1, x2]).astype(float))
+    w = 2.0 * np.asarray(area, dtype=float)[:, None] * rule.weights[None, :]
     return pts, w
 
 

@@ -31,11 +31,12 @@ def _checked(values, shape, what):
 
 
 def _tri_quad(stag):
-    """The _TRI_DEGREE triangle rule mapped to every sub-triangle: points
-    (nt*nq, 2) and weights (nt, nq), shared by the loads, the pressure
-    interpolant and the error functionals."""
-    rule = triangle_rule(_TRI_DEGREE)
-    pts, w = map_to_triangles(rule, stag.tri_verts)
+    """The _TRI_DEGREE triangle rule mapped to every sub-triangle (x*, v_k,
+    v_k+1): points (nt*nq, 2) and weights (nt, nq), shared by the loads, the
+    pressure interpolant and the error functionals."""
+    s = stag
+    pts, w = map_to_triangles(triangle_rule(_TRI_DEGREE), s.xstar[s.tri_cell],
+                              s.cvert, s.cvert[s.next_slot], s.tri_area)
     return pts.reshape(-1, 2), w
 
 

@@ -1,9 +1,7 @@
 import numpy as np
 
-from stokes_sdg import _kernels
-from stokes_sdg.assembly import RTTable
-from stokes_sdg.mesh import (PrimalMesh, _centroid, _edge_normals, _fan_triangles,
-                             build_staggered)
+from stokes_sdg.assembly import RTTable, rt_coefficients
+from stokes_sdg.mesh import PrimalMesh, _centroid, _edge_normals, build_staggered
 from stokes_sdg.quadrature import map_to_triangles, triangle_rule
 
 
@@ -27,31 +25,57 @@ def interior_points(verts: np.ndarray, rng, n: int, pull: float = 0.9):
     return cen + pull * (wts @ verts - cen)
 
 
-# One cell of the H(div) reconstruction, built by the same polygon helpers
-# and kernels that the packed RTTable and load_moments use, but unpacked.
+# One cell of the H(div) reconstruction, unpacked: the coefficients from the
+# helper that the packed RTTable uses, the basis evaluated pointwise from the
+# fan hats, independently of the moment kernel.
 
 def rt_cell(verts):
     """(normals, edge_len, xstar, c0, cmat) of one convex CCW polygon."""
     edge_len, normals = _edge_normals(verts)
     xstar = _centroid(verts)
-    c0, cmat = _kernels.rt_coefficients(edge_len, one_cell(verts).tri_area)
+    c0, cmat = rt_coefficients(edge_len, one_cell(verts).tri_area)
     return normals, edge_len, xstar, c0, cmat
 
 
-def wachspress(verts, pts):
-    """Coordinates (n, m) and their gradients (n, m, 2) at interior points (n, 2)."""
-    return _kernels.coords_grads(verts, _edge_normals(verts)[1], np.atleast_2d(pts))
+def fan_hats(verts, pts):
+    """Values (n, m) and curls (n, m, 2) of the fan hats at points (n, 2) of
+    the polygon verts.  Hat k is continuous and linear on each sub-triangle
+    (x*, v_j, v_j+1): 1 at v_k, 0 at the other vertices and
+    (|tau_k-1| + |tau_k|) / (2|T|) at x*.  Each linear piece is found by
+    solving the 3x3 interpolation system of its sub-triangle; a point on a
+    fan edge takes the piece of the later sub-triangle."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    m, n = len(verts), len(pts)
+    xstar = _centroid(verts)
+    sub = one_cell(verts).tri_area
+    hom = np.c_[pts, np.ones(n)]
+    vals, curls = np.full((n, m), np.nan), np.full((n, m, 2), np.nan)
+    for k in range(m):
+        corners = np.c_[[xstar, verts[k], verts[(k + 1) % m]], np.ones(3)]
+        nodal = np.zeros((3, m))
+        nodal[0] = (sub + np.roll(sub, 1)) / (2.0 * sub.sum())
+        nodal[1, k] = nodal[2, (k + 1) % m] = 1.0
+        coef = np.linalg.solve(corners, nodal)  # h = a x + b y + c, rows a, b, c
+        inside = np.all(np.linalg.solve(corners.T, hom.T) >= -1e-12, axis=0)
+        vals[inside] = hom[inside] @ coef
+        curls[inside] = np.stack([-coef[1], coef[0]], axis=-1)
+    return vals, curls
 
 
 def rt_basis(verts, pts):
-    """Basis values phi (n, m, 2) at interior points (n, 2)."""
-    normals, _, xstar, c0, cmat = rt_cell(verts)
-    return _kernels.basis_values(verts, normals, xstar, c0, cmat, np.atleast_2d(pts))
+    """Basis values phi (n, m, 2) at points (n, 2) of the polygon:
+    c0_i (x - x*) + sum_k C_ik curl h_k."""
+    pts = np.atleast_2d(pts)
+    _, _, xstar, c0, cmat = rt_cell(verts)
+    return (c0[None, :, None] * (pts[:, None, :] - xstar)
+            + np.einsum("ik,nkc->nic", cmat, fan_hats(verts, pts)[1]))
 
 
 def rt_moments(verts, f, degree=8):
     """int_T f . phi_i dx for each i, by quadrature on the fan sub-triangles."""
-    pts, w = map_to_triangles(triangle_rule(degree), _fan_triangles(verts, _centroid(verts)))
+    s = one_cell(verts)
+    pts, w = map_to_triangles(triangle_rule(degree), s.xstar[s.tri_cell], s.cvert,
+                              s.cvert[s.next_slot], s.tri_area)
     pts = pts.reshape(-1, 2)
     return np.einsum("nic,nc,n->i", rt_basis(verts, pts), f(pts), w.ravel())
 

@@ -13,12 +13,12 @@ import pytest
 from stokes_sdg.assembly import RTTable, assemble_Bh, assemble_bh, assemble_system
 from stokes_sdg.bench import CaseSpec, convergence_study, robustness_sweep
 from stokes_sdg.cases import ManufacturedCase, case_taylor, get_case
-from stokes_sdg.mesh import _diameter, build_staggered, generate_triangular
+from stokes_sdg.mesh import build_staggered, generate_triangular
 from stokes_sdg.solver import solve
 from stokes_sdg.spaces import GradientField
 
 from conftest import (interior_points, one_cell, random_convex_polygon,
-                      reconstruction_divergence, rt_basis, rt_cell, wachspress)
+                      reconstruction_divergence, rt_basis, rt_cell)
 
 
 def _report(criterion: int, ok: bool, detail: str):
@@ -161,28 +161,14 @@ def test_criterion_6_property_suite():
     rng = np.random.default_rng(2024)
     checks: list[tuple[str, bool]] = []
 
-    # Wachspress: partition of unity, linear precision, gradient vs FD
-    worst_pu = worst_lp = worst_fd = 0.0
-    for m in range(3, 9):
-        verts = random_convex_polygon(m, rng)
-        pts = interior_points(verts, rng, 100, pull=0.9)
-        lam, grad = wachspress(verts, pts)
-        worst_pu = max(worst_pu, np.abs(lam.sum(axis=1) - 1.0).max())
-        worst_lp = max(worst_lp, np.abs(lam @ verts - pts).max())
-        step = 1e-6 * _diameter(verts)
-        fd = np.empty_like(grad)
-        for c, off in enumerate(np.eye(2)):
-            fd[:, :, c] = (wachspress(verts, pts + step * off)[0]
-                           - wachspress(verts, pts - step * off)[0]) / (2 * step)
-        worst_fd = max(worst_fd,
-                       np.abs(grad - fd).max() / np.abs(grad).max())
-    checks.append(("wachspress partition of unity", worst_pu <= 1e-9))
-    checks.append(("wachspress linear precision", worst_lp <= 1e-9))
-    checks.append(("wachspress gradient vs FD", worst_fd <= 1e-5))
+    # normal components continuous across the fan edges (H(div) conformity)
+    from test_hdivrec import edge_fluxes, fan_edge_normal_jumps, hat_interpolant_curl, trace_matrix
+    worst_jump = max(fan_edge_normal_jumps(random_convex_polygon(m, rng))
+                     for m in range(3, 9))
+    checks.append(("fan-edge normal continuity", worst_jump <= 1e-8))
 
     # Kronecker traces and constant divergence: the packed table's 2 c0, which
     # the divergences below are built from, is the per-cell one
-    from test_hdivrec import edge_fluxes, trace_matrix
     worst_tr = worst_div = 0.0
     for m in (3, 5, 8):
         verts = random_convex_polygon(m, rng)
@@ -219,9 +205,7 @@ def test_criterion_6_property_suite():
         return np.stack([-p[..., 0], 2.0 * p[..., 0] + p[..., 1]], axis=-1)
 
     rec = np.einsum("nic,i->nc", phi, edge_fluxes(hexa, curl_scalar))
-    grad = wachspress(hexa, pts)[1]
-    expected = np.einsum("i,nic->nc", scalar(hexa),
-                         np.stack([-grad[..., 1], grad[..., 0]], axis=-1))
+    expected = hat_interpolant_curl(hexa, scalar, pts)
     checks.append(("commuting identity", np.abs(rec - expected).max() <= 1e-9))
 
     # adjointness of the discrete forms on a small mesh

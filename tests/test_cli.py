@@ -35,6 +35,15 @@ def test_mesh_subcommand_roundtrip(tmp_path):
     assert set(data) == {"vertices", "cells"}
 
 
+@pytest.mark.parametrize("family,n", [("tri", 0), ("trap", 0), ("trap", 3), ("poly", 1)])
+def test_mesh_n_the_family_cannot_take_exit_2(family, n, tmp_path, capsys):
+    # below the family's minimum, or odd for trap: once exit 1 from the generator
+    out = tmp_path / "mesh.json"
+    assert main(["mesh", "--family", family, "--n", str(n), "--out", str(out)]) == 2
+    assert "--n:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_on_mesh_file(tmp_path, capsys):
     mesh_path = tmp_path / "m.json"
     main(["mesh", "--family", "tri", "--n", "2", "--out", str(mesh_path)])

@@ -3,12 +3,12 @@ import pytest
 from scipy.stats import qmc
 
 from stokes_sdg.assembly import load_moments
-from stokes_sdg.mesh import _diameter
+from stokes_sdg.mesh import _centroid, _diameter
 from stokes_sdg.quadrature import edge_points, edge_rule
 from stokes_sdg.spaces import interp_velocity
 
-from conftest import (interior_points, one_cell, random_convex_polygon,
-                      rt_basis, rt_cell, rt_moments, wachspress)
+from conftest import (fan_hats, interior_points, one_cell, random_convex_polygon,
+                      rt_basis, rt_cell, rt_moments)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -31,6 +31,34 @@ def trace_matrix(verts):
         return tr
 
     return 2.0 * at_offset(eps) - at_offset(2.0 * eps)
+
+
+def fan_edge_normal_jumps(verts, npts=5):
+    """Largest jump of each phi_i . n across the fan edges x* -> v_k, from
+    points at offsets eps and 2*eps on either side extrapolated to the edge,
+    relative to the largest |phi|."""
+    xstar = _centroid(verts)
+    eps = 1e-7 * _diameter(verts)
+    t = (np.arange(npts) + 0.5) / npts
+    worst = 0.0
+    for vk in verts:
+        seg = vk - xstar
+        normal = np.array([-seg[1], seg[0]]) / np.linalg.norm(seg)
+        on = xstar + t[:, None] * seg
+
+        def side(delta):
+            return np.einsum("nic,c->ni", rt_basis(verts, on + delta * normal), normal)
+
+        left = 2.0 * side(-eps) - side(-2.0 * eps)
+        right = 2.0 * side(eps) - side(2.0 * eps)
+        scale = np.abs(rt_basis(verts, on + eps * normal)).max()
+        worst = max(worst, np.abs(left - right).max() / scale)
+    return worst
+
+
+def hat_interpolant_curl(verts, scalar, pts):
+    """curl of sum_k scalar(v_k) h_k at pts, (n, 2)."""
+    return np.einsum("k,nkc->nc", scalar(verts), fan_hats(verts, pts)[1])
 
 
 def edge_fluxes(verts, field):
@@ -82,6 +110,88 @@ def test_unit_square_traces_tight():
     assert np.abs(tr - np.eye(4)).max() < 1e-9
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+def test_normal_components_continuous_across_fan_edges(m):
+    rng = np.random.default_rng(60 + m)
+    for rep in range(3):
+        assert fan_edge_normal_jumps(random_convex_polygon(m, rng)) < 1e-8
+
+
+# ----------------------------------------------------------------- fan hats
+
+def regular_polygon(m, radius=0.4, center=(0.5, 0.5)):
+    ang = 2.0 * np.pi * np.arange(m) / m
+    return np.asarray(center) + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+def test_fan_hats_partition_of_unity_nonnegativity_linear_precision(m):
+    rng = np.random.default_rng(100 + m)
+    for rep in range(4):
+        verts = random_convex_polygon(m, rng)
+        pts = interior_points(verts, rng, 250, pull=0.98)
+        lam = fan_hats(verts, pts)[0]
+        assert np.all(lam >= -1e-14)
+        assert np.abs(lam.sum(axis=1) - 1.0).max() < 1e-13
+        assert np.abs(lam @ verts - pts).max() < 1e-12 * _diameter(verts)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_fan_hats_uniform_at_regular_centers(m):
+    verts = regular_polygon(m)
+    assert np.allclose(fan_hats(verts, _centroid(verts))[0], 1.0 / m, atol=1e-13)
+
+
+def test_fan_hats_are_lagrange_at_vertices():
+    verts = random_convex_polygon(5, np.random.default_rng(3))
+    assert np.abs(fan_hats(verts, verts)[0] - np.eye(5)).max() < 1e-12
+
+
+def test_fan_hats_match_barycentric_on_triangles():
+    rng = np.random.default_rng(7)
+    verts = random_convex_polygon(3, rng)
+    pts = interior_points(verts, rng, 200)
+    mat = np.vstack([verts.T, np.ones(3)])
+    bary = np.linalg.solve(mat, np.concatenate([pts.T, np.ones((1, len(pts)))])).T
+    assert np.abs(fan_hats(verts, pts)[0] - bary).max() < 1e-12
+
+
+def test_fan_hat_curls_sum_to_zero_and_reproduce_identity():
+    rng = np.random.default_rng(11)
+    verts = random_convex_polygon(6, rng)
+    curl = fan_hats(verts, interior_points(verts, rng, 100))[1]
+    grad = np.stack([curl[..., 1], -curl[..., 0]], axis=-1)
+    assert np.abs(grad.sum(axis=1)).max() < 1e-11 / _diameter(verts)
+    # sum_k grad(h_k) outer v_k = identity (derivative of linear precision)
+    assert np.abs(np.einsum("nmc,md->ncd", grad, verts) - np.eye(2)).max() < 1e-10
+
+
+def test_fan_hat_curls_match_finite_differences():
+    # curl h = (-d_y h, d_x h), the CCW 90-degree rotation of the gradient;
+    # the points sit at the sub-triangles' centroids, away from the kinks
+    rng = np.random.default_rng(13)
+    for m in (4, 6):
+        verts = random_convex_polygon(m, rng)
+        pts = (_centroid(verts) + verts + np.roll(verts, -1, axis=0)) / 3.0
+        curl = fan_hats(verts, pts)[1]
+        step = 1e-6 * _diameter(verts)
+        fd = np.empty_like(curl)
+        for c, offset in enumerate(np.eye(2)):
+            fd[:, :, 1 - c] = (fan_hats(verts, pts + step * offset)[0]
+                               - fan_hats(verts, pts - step * offset)[0]) / (2.0 * step)
+        fd[..., 0] *= -1.0
+        assert np.abs(curl - fd).max() < 1e-5 * np.abs(curl).max()
+
+
+def test_fan_hat_nodal_interpolation():
+    rng = np.random.default_rng(19)
+    lam = fan_hats(UNIT_SQUARE, interior_points(UNIT_SQUARE, rng, 50))[0]
+    assert np.abs(lam.sum(axis=1) - 1.0).max() < 1e-13
+    # x^2 at the center: vertex values (0, 1, 1, 0) average to 1/2
+    val = fan_hats(UNIT_SQUARE, [0.5, 0.5])[0] @ UNIT_SQUARE[:, 0] ** 2
+    assert abs(val[0] - 0.5) < 1e-14
+
+
 # ------------------------------------------------------------------- values
 
 def test_rt0_reduction_on_reference_triangle():
@@ -107,15 +217,17 @@ def test_divergence_constants():
 
 
 def test_divergence_matches_finite_differences():
+    # each phi_i is linear on a sub-triangle: difference it at the
+    # sub-triangles' centroids, away from the fan edges where it jumps
     rng = np.random.default_rng(6)
     verts = random_convex_polygon(5, rng)
-    _, _, x0, c0, _ = rt_cell(verts)
+    _, _, xstar, c0, _ = rt_cell(verts)
     step = 1e-6 * _diameter(verts)
-    phi = rt_basis(verts, x0 + step * np.array([[1.0, 0.0], [-1.0, 0.0],
-                                                 [0.0, 1.0], [0.0, -1.0]]))
-    fd = (phi[0, :, 0] - phi[1, :, 0] + phi[2, :, 1] - phi[3, :, 1]) / (2 * step)
-    for i in range(5):
-        assert abs(fd[i] - 2.0 * c0[i]) < 1e-6 * max(1.0, abs(2.0 * c0[i]))
+    offsets = step * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    for x0 in (xstar + verts + np.roll(verts, -1, axis=0)) / 3.0:
+        phi = rt_basis(verts, x0 + offsets)
+        fd = (phi[0, :, 0] - phi[1, :, 0] + phi[2, :, 1] - phi[3, :, 1]) / (2 * step)
+        assert np.abs(fd - 2.0 * c0).max() < 1e-6 * max(1.0, np.abs(2.0 * c0).max())
 
 
 def test_edge_integrated_divergence_is_edge_length():
@@ -174,7 +286,7 @@ def test_constant_reproduction():
 
 
 def test_commuting_identity_with_nodal_interpolant():
-    # reconstruct(curl phi) = curl(nodal interpolant of phi), phi = x^2 + x y
+    # reconstruct(curl phi) = curl(fan-hat interpolant of phi), phi = x^2 + x y
     rng = np.random.default_rng(12)
     for m in (4, 5, 6):
         verts = random_convex_polygon(m, rng)
@@ -190,10 +302,7 @@ def test_commuting_identity_with_nodal_interpolant():
         r = edge_fluxes(verts, curl_scalar)
         pts = interior_points(verts, rng, 30)
         rec = np.einsum("nic,i->nc", rt_basis(verts, pts), r)
-        grad = wachspress(verts, pts)[1]
-        curls = np.stack([-grad[..., 1], grad[..., 0]], axis=-1)
-        expected = np.einsum("i,nic->nc", scalar(verts), curls)
-        assert np.abs(rec - expected).max() < 1e-9
+        assert np.abs(rec - hat_interpolant_curl(verts, scalar, pts)).max() < 1e-9
 
 
 def test_reconstruction_divergence_accumulates_fluxes():

@@ -7,8 +7,7 @@ import pytest
 
 from stokes_sdg.mesh import (_HEXAGON, MeshError, PrimalMesh, RegularityReport,
                              _centroid, _clip_to_square, _edge_normals,
-                             _edge_table, _fan_triangles,
-                             _pack_cells, build_staggered,
+                             _edge_table, _pack_cells, build_staggered,
                              generate_polygonal, generate_trapezoidal,
                              generate_triangular, read_mesh, validate,
                              write_mesh)
@@ -234,7 +233,7 @@ def test_write_mesh_text():
 def test_single_triangle_fan():
     mesh = PrimalMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [[0, 1, 2]])
     stag = build_staggered(mesh)
-    assert len(stag.tri_verts) == 3
+    assert len(stag.tri_area) == 3
     assert stag.n_duals == 3
     assert len(stag.boundary_edges) == 3
     assert len(stag.interior_edges) == 0
@@ -244,7 +243,7 @@ def test_single_hexagon_fan():
     ang = 2.0 * np.pi * np.arange(6) / 6
     verts = 0.5 + 0.2 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     stag = build_staggered(PrimalMesh(verts, [np.arange(6)]))
-    assert len(stag.tri_verts) == 6
+    assert len(stag.tri_area) == 6
     assert stag.n_duals == 6
 
 
@@ -324,8 +323,9 @@ def test_packed_build_matches_single_polygon_helpers(name, gen):
         assert np.array_equal(stag.xstar[ci], xstar)
         assert np.array_equal(stag.celen[lo:hi], elen)
         assert np.array_equal(stag.cnorm[lo:hi], normals)
-        tv = _fan_triangles(poly, xstar)
-        assert np.array_equal(stag.tri_verts[lo:hi], tv)
+        # the fan sub-triangles (x*, v_k, v_k+1)
+        tv = np.stack([np.broadcast_to(xstar, poly.shape), poly, np.roll(poly, -1, axis=0)],
+                      axis=1)
         # |e_k| d_k / 2 against the cross product, and the longest side
         e1, e2 = tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]
         cross = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
@@ -365,10 +365,10 @@ def test_edge_slots_match_per_cell_dict(name, gen):
 @pytest.mark.parametrize("name,gen", ORIENTATION_MESHES)
 def test_dual_normals_point_into_second_sub_triangle(name, gen):
     stag = build_staggered(gen())
-    second = stag.tri_verts  # dual edge d enters sub-triangle d
+    # dual edge d enters sub-triangle d = (x*, v_d, v_next(d))
     xstar = stag.xstar[stag.tri_cell]
-    assert np.all(np.einsum("dc,dc->d", stag.dual_normal,
-                            second.mean(axis=1) - xstar) > 0.0)
+    second = (xstar + stag.cvert + stag.cvert[stag.next_slot]) / 3.0
+    assert np.all(np.einsum("dc,dc->d", stag.dual_normal, second - xstar) > 0.0)
 
 
 def _unchecked_primal(vertices, cells):
@@ -462,7 +462,8 @@ def test_validate_matches_per_cell_loop(gen):
         lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
         poly = stag.cvert[lo:hi].tolist()
         for t in range(lo, hi):
-            x, a, b = stag.tri_verts[t].tolist()
+            x, a, b = (stag.xstar[ci].tolist(), stag.cvert[t].tolist(),
+                       stag.cvert[stag.next_slot[t]].tolist())
             perim = dist(a, x) + dist(b, a) + dist(x, b)
             aspects.append(stag.tri_diam[t] * perim / (4.0 * stag.tri_area[t]))
         diam = max(dist(p, q) for p in poly for q in poly)

@@ -62,7 +62,9 @@ def test_map_to_triangles_measures():
         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
         [[1.0, 1.0], [3.0, 1.0], [2.0, 4.0]],
     ])
-    pts, w = map_to_triangles(rule, tris)
+    e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    pts, w = map_to_triangles(rule, tris[:, 0], tris[:, 1], tris[:, 2], area)
     assert abs(w[0].sum() - 0.5) < 1e-14
     assert abs(w[1].sum() - 3.0) < 1e-13
     # integrate x over the reference triangle: 1/6
