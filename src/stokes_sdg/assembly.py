@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .mesh import StaggeredMesh, _size_groups
+from .mesh import StaggeredMesh
 from .spaces import VelocityField, _tri_quad, interp_velocity
 
 __all__ = [
@@ -98,44 +98,20 @@ def assemble_mass(stag: StaggeredMesh) -> sp.csr_matrix:
     return mat
 
 
-# ---------------------------------------------------------------------------
-# The sdg1 test functions phi_i of a cell T (see _kernels): c0_i (x - x*)
-# plus the curls of the fan hats h_k weighted by C_ik.  c0_i = |e_i| / (2|T|)
-# makes div phi_i the constant 2 c0_i.  C solves C_ik - C_i,k+1 = b_ik =
-# delta_ik |e_k| - |e_i| |tau_k| / |T| with zero row sums, by
-# C_ik = -(1/m) sum_{l=1}^{m-1} l b_i,k+l (indices mod m).  Then the normal
-# trace of phi_i on edge j, c0_i d_j + b_ij / |e_j| with d_j the height of
-# tau_j, is delta_ij, and the normal component of phi_i is continuous across
-# the fan edges because the hats are continuous.
-# ---------------------------------------------------------------------------
-
-def rt_coefficients(edge_len, subareas):
-    """(c0, C) from the edge lengths and fan areas (..., m) of one cell or
-    of a stack of equal-size cells; C has shape (..., m, m)."""
-    m = edge_len.shape[-1]
-    area = subareas.sum(axis=-1)[..., None]
-    c0 = edge_len / (2.0 * area)
-    b = (edge_len[..., :, None] * np.eye(m)
-         - edge_len[..., :, None] * subareas[..., None, :] / area[..., None])
-    ell = np.arange(1, m)
-    return c0, -(ell * b[..., (np.arange(m)[:, None] + ell) % m]).sum(axis=-1) / m
-
-
 class RTTable:
-    """Packed reconstruction coefficients c0 and C of every cell of a mesh."""
+    """Per-slot data of the sdg1 test functions of a mesh (see _kernels):
+    c0 = |e_i| / (2|T|), frac = a_k = |tau_k| / |T| and hatw = w_k, the fan
+    hats' values at x*.  Since the load terms sum to zero over each cell,
+    summation by parts gives  int_T f . phi_i = c0_i (int_T f . (x - x*)
+    + 2|T| (G_i - sum_k a_k G_k)),  and the coefficient matrix C exists only
+    in the tests' oracle."""
 
     def __init__(self, stag: StaggeredMesh):
         s = stag
-        self.stag = s
-        sq = s.cell_sizes ** 2
-        self.c0 = np.empty(s.cell_ptr[-1])
-        self.cmat_flat = np.empty(int(np.sum(sq)))
-        self.cmat_ptr = np.concatenate([[0], np.cumsum(sq)])
-        for m, cells, slots in _size_groups(s.cell_ptr):
-            c0, cmat = rt_coefficients(s.celen[slots], s.tri_area[slots])
-            self.c0[slots] = c0
-            self.cmat_flat[self.cmat_ptr[cells][:, None] + np.arange(m * m)] = \
-                cmat.reshape(len(cells), m * m)
+        area = np.repeat(np.add.reduceat(s.tri_area, s.cell_ptr[:-1]), s.cell_sizes)
+        self.c0 = s.celen / (2.0 * area)
+        self.frac = s.tri_area / area
+        self.hatw = (s.tri_area + s.tri_area[s.prev_slot]) / (2.0 * area)
 
 
 def _weighted_load(stag: StaggeredMesh, f):
@@ -151,7 +127,7 @@ def load_moments(stag: StaggeredMesh, f) -> np.ndarray:
     rt = RTTable(s)
     pts, fw = _weighted_load(s, f)
     return _kernels.cell_moments(s.cell_ptr, s.cvert, s.tri_area, s.xstar,
-                                 rt.c0, rt.cmat_ptr, rt.cmat_flat, pts, fw)
+                                 rt.c0, rt.frac, rt.hatw, pts, fw)
 
 
 def assemble_rhs(stag: StaggeredMesh, f, method: str) -> np.ndarray:

