@@ -1,20 +1,19 @@
 """Sparse direct solution of the saddle-point system with residual checks.
 
 The solver reads the assembled blocks of `SaddleSystem` (see assembly.py for
-the bordered (q, u, p, mu) system they make up) and never slices the full
-matrix.  The gradient mass block M couples only the dual-edge traces of one
-cell, so the gradient unknowns q are eliminated cell by cell (static
-condensation): with r_q = nu Bg^T ug, q = M^-1 (r_q + nu B0^T u), and the
-momentum rows become K u + D0^T p = F - B0 M^-1 r_q with K = nu B0 M^-1 B0^T.
-
-The pressure-mean multiplier mu is eliminated exactly as well: every
-velocity column of the divergence rows sums to zero, so summing those rows
-gives (1^T a) mu = 1^T r_p with r_p = -Dg ug.  With a mu moved to the
-right-hand side the pressure is fixed only up to a constant, so cell 0's
-pressure is pinned to zero and the (u, p) system [[K, D0^T], [D0, 0]] without
-that pressure is LU-factorized.  The pressure is then shifted to the mean
-the multiplier row asks for.  The residual is always checked against the
-full, uncondensed system, so a matrix without zero column sums fails there.
+the bordered (q, u, p, mu) system they make up).  The gradient mass block M
+couples only the dual-edge traces of one cell, so q is eliminated cell by
+cell: q = M^-1 (r_q + nu B0^T u) with r_q = nu Bg^T ug, and the momentum
+rows become K u + D0^T p = r_u = F - B0 M^-1 r_q with K = nu B0 M^-1 B0^T.
+The velocity columns of D0 sum to zero, so the sum of the divergence rows
+gives mu = 1^T r_p / 1^T a (r_p = -Dg ug), and the other rows D1 = D0[1:]
+read D1 u = g[1:] with g = r_p - mu a; p_0 is pinned to zero.  The kernel
+basis Z of D0 (`_kernel_basis`) separates u from p: with the SPD matrices
+A = Z^T K Z and L = D1 D1^T, u_p = D1^T L^-1 g[1:], u = u_p + Z A^-1 Z^T
+(r_u - K u_p), L p[1:] = D1 (r_u - K u), and p is shifted to the mean the
+multiplier row asks for.  One refinement sweep on the residual follows,
+which is always checked, block by block, against the full system, so a
+matrix without zero column sums fails there.
 """
 
 from dataclasses import dataclass
@@ -70,43 +69,83 @@ def _cell_block_inverse(mass: sp.csr_matrix, stag: StaggeredMesh) -> sp.csr_matr
     )
 
 
+def _kernel_basis(stag: StaggeredMesh) -> sp.csr_matrix:
+    """Basis (2 n_ie, n_ie + n_iv) of the interior velocities with zero cell
+    divergences: column i is interior edge i's tangent t = (-n_y, n_x), and
+    the column of interior vertex v is the curl of its P1 stream function,
+    (psi_b - psi_a) n / |e| on each interior edge a -> b, n = cnorm of the
+    edge's first slot; psi = 0 on the boundary vertices."""
+    s = stag
+    idx, first = s.primal.cell_idx, s.edge_slots[s.interior_edges, 0]
+    n_ie = len(first)
+    inner = np.ones(s.primal.n_vertices, dtype=bool)
+    inner[idx[s.edge_slots[s.boundary_edges, 0]]] = False  # boundary edges form cycles
+    col = np.full(len(inner), -1)
+    col[inner] = n_ie + np.arange(np.count_nonzero(inner))
+    n, grad = s.cnorm[first], s.cnorm[first] / s.celen[first][:, None]
+    vals = np.stack([np.stack([-n[:, 1], n[:, 0]], axis=1), -grad, grad], axis=1)
+    cols = np.stack([np.arange(n_ie), col[idx[first]], col[idx[s.next_slot[first]]]], axis=1)
+    rows, cols = np.broadcast_arrays(2 * np.arange(n_ie)[:, None, None] + np.arange(2),
+                                     cols[:, :, None])
+    keep = cols >= 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(2 * n_ie, n_ie + np.count_nonzero(inner)))
+
+
+def _factor(mat: sp.spmatrix):
+    """Sparse LU of an SPD matrix with a symmetric ordering and diagonal pivots."""
+    try:
+        return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU reports the failing pivot
+        raise SolverError(f"sparse factorization failed: {exc}") from exc
+    except MemoryError as exc:
+        raise SolverError(f"out of memory in the sparse factorization of "
+                          f"{mat.shape[0]} unknowns") from exc
+
+
 def solve(system: SaddleSystem) -> FieldSolution:
-    """Condense q out, eliminate mu, pin p_0, LU-factorize and solve for
-    (u, p), restore the pressure mean and recover q; raises on singular
+    """Solve the system as the module docstring says; raises on singular
     blocks or factors, exhausted memory or poor full-system residuals."""
     s, b0, area = system.stag, system.B0, system.stag.cell_area
     nu_b0t = system.nu * b0.T
     minv = _cell_block_inverse(system.M, s)
+    z = _kernel_basis(s)
+    if z.shape[1] != system.n_u - system.n_p + 1:  # Euler's formula fails
+        raise SolverError(f"divergence-free basis of {z.shape[1]} columns for {system.n_u} "
+                          f"velocities and {system.n_p} cells: domain not simply connected")
+    d1 = system.D0[1:]  # pin p_0 = 0
+    b0t_z = b0.T @ z
+    lu_u = _factor(system.nu * (b0t_z.T @ (minv @ b0t_z)))
+    lu_p = _factor(d1 @ d1.T)
+    blocks = np.cumsum([system.n_q, system.n_u, system.n_p])
+
+    def condensed(rhs):
+        r_q, f, r_p, r_mu = np.split(rhs, blocks)
+        r_u = f - b0 @ (minv @ r_q)
+        mu = r_p.sum() / area.sum()
+        u = d1.T @ lu_p.solve((r_p - mu * area)[1:])
+        u += z @ lu_u.solve(z.T @ (r_u - b0 @ (minv @ (nu_b0t @ u))))
+        p = np.concatenate([[0.0], lu_p.solve(d1 @ (r_u - b0 @ (minv @ (nu_b0t @ u))))])
+        p += (r_mu[0] - area @ p) / area.sum()
+        return np.concatenate([minv @ (r_q + nu_b0t @ u), u, p, [mu]])
+
+    def times(x):  # the full (q, u, p, mu) matrix, block by block
+        q, u, p, mu = np.split(x, blocks)
+        return np.concatenate([system.M @ q - nu_b0t @ u, b0 @ q + system.D0.T @ p,
+                               system.D0 @ u + mu * area, [area @ p]])
+
     rhs = system.rhs()
-    r_q, f, r_p, _ = np.split(rhs, np.cumsum([system.n_q, system.n_u, system.n_p]))
-    r_u = f - b0 @ (minv @ r_q)
-    mu = r_p.sum() / area.sum()
-    d0 = system.D0[1:]  # pin p_0 = 0
-    # K = B0 (M^-1 nu B0^T); (B0 M^-1) nu B0^T would store a larger pattern
-    mat = sp.bmat([[b0 @ (minv @ nu_b0t), d0.T], [d0, None]], format="csc")
-    try:
-        lu = spla.splu(mat)
-    except RuntimeError as exc:  # SuperLU reports the failing pivot
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
-    except MemoryError as exc:
-        raise SolverError(
-            f"out of memory in the sparse factorization of {mat.shape[0]} unknowns"
-        ) from exc
-    y = lu.solve(np.concatenate([r_u, (r_p - mu * area)[1:]]))
-    u = y[:system.n_u]
-    p = np.concatenate([[0.0], y[system.n_u:]])
-    p -= (area @ p) / area.sum()
-    q = minv @ (r_q + nu_b0t @ u)
-    x = np.concatenate([q, u, p, [mu]])
+    x = condensed(rhs)
+    x += condensed(rhs - times(x))  # the L solves' round-off grows like cond(L) ~ h^-2
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite solution entries")
     scale = np.linalg.norm(rhs)
-    residual = np.linalg.norm(system.matrix() @ x - rhs) / (scale if scale > 0.0 else 1.0)
+    residual = np.linalg.norm(times(x) - rhs) / (scale if scale > 0.0 else 1.0)
     if residual > _RESIDUAL_TOL:
-        raise SolverError(
-            f"solve residual {residual:.3e} exceeds tolerance {_RESIDUAL_TOL:.1e}"
-        )
+        raise SolverError(f"solve residual {residual:.3e} exceeds tolerance {_RESIDUAL_TOL:.1e}")
 
+    q, u, p, mu = np.split(x, blocks)
     uvals = np.zeros((s.n_edges, 2))
     uvals[s.interior_edges] = u.reshape(-1, 2)
     uvals[s.boundary_edges] = system.ug.reshape(-1, 2)
@@ -114,6 +153,6 @@ def solve(system: SaddleSystem) -> FieldSolution:
         omega=GradientField(s, q.reshape(-1, 2)),
         u=VelocityField(s, uvals),
         p=PressureField(s, p),
-        multiplier=float(mu),
+        multiplier=float(mu[0]),
         residual=float(residual),
     )

@@ -5,8 +5,9 @@ import scipy.sparse as sp
 from stokes_sdg.assembly import assemble_system
 from stokes_sdg.bench import mesh_for, run_case
 from stokes_sdg.cases import ManufacturedCase, get_case
-from stokes_sdg.mesh import (build_staggered, generate_polygonal,
-                             generate_trapezoidal, generate_triangular)
+from stokes_sdg.mesh import (PrimalMesh, build_staggered, generate_polygonal,
+                             generate_trapezoidal, generate_triangular, read_mesh,
+                             write_mesh)
 from stokes_sdg.solver import SolverError, solve
 
 
@@ -147,6 +148,16 @@ def test_residual_reported():
     assert 0.0 <= sol.residual <= 1e-10
 
 
+@pytest.mark.parametrize("family,level,nu", [("tri", 5, 1.0), ("poly", 4, 1e-6)])
+def test_residual_is_round_off_on_fine_meshes(family, level, nu):
+    # the round-off of the pressure-Laplacian solves grows like h^-2 (6e-13
+    # at tri L5, 6e-11 at tri L7 in one pass); the refinement sweep keeps
+    # the full-system residual at machine precision instead
+    stag = build_staggered(mesh_for(family, level))
+    sol = solve(assemble_system(stag, get_case("taylor"), "sdg1", nu))
+    assert sol.residual <= 1e-14
+
+
 def _full_vector(sol, stag):
     return np.concatenate([
         sol.omega.values.ravel(),
@@ -186,10 +197,14 @@ def test_one_factorization_per_solve(monkeypatch):
     system = assemble_system(stag, get_case("taylor"), "sdg1", 1.0)
     solve(system)
     solve(system)
-    # the factored matrix is the condensed (u, p) system with mu eliminated
-    # and cell 0's pressure pinned, not the full one
-    n = system.n_u + system.n_p - 1
-    assert calls == [(n, n), (n, n)]
+    # per solve, one factor of the velocity operator on the divergence-free
+    # basis (one column per interior edge and interior vertex) and one of the
+    # pressure Laplacian D1 D1^T with cell 0's pressure pinned; neither is
+    # the full system nor the coupled (u, p) system
+    # the boundary of the square is one cycle: as many vertices as edges
+    n_iv = stag.primal.n_vertices - len(stag.boundary_edges)
+    n, m = len(stag.interior_edges) + n_iv, system.n_p - 1
+    assert calls == [(n, n), (m, m), (n, n), (m, m)]
 
 
 @pytest.mark.parametrize("nu", [1.0, 1e-6])
@@ -207,12 +222,61 @@ def test_factored_matrix_matches_dense_schur_complement(nu, monkeypatch):
     system = assemble_system(stag, get_case("taylor"), "sdg1", nu)
     solve(system)
     full = system.matrix().toarray()
-    nq = system.n_q
+    nq, n_u = system.n_q, system.n_u
     schur = full[nq:, nq:] - full[nq:, :nq] @ np.linalg.solve(full[:nq, :nq], full[:nq, nq:])
-    keep = np.r_[:system.n_u, system.n_u + 1:schur.shape[0] - 1]  # drop p_0 and mu
-    oracle = schur[np.ix_(keep, keep)]
-    assert len(factored) == 1
-    assert np.abs(factored[0] - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    z = solver._kernel_basis(stag).toarray()
+    d1 = system.D0[1:].toarray()  # p_0 pinned
+    oracles = [z.T @ schur[:n_u, :n_u] @ z, d1 @ d1.T]
+    assert len(factored) == 2
+    for mat, oracle in zip(factored, oracles):
+        assert np.abs(mat - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def _annulus():
+    """Eight unit-grid squares around a missing middle one, scaled to the
+    unit square: a mesh that is not simply connected."""
+    verts = [(i / 3.0, j / 3.0) for j in range(4) for i in range(4)]
+    cells = [[4 * j + i, 4 * j + i + 1, 4 * j + i + 5, 4 * j + i + 4]
+             for j in range(3) for i in range(3) if (i, j) != (1, 1)]
+    return PrimalMesh(verts, cells)
+
+
+@pytest.mark.parametrize("label", ["tri", "trap", "poly", "tri-jitter", "file"])
+def test_kernel_basis_spans_the_discrete_divergence_free_space(label):
+    import stokes_sdg.solver as solver
+    primal = {
+        "tri-jitter": lambda: generate_triangular(6, jitter=0.2, seed=3),
+        "file": lambda: read_mesh(write_mesh(generate_polygonal(4))),
+    }.get(label, lambda: mesh_for(label, 2))()
+    stag = build_staggered(primal)
+    system = assemble_system(stag, get_case("noflow"), "sdg1", 1.0)
+    z = solver._kernel_basis(stag)
+    d0 = system.D0
+    assert abs(d0 @ z).max() <= 1e-14 * abs(d0).max() * abs(z).max()
+    assert z.shape == (system.n_u, system.n_u - system.n_p + 1)
+    assert np.linalg.matrix_rank(z.toarray()) == z.shape[1]
+
+
+def test_kernel_basis_of_the_wrong_size_raises():
+    # around a hole the stream function may take a constant on the inner
+    # boundary, so psi = 0 on every boundary vertex misses one kernel vector
+    stag = build_staggered(_annulus())
+    system = assemble_system(stag, get_case("noflow"), "sdg1", 1.0)
+    with pytest.raises(SolverError, match="not simply connected"):
+        solve(system)
+
+
+@pytest.mark.parametrize("family", ["tri", "trap", "poly"])
+def test_noflow_velocity_is_machine_epsilon(family):
+    # u is solved in the divergence-free space, so the gradient load that
+    # the reconstruction leaves as round-off cannot reach it through p
+    for level in (2, 3, 4):
+        stag = build_staggered(mesh_for(family, level))
+        rec, _ = run_case(get_case("noflow"), stag, "sdg1", 1.0)
+        assert rec.err_u <= 1e-14
+        if (family, level) in (("tri", 4), ("poly", 3)):
+            rec, _ = run_case(get_case("noflow"), stag, "sdg1", 1e-6)
+            assert rec.err_u <= 2e-9
 
 
 @pytest.mark.parametrize("nu", [1.0, 1e-6])
