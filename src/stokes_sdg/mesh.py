@@ -31,57 +31,15 @@ class MeshError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Polygon toolkit.  Every helper takes one polygon (m, 2) or a stack of
-# equal-size polygons (..., m, 2), vertices counterclockwise.
-# ---------------------------------------------------------------------------
-
-def _signed_area(poly: np.ndarray) -> np.ndarray:
-    x, y = poly[..., 0], poly[..., 1]
-    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
-    return 0.5 * np.sum(x * yn - xn * y, axis=-1)
-
-
-def _centroid(poly: np.ndarray) -> np.ndarray:
-    """Area centroid (..., 2) of a CCW polygon: the split point x* of its fan."""
-    x, y = poly[..., 0], poly[..., 1]
-    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
-    cross = x * yn - xn * y
-    a = 0.5 * np.sum(cross, axis=-1)
-    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * a)
-    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * a)
-    return np.stack([cx, cy], axis=-1)
-
-
-def _is_strictly_convex_ccw(poly: np.ndarray) -> np.ndarray:
-    """Edges of positive length, each corner turning left by more than a
-    relative cross product of 1e-13; one flag per polygon."""
-    tang = np.roll(poly, -1, axis=-2) - poly
-    elen = np.linalg.norm(tang, axis=-1)
-    nxt = np.roll(tang, -1, axis=-2)
-    cross = tang[..., 0] * nxt[..., 1] - tang[..., 1] * nxt[..., 0]
-    return np.all(elen > 0.0, axis=-1) & np.all(
-        cross > 1e-13 * elen * np.roll(elen, -1, axis=-1), axis=-1)
-
-
-def _edge_normals(poly: np.ndarray):
-    """Lengths (..., m) and outward unit normals (..., m, 2) of the edges
-    v_i -> v_i+1 of a CCW polygon."""
-    tang = np.roll(poly, -1, axis=-2) - poly
-    elen = np.linalg.norm(tang, axis=-1)
-    return elen, np.stack([tang[..., 1], -tang[..., 0]], axis=-1) / elen[..., None]
-
-
-def _diameter(poly: np.ndarray) -> np.ndarray:
-    """Largest vertex-to-vertex distance of a polygon."""
-    diff = poly[..., :, None, :] - poly[..., None, :, :]
-    return np.max(np.linalg.norm(diff, axis=-1), axis=(-2, -1))
-
-
-# ---------------------------------------------------------------------------
 # Packed cells.  Cell c owns the slots cell_ptr[c]:cell_ptr[c+1] of every
 # packed per-vertex array; slot s of cell c at local position k holds vertex
 # k of the cell, edge k (vertex k -> k+1), sub-triangle k (x*, v_k, v_k+1)
-# and dual edge k (x* -> v_k, between sub-triangles k-1 and k).
+# and dual edge k (x* -> v_k, between sub-triangles k-1 and k).  Cell
+# geometry is computed per slot (_slot_geometry) and summed per cell with
+# np.add.reduceat over cell_ptr[:-1].  _size_groups stacks the cells of one
+# size only where a batched dense operation needs equal sizes: validate's
+# pairwise vertex distances, the solver's batched block inverse and the
+# per-cell cumulative sums of _kernels.cell_moments.
 # ---------------------------------------------------------------------------
 
 def _is_index_type(t) -> bool:
@@ -115,6 +73,15 @@ def _cycle_slots(cell_ptr):
     nxt[cell_ptr[1:] - 1] = cell_ptr[:-1]
     prv[cell_ptr[:-1]] = cell_ptr[1:] - 1
     return nxt, prv
+
+
+def _slot_geometry(p, nxt):
+    """(tang, elen, cross) of the packed cell vertices p (sum m, 2): per slot
+    the tangent v_k+1 - v_k of edge k, its length and the shoelace term
+    x_k y_k+1 - x_k+1 y_k."""
+    q = p[nxt]
+    tang = q - p
+    return tang, np.linalg.norm(tang, axis=1), p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
 
 
 def _first_appearance(keys):
@@ -215,10 +182,11 @@ class PrimalMesh:
         off = (idx < 0) | (idx >= nv)
         out_of_range = np.zeros(nc, dtype=bool)
         out_of_range[slot_cell[off]] = True
-        repeated = np.zeros(nc, dtype=bool)
-        for m, cells, slots in _size_groups(ptr):
-            s = np.sort(idx[slots], axis=1)
-            repeated[cells] = np.any(s[:, 1:] == s[:, :-1], axis=1)
+        # sorted by cell, then by index, a repeated index follows its twin
+        order = np.lexsort((idx, slot_cell))
+        ids, owner = idx[order], slot_cell[order]
+        twin = (ids[1:] == ids[:-1]) & (owner[1:] == owner[:-1])
+        repeated = np.bincount(owner[1:][twin], minlength=nc) > 0
         _raise_first([
             (sizes < 3, lambda c: f"cell {c}: fewer than 3 vertices"),
             (repeated, lambda c: f"cell {c}: repeated vertex index"),
@@ -229,16 +197,18 @@ class PrimalMesh:
         unused[idx] = False
         _raise_first([(unused, lambda i: f"vertex {i} is used by no cell")])
 
-        areas = np.empty(nc)
-        convex = np.empty(nc, dtype=bool)
-        for m, cells, slots in _size_groups(ptr):
-            poly = v[idx[slots]]
-            areas[cells] = _signed_area(poly)
-            convex[cells] = _is_strictly_convex_ccw(poly)
+        nxt = _cycle_slots(ptr)[0]
+        tang, elen, cross = _slot_geometry(v[idx], nxt)
+        areas = 0.5 * np.add.reduceat(cross, ptr[:-1])
+        # each corner turns left by more than a relative cross product of
+        # 1e-13; at a zero-length edge both sides are 0 and the test fails
+        turn = tang[:, 0] * tang[nxt, 1] - tang[:, 1] * tang[nxt, 0]
+        bent = ~(turn > 1e-13 * elen * elen[nxt])
         _raise_first([
             (areas <= 0.0, lambda c: (f"cell {c}: vertices not counterclockwise "
                                       f"(signed area {areas[c]:g})")),
-            (~convex, lambda c: f"cell {c}: not strictly convex"),
+            (np.bincount(slot_cell[bent], minlength=nc) > 0,
+             lambda c: f"cell {c}: not strictly convex"),
         ])
         self.cell_area = areas
 
@@ -248,7 +218,7 @@ class PrimalMesh:
 
         def pair(e):
             s = edge_slots[e, 0]
-            a, b = int(idx[s]), int(idx[_cycle_slots(ptr)[0][s]])
+            a, b = int(idx[s]), int(idx[nxt[s]])
             return (min(a, b), max(a, b))
         _raise_first([
             (users > 2, lambda e: f"edge {pair(e)} shared by more than two cells"),
@@ -500,14 +470,11 @@ class StaggeredMesh:
         nxt, prv = _cycle_slots(ptr)
 
         cvert = verts[idx]
-        # packed cell geometry and centroids, per group of equal-size cells
-        cnorm = np.empty((total, 2))
-        celen = np.empty(total)
-        xstar = np.empty((nc, 2))
-        for m, cells, slots in _size_groups(ptr):
-            poly = cvert[slots]
-            celen[slots], cnorm[slots] = _edge_normals(poly)
-            xstar[cells] = _centroid(poly)
+        tang, celen, cross = _slot_geometry(cvert, nxt)
+        cnorm = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / celen[:, None]
+        # the area centroid sum (v_k + v_k+1) cross_k / (3 sum cross_k)
+        xstar = (np.add.reduceat((cvert + cvert[nxt]) * cross[:, None], ptr[:-1])
+                 / (3.0 * np.add.reduceat(cross, ptr[:-1]))[:, None])
         seg = cvert - xstar[slot_cell]
         # distance from x* to the line of edge k: the height of sub-triangle k
         d = np.einsum("sc,sc->s", seg, cnorm)
@@ -562,6 +529,12 @@ class RegularityReport:
 
 _RHO_E_MIN = 0.1
 _ASPECT_MAX = 20.0
+
+
+def _diameter(poly: np.ndarray) -> np.ndarray:
+    """Largest vertex-to-vertex distance of a polygon."""
+    diff = poly[..., :, None, :] - poly[..., None, :, :]
+    return np.max(np.linalg.norm(diff, axis=-1), axis=(-2, -1))
 
 
 def validate(stag: StaggeredMesh) -> RegularityReport:

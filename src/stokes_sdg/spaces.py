@@ -114,9 +114,7 @@ def interp_pressure(stag: StaggeredMesh, p) -> PressureField:
     pts, w = _tri_quad(stag)
     vals = np.asarray(p(pts)).reshape(w.shape)
     per_tri = np.einsum("tq,tq->t", vals, w)
-    sums = np.zeros(stag.n_cells)
-    np.add.at(sums, stag.tri_cell, per_tri)
-    return PressureField(stag, sums / stag.cell_area)
+    return PressureField(stag, np.add.reduceat(per_tri, stag.cell_ptr[:-1]) / stag.cell_area)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 
 from stokes_sdg.assembly import RTTable
-from stokes_sdg.mesh import PrimalMesh, _centroid, _edge_normals, build_staggered
+from stokes_sdg.mesh import PrimalMesh, build_staggered
 from stokes_sdg.quadrature import map_to_triangles, triangle_rule
 
 
@@ -16,6 +16,33 @@ def random_convex_polygon(m: int, rng, center=(0.5, 0.5), radius=0.35):
     pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     shear = np.eye(2) + rng.uniform(-0.2, 0.2, (2, 2))
     return np.asarray(center) + radius * (pts @ shear.T)
+
+
+# Single-polygon geometry oracles (vertices (m, 2), counterclockwise).  Each
+# sum over the vertices is a one-cell np.add.reduceat in slot order, the
+# reduction the packed mesh applies to every cell, so the two agree bit for
+# bit (np.sum may add the terms in another order).
+
+def edge_normals(poly):
+    """Lengths (m,) and outward unit normals (m, 2) of the edges v_k -> v_k+1."""
+    tang = np.roll(poly, -1, axis=0) - poly
+    elen = np.linalg.norm(tang, axis=1)
+    return elen, np.stack([tang[:, 1], -tang[:, 0]], axis=1) / elen[:, None]
+
+
+def polygon_area(poly):
+    """Shoelace area: half the sum of x_k y_k+1 - x_k+1 y_k."""
+    nxt = np.roll(poly, -1, axis=0)
+    return 0.5 * np.add.reduceat(poly[:, 0] * nxt[:, 1] - nxt[:, 0] * poly[:, 1], [0])[0]
+
+
+def centroid(poly):
+    """Area centroid: sum (v_k + v_k+1) cross_k / (3 sum cross_k), the split
+    point x* of the fan."""
+    nxt = np.roll(poly, -1, axis=0)
+    cross = poly[:, 0] * nxt[:, 1] - nxt[:, 0] * poly[:, 1]
+    return np.add.reduceat((poly + nxt) * cross[:, None], [0])[0] / (
+        3.0 * np.add.reduceat(cross, [0])[0])
 
 
 def interior_points(verts: np.ndarray, rng, n: int, pull: float = 0.9):
@@ -33,8 +60,8 @@ def rt_cell(verts):
     """(normals, edge_len, xstar, c0, cmat) of one convex CCW polygon:
     c0 = |e_i| / (2|T|), and cmat has zero row sums and C_ik - C_i,k+1 = b_ik
     = delta_ik |e_k| - |e_i| |tau_k| / |T|."""
-    edge_len, normals = _edge_normals(verts)
-    xstar = _centroid(verts)
+    edge_len, normals = edge_normals(verts)
+    xstar = centroid(verts)
     sub = one_cell(verts).tri_area
     # |T| summed over the fan as RTTable sums each cell, so c0 agrees bit for bit
     m, area = len(verts), np.add.reduceat(sub, [0])[0]
@@ -55,7 +82,7 @@ def fan_hats(verts, pts):
     fan edge takes the piece of the later sub-triangle."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m, n = len(verts), len(pts)
-    xstar = _centroid(verts)
+    xstar = centroid(verts)
     sub = one_cell(verts).tri_area
     hom = np.c_[pts, np.ones(n)]
     vals, curls = np.full((n, m), np.nan), np.full((n, m, 2), np.nan)

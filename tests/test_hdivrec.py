@@ -3,12 +3,12 @@ import pytest
 from scipy.stats import qmc
 
 from stokes_sdg.assembly import load_moments
-from stokes_sdg.mesh import _centroid, _diameter
+from stokes_sdg.mesh import _diameter
 from stokes_sdg.quadrature import edge_points, edge_rule
 from stokes_sdg.spaces import interp_velocity
 
-from conftest import (fan_hats, interior_points, one_cell, random_convex_polygon,
-                      rt_basis, rt_cell, rt_moments)
+from conftest import (centroid, fan_hats, interior_points, one_cell,
+                      random_convex_polygon, rt_basis, rt_cell, rt_moments)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -37,7 +37,7 @@ def fan_edge_normal_jumps(verts, npts=5):
     """Largest jump of each phi_i . n across the fan edges x* -> v_k, from
     points at offsets eps and 2*eps on either side extrapolated to the edge,
     relative to the largest |phi|."""
-    xstar = _centroid(verts)
+    xstar = centroid(verts)
     eps = 1e-7 * _diameter(verts)
     t = (np.arange(npts) + 0.5) / npts
     worst = 0.0
@@ -139,7 +139,7 @@ def test_fan_hats_partition_of_unity_nonnegativity_linear_precision(m):
 @pytest.mark.parametrize("m", [4, 6])
 def test_fan_hats_uniform_at_regular_centers(m):
     verts = regular_polygon(m)
-    assert np.allclose(fan_hats(verts, _centroid(verts))[0], 1.0 / m, atol=1e-13)
+    assert np.allclose(fan_hats(verts, centroid(verts))[0], 1.0 / m, atol=1e-13)
 
 
 def test_fan_hats_are_lagrange_at_vertices():
@@ -172,7 +172,7 @@ def test_fan_hat_curls_match_finite_differences():
     rng = np.random.default_rng(13)
     for m in (4, 6):
         verts = random_convex_polygon(m, rng)
-        pts = (_centroid(verts) + verts + np.roll(verts, -1, axis=0)) / 3.0
+        pts = (centroid(verts) + verts + np.roll(verts, -1, axis=0)) / 3.0
         curl = fan_hats(verts, pts)[1]
         step = 1e-6 * _diameter(verts)
         fd = np.empty_like(curl)

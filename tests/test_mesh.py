@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from stokes_sdg.mesh import (_HEXAGON, MeshError, PrimalMesh, RegularityReport,
-                             _centroid, _clip_to_square, _edge_normals,
-                             _edge_table, _pack_cells, build_staggered,
-                             generate_polygonal, generate_trapezoidal,
-                             generate_triangular, read_mesh, validate,
-                             write_mesh)
+                             _clip_to_square, _edge_table, _pack_cells,
+                             build_staggered, generate_polygonal,
+                             generate_trapezoidal, generate_triangular,
+                             read_mesh, validate, write_mesh)
+
+from conftest import (centroid, edge_normals, one_cell, polygon_area,
+                      random_convex_polygon)
 
 SPEC_EXAMPLE = ('{"vertices":[[0,0],[0.5,0],[1,0],[1,1],[0.5,1],[0,1]],'
                 '"cells":[[0,1,4,5],[1,2,3,4]]}')
@@ -222,6 +224,68 @@ def test_cells_not_index_lists_rejected():
         read_mesh('{"vertices":[[0,0],[1,0],[1,1],[0,1]],"cells":[0,1,2,3]}')
 
 
+def _disjoint_cells(sizes):
+    """Vertices and cells of disjoint regular CCW polygons, one per entry of
+    sizes, side by side; every vertex is used once."""
+    verts, cells = [], []
+    for c, m in enumerate(sizes):
+        ang = 2.0 * np.pi * np.arange(m) / m
+        cells.append(list(range(len(verts), len(verts) + m)))
+        verts.extend(np.stack([3.0 * c + np.cos(ang), np.sin(ang)], axis=1).tolist())
+    return np.array(verts), cells
+
+
+def _repeat_index(verts, cell):
+    cell[2] = cell[0]
+
+
+def _reverse(verts, cell):
+    cell.reverse()
+
+
+def _zero_length_edge(verts, cell):
+    verts[cell[1]] = verts[cell[0]]
+
+
+def _straight_corner(verts, cell):
+    verts[cell[1]] = 0.5 * (verts[cell[0]] + verts[cell[2]])
+
+
+@pytest.mark.parametrize("defect,message", [
+    (_repeat_index, "repeated vertex index"),
+    (_reverse, r"vertices not counterclockwise \(signed area -"),
+    (_zero_length_edge, "not strictly convex"),
+    (_straight_corner, "not strictly convex"),
+])
+def test_multi_cell_rejection_names_lowest_offending_cell(defect, message):
+    # cells of 4, 7, 3 and 5 vertices; cells 1 and 3 break, and cell 3 comes
+    # first in ascending cell size
+    verts, cells = _disjoint_cells([4, 7, 3, 5])
+    PrimalMesh(verts, cells)
+    for c in (3, 1):
+        defect(verts, cells[c])
+    with pytest.raises(MeshError, match=f"^cell 1: {message}"):
+        PrimalMesh(verts, cells)
+
+
+@pytest.mark.parametrize("m", range(7, 13))
+def test_large_cell_geometry_and_convexity(m):
+    poly = random_convex_polygon(m, np.random.default_rng(m))
+    stag = one_cell(poly)
+    elen, normals = edge_normals(poly)
+    assert np.array_equal(stag.xstar[0], centroid(poly))
+    assert np.array_equal(stag.celen, elen)
+    assert np.array_equal(stag.cnorm, normals)
+    assert np.array_equal(stag.cell_area, [polygon_area(poly)])
+    # vertex k pulled inward past the chord of its two neighbours
+    for k in range(m):
+        mid = 0.5 * (poly[k - 1] + poly[(k + 1) % m])
+        dented = poly.copy()
+        dented[k] = mid + 0.1 * (centroid(poly) - mid)
+        with pytest.raises(MeshError, match="^cell 0: not strictly convex$"):
+            PrimalMesh(dented, [list(range(m))])
+
+
 def test_write_mesh_text():
     text = write_mesh(read_mesh(SPEC_EXAMPLE))
     assert text == ('{"vertices":[[0.0,0.0],[0.5,0.0],[1.0,0.0],[1.0,1.0],[0.5,1.0],'
@@ -318,8 +382,8 @@ def test_packed_build_matches_single_polygon_helpers(name, gen):
     for ci in range(stag.n_cells):
         lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
         poly = stag.cvert[lo:hi]
-        xstar = _centroid(poly)
-        elen, normals = _edge_normals(poly)
+        xstar = centroid(poly)
+        elen, normals = edge_normals(poly)
         assert np.array_equal(stag.xstar[ci], xstar)
         assert np.array_equal(stag.celen[lo:hi], elen)
         assert np.array_equal(stag.cnorm[lo:hi], normals)
@@ -392,7 +456,7 @@ def test_staggered_build_rejects_exterior_centroid():
 
 def test_convexity_tolerance_shared_by_mesh_and_polygon():
     # the corner at (1, 0) turns by a relative cross product of 5e-14: inside
-    # the tolerance 1e-13 of the one convexity helper, _is_strictly_convex_ccw
+    # the tolerance 1e-13 of the per-slot turn test in PrimalMesh
     quad = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 5e-14], [0.0, 1.0]])
     with pytest.raises(MeshError, match="not strictly convex"):
         PrimalMesh(quad, [[0, 1, 2, 3]])

@@ -5,7 +5,7 @@ from stokes_sdg.cases import case_taylor
 from stokes_sdg.mesh import build_staggered, generate_polygonal, generate_triangular
 from stokes_sdg.quadrature import edge_points, edge_rule
 from stokes_sdg.spaces import (GradientField, PressureField, VelocityField,
-                               error_super, error_velocity,
+                               _tri_quad, error_super, error_velocity,
                                interp_gradient, interp_pressure,
                                interp_velocity, jump_norm)
 
@@ -72,6 +72,18 @@ def test_interp_pressure_constant_and_linear():
     # mean of x over each cell = centroid x-coordinate
     ph = interp_pressure(stag, lambda p: p[..., 0])
     assert np.abs(ph.values - stag.xstar[:, 0]).max() < 1e-13
+    # each cell sums its own sub-triangles in slot order, as a one-cell
+    # reduction (poly L2: 4-, 5- and 6-vertex cells)
+    stag = build_staggered(generate_polygonal(8))
+
+    def p(x):
+        return np.sin(3.0 * x[..., 0]) * x[..., 1]
+
+    pts, w = _tri_quad(stag)
+    per_tri = np.einsum("tq,tq->t", p(pts).reshape(w.shape), w)
+    sums = [np.add.reduceat(per_tri[lo:hi], [0])[0]
+            for lo, hi in zip(stag.cell_ptr[:-1], stag.cell_ptr[1:])]
+    assert np.array_equal(interp_pressure(stag, p).values, np.array(sums) / stag.cell_area)
 
 
 def test_interp_pressure_is_projection():
