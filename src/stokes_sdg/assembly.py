@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from . import _kernels
 from .mesh import StaggeredMesh
-from .spaces import VelocityField, _tri_quad, interp_velocity
+from .spaces import VelocityField, _tri_sums, interp_velocity
 
 __all__ = [
     "AssemblyError", "SaddleSystem",
@@ -114,20 +114,12 @@ class RTTable:
         self.hatw = (s.tri_area + s.tri_area[s.prev_slot]) / (2.0 * area)
 
 
-def _weighted_load(stag: StaggeredMesh, f):
-    """The sub-triangle rule's points (nd*nq, 2) and f times its weights
-    there, (nd, nq, 2): the one evaluation of f behind either method's load."""
-    pts, w = _tri_quad(stag)
-    return pts, np.asarray(f(pts)).reshape(*w.shape, 2) * w[..., None]
-
-
 def load_moments(stag: StaggeredMesh, f) -> np.ndarray:
     """int_T f . phi_i for every (cell, local edge), packed like loc_edge."""
     s = stag
     rt = RTTable(s)
-    pts, fw = _weighted_load(s, f)
     return _kernels.cell_moments(s.cell_ptr, s.cvert, s.tri_area, s.xstar,
-                                 rt.c0, rt.frac, rt.hatw, pts, fw)
+                                 rt.c0, rt.frac, rt.hatw, _tri_sums(s, f, moments=True))
 
 
 def assemble_rhs(stag: StaggeredMesh, f, method: str) -> np.ndarray:
@@ -142,11 +134,13 @@ def assemble_rhs(stag: StaggeredMesh, f, method: str) -> np.ndarray:
     if method == "sdg1":
         contrib = load_moments(s, f)[:, None] * s.cnorm
     elif method == "sdg2":
-        contrib = _weighted_load(s, f)[1].sum(axis=1)
+        contrib = 2.0 * s.tri_area[:, None] * _tri_sums(s, f)
     else:
         raise ValueError(f"unknown method {method!r}; expected 'sdg1' or 'sdg2'")
-    rhs = np.zeros((s.n_edges, 2))
-    np.add.at(rhs, s.loc_edge, contrib)
+    # gather each edge's one or two slots
+    rhs = contrib[s.edge_slots[:, 0]]
+    inner = s.interior_edges
+    rhs[inner] += contrib[s.edge_slots[inner, 1]]
     return rhs.ravel()
 
 

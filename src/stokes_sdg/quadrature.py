@@ -96,19 +96,19 @@ def edge_rule() -> QuadRule:
     return QuadRule(0.5 * (x + 1.0), 0.5 * w)
 
 
-def map_to_triangles(rule: QuadRule, x0, x1, x2, area):
+def map_to_triangles(rule: QuadRule, x0, x1, x2):
     """Map a reference triangle rule onto physical triangles.
 
-    x0, x1, x2 : (nt, 2) vertices; area : (nt,) the triangles' areas.
-    Returns points (nt, nq, 2) and weights (nt, nq) such that the integral
-    over triangle t of f is  sum_q weights[t, q] * f(points[t, q]).
+    x0, x1, x2 : (nt, 2) vertices.  Returns the points (nq, nt, 2),
+    C-contiguous, from one matrix product of the barycentric coordinates
+    with the stacked vertices.  The weights are separable: the integral over
+    triangle t of f is  2 |t| sum_q rule.weights[q] * f(points[q, t]).
     """
     l2 = rule.points[:, 0]
     l3 = rule.points[:, 1]
     bary = np.stack([1.0 - l2 - l3, l2, l3], axis=1)  # (nq, 3)
-    pts = np.einsum("qk,ktc->tqc", bary, np.stack([x0, x1, x2]).astype(float))
-    w = 2.0 * np.asarray(area, dtype=float)[:, None] * rule.weights[None, :]
-    return pts, w
+    verts = np.stack([x0, x1, x2]).astype(float, copy=False)  # (3, nt, 2)
+    return (bary @ verts.reshape(3, -1)).reshape(len(bary), -1, 2)
 
 
 def edge_points(rule: QuadRule, v0: np.ndarray, v1: np.ndarray):

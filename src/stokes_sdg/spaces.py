@@ -21,6 +21,9 @@ __all__ = [
 ]
 
 _TRI_DEGREE = 8
+# sub-triangles mapped at a time: 2048 * 16 points * 2 doubles = 0.5 MB per
+# block array, so no array of the whole mesh's quadrature points exists
+_BLOCK = 2048
 
 
 def _checked(values, shape, what):
@@ -30,14 +33,34 @@ def _checked(values, shape, what):
     return values
 
 
-def _tri_quad(stag):
-    """The _TRI_DEGREE triangle rule mapped to every sub-triangle (x*, v_k,
-    v_k+1): points (nt*nq, 2) and weights (nt, nq), shared by the loads, the
-    pressure interpolant and the error functionals."""
+def _tri_sums(stag, fn, moments=False, approx=None):
+    """Reference sums  S_t = sum_q w_q g(x_tq)  of every sub-triangle t =
+    (x*, v_k, v_k+1), with w the _TRI_DEGREE rule's reference weights, so that
+    int_t g = 2|t| S_t.  The integrand g is fn, which takes points (n, 2), or
+    with approx (nt, ...), a field constant on each sub-triangle, the square
+    (fn - approx)^2.  The rule is mapped onto _BLOCK sub-triangles at a time
+    and each block is reduced by one matrix product against the weights.
+    Returns (nt, ...); with moments (nt, 3, ...), the sums of g, l1 g and
+    l2 g, where l1, l2 are the barycentric coordinates of v_k and v_k+1."""
     s = stag
-    pts, w = map_to_triangles(triangle_rule(_TRI_DEGREE), s.xstar[s.tri_cell],
-                              s.cvert, s.cvert[s.next_slot], s.tri_area)
-    return pts.reshape(-1, 2), w
+    rule = triangle_rule(_TRI_DEGREE)
+    w = rule.weights
+    red = np.vstack([w, w * rule.points.T]) if moments else w[None, :]   # (3 or 1, nq)
+    out = None
+    for lo in range(0, s.n_duals, _BLOCK):
+        sl = slice(lo, lo + _BLOCK)
+        pts = map_to_triangles(rule, s.xstar[s.tri_cell[sl]], s.cvert[sl],
+                               s.cvert[s.next_slot[sl]])                 # (nq, nb, 2)
+        vals = np.asarray(fn(pts.reshape(-1, 2)))
+        vals = vals.reshape(pts.shape[:2] + vals.shape[1:])              # (nq, nb, ...)
+        if approx is not None:
+            vals = vals - approx[sl]
+            vals *= vals
+        part = (red @ vals.reshape(len(vals), -1)).reshape(len(red), *vals.shape[1:])
+        if out is None:
+            out = np.empty((s.n_duals, len(red)) + vals.shape[2:])
+        out[sl] = np.moveaxis(part, 0, 1)
+    return out if moments else out[:, 0]
 
 
 class VelocityField:
@@ -62,12 +85,19 @@ class GradientField:
         self.values = _checked(values, (stag.n_duals, 2), "gradient")
 
     def tensors(self) -> np.ndarray:
-        """Per-sub-triangle 2x2 tensors, solving psi [n1 n2] = [q1 q2]."""
+        """Per-sub-triangle 2x2 tensors, solving psi [n1 n2] = [q1 q2] in
+        closed form: psi = (q1 n2^perp - q2 n1^perp) / (n1 x n2), with
+        n^perp = (n_y, -n_x).  assemble_mass rejects nearly parallel dual
+        normals, so the cross product does not vanish."""
         s = self.stag
         # sub-triangle t is flanked by dual edges t and next_slot[t]
-        nmat = np.stack([s.dual_normal, s.dual_normal[s.next_slot]], axis=2)
-        qmat = np.stack([self.values, self.values[s.next_slot]], axis=2)
-        return qmat @ np.linalg.inv(nmat)
+        n1, n2 = s.dual_normal, s.dual_normal[s.next_slot]
+        q1, q2 = self.values, self.values[s.next_slot]
+        det = n1[:, 0] * n2[:, 1] - n1[:, 1] * n2[:, 0]
+        perp1 = np.stack([n1[:, 1], -n1[:, 0]], axis=1)
+        perp2 = np.stack([n2[:, 1], -n2[:, 0]], axis=1)
+        return (q1[:, :, None] * perp2[:, None, :]
+                - q2[:, :, None] * perp1[:, None, :]) / det[:, None, None]
 
 
 class PressureField:
@@ -111,9 +141,7 @@ def interp_gradient(stag: StaggeredMesh, omega) -> GradientField:
 
 def interp_pressure(stag: StaggeredMesh, p) -> PressureField:
     """Cell-mean interpolant via sub-triangle quadrature."""
-    pts, w = _tri_quad(stag)
-    vals = np.asarray(p(pts)).reshape(w.shape)
-    per_tri = np.einsum("tq,tq->t", vals, w)
+    per_tri = 2.0 * stag.tri_area * _tri_sums(stag, p)
     return PressureField(stag, np.add.reduceat(per_tri, stag.cell_ptr[:-1]) / stag.cell_area)
 
 
@@ -133,31 +161,26 @@ def jump_norm(v: VelocityField) -> float:
 # Error functionals
 # ---------------------------------------------------------------------------
 
+def _l2_error(stag, exact, approx) -> float:
+    """||exact - approx||_0 for approx (nt, ...) constant on each sub-triangle."""
+    sq = _tri_sums(stag, exact, approx=approx).reshape(stag.n_duals, -1).sum(axis=1)
+    return float(np.sqrt(2.0 * stag.tri_area @ sq))
+
+
 def error_velocity(u_h: VelocityField, u) -> float:
     """||u - u_h||_0 with u evaluable at points."""
-    s = u_h.stag
-    pts, w = _tri_quad(s)
-    exact = np.asarray(u(pts)).reshape(w.shape[0], w.shape[1], 2)
-    diff = exact - u_h.on_tris()[:, None, :]
-    return float(np.sqrt(np.einsum("tqc,tqc,tq->", diff, diff, w)))
+    return _l2_error(u_h.stag, u, u_h.on_tris())
 
 
 def error_gradient(omega_h: GradientField, omega) -> float:
     """||omega - omega_h||_0 (Frobenius) with omega a tensor field."""
-    s = omega_h.stag
-    pts, w = _tri_quad(s)
-    exact = np.asarray(omega(pts)).reshape(w.shape[0], w.shape[1], 2, 2)
-    diff = exact - omega_h.tensors()[:, None, :, :]
-    return float(np.sqrt(np.einsum("tqij,tqij,tq->", diff, diff, w)))
+    return _l2_error(omega_h.stag, omega, omega_h.tensors())
 
 
 def error_pressure(p_h: PressureField, p) -> float:
     """||p - p_h||_0."""
     s = p_h.stag
-    pts, w = _tri_quad(s)
-    exact = np.asarray(p(pts)).reshape(w.shape)
-    diff = exact - p_h.values[s.tri_cell][:, None]
-    return float(np.sqrt(np.einsum("tq,tq,tq->", diff, diff, w)))
+    return _l2_error(s, p, p_h.values[s.tri_cell])
 
 
 def error_super(u_h: VelocityField, u) -> float:

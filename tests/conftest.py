@@ -110,8 +110,9 @@ def rt_basis(verts, pts):
 def rt_moments(verts, f, degree=8):
     """int_T f . phi_i dx for each i, by quadrature on the fan sub-triangles."""
     s = one_cell(verts)
-    pts, w = map_to_triangles(triangle_rule(degree), s.xstar[s.tri_cell], s.cvert,
-                              s.cvert[s.next_slot], s.tri_area)
+    rule = triangle_rule(degree)
+    pts = map_to_triangles(rule, s.xstar[s.tri_cell], s.cvert, s.cvert[s.next_slot])
+    w = 2.0 * s.tri_area * rule.weights[:, None]
     pts = pts.reshape(-1, 2)
     return np.einsum("nic,nc,n->i", rt_basis(verts, pts), f(pts), w.ravel())
 

@@ -255,12 +255,13 @@ def test_reconstruction_proximity_constant_across_refinement():
         err2 = 0.0
         for ci in range(stag.n_cells):
             lo, hi = stag.cell_ptr[ci], stag.cell_ptr[ci + 1]
-            pts, w = map_to_triangles(rule, stag.xstar[stag.tri_cell[lo:hi]], stag.cvert[lo:hi],
-                                      stag.cvert[stag.next_slot[lo:hi]], stag.tri_area[lo:hi])
+            pts = map_to_triangles(rule, stag.xstar[stag.tri_cell[lo:hi]], stag.cvert[lo:hi],
+                                   stag.cvert[stag.next_slot[lo:hi]])
+            w = 2.0 * stag.tri_area[lo:hi] * rule.weights[:, None]
             phi = rt_basis(stag.cvert[lo:hi], pts.reshape(-1, 2))
             vals = np.einsum("nic,i->nc", phi, flux[lo:hi]).reshape(pts.shape)
-            diff = vals - tv[lo:hi][:, None, :]
-            err2 += np.einsum("tqc,tqc,tq->", diff, diff, w)
+            diff = vals - tv[lo:hi]
+            err2 += np.einsum("qtc,qtc,qt->", diff, diff, w)
         consts.append(np.sqrt(err2) / (stag.h * jump_norm(v)))
     assert max(consts) / min(consts) < 2.0
 

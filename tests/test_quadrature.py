@@ -64,11 +64,14 @@ def test_map_to_triangles_measures():
     ])
     e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
     area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    pts, w = map_to_triangles(rule, tris[:, 0], tris[:, 1], tris[:, 2], area)
-    assert abs(w[0].sum() - 0.5) < 1e-14
-    assert abs(w[1].sum() - 3.0) < 1e-13
-    # integrate x over the reference triangle: 1/6
-    assert abs(np.sum(w[0] * pts[0, :, 0]) - 1.0 / 6.0) < 1e-14
+    pts = map_to_triangles(rule, tris[:, 0], tris[:, 1], tris[:, 2])
+    assert pts.shape == (len(rule.weights), 2, 2) and pts.flags.c_contiguous
+    w = 2.0 * area * rule.weights[:, None]
+    assert abs(w[:, 0].sum() - 0.5) < 1e-14
+    assert abs(w[:, 1].sum() - 3.0) < 1e-13
+    # integrate x over the reference triangle (1/6) and over the second (2 * 3)
+    assert abs(np.sum(w[:, 0] * pts[:, 0, 0]) - 1.0 / 6.0) < 1e-14
+    assert abs(np.sum(w[:, 1] * pts[:, 1, 0]) - 6.0) < 1e-13
 
 
 def test_edge_points_measures():

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from stokes_sdg import spaces
 from stokes_sdg.cases import case_taylor
 from stokes_sdg.mesh import build_staggered, generate_polygonal, generate_triangular
-from stokes_sdg.quadrature import edge_points, edge_rule
+from stokes_sdg.quadrature import edge_points, edge_rule, map_to_triangles, triangle_rule
 from stokes_sdg.spaces import (GradientField, PressureField, VelocityField,
-                               _tri_quad, error_super, error_velocity,
-                               interp_gradient, interp_pressure,
+                               error_gradient, error_pressure, error_super,
+                               error_velocity, interp_gradient, interp_pressure,
                                interp_velocity, jump_norm)
+
+from conftest import one_cell, random_convex_polygon
 
 
 def constant_velocity(c):
@@ -79,8 +82,11 @@ def test_interp_pressure_constant_and_linear():
     def p(x):
         return np.sin(3.0 * x[..., 0]) * x[..., 1]
 
-    pts, w = _tri_quad(stag)
-    per_tri = np.einsum("tq,tq->t", p(pts).reshape(w.shape), w)
+    # one block: the rule's weights times the values at every point, (1, nq) @ (nq, nt)
+    assert stag.n_duals <= spaces._BLOCK
+    rule = triangle_rule(8)
+    pts = map_to_triangles(rule, stag.xstar[stag.tri_cell], stag.cvert, stag.cvert[stag.next_slot])
+    per_tri = 2.0 * stag.tri_area * (rule.weights[None, :] @ p(pts))[0]
     sums = [np.add.reduceat(per_tri[lo:hi], [0])[0]
             for lo, hi in zip(stag.cell_ptr[:-1], stag.cell_ptr[1:])]
     assert np.array_equal(interp_pressure(stag, p).values, np.array(sums) / stag.cell_area)
@@ -198,3 +204,48 @@ def test_gradient_interpolant_orthogonality():
             diff = jh.values[d][None, :] - om_n[d]
             total -= np.einsum("qc,c,q->", diff, jump, w[d])
         assert abs(total) < 1e-10 * max(scale, 1.0)
+
+
+# --------------------------------------------------------- block streaming
+
+@pytest.mark.parametrize("name,gen", [
+    ("poly-L2", lambda: build_staggered(generate_polygonal(8))),
+    ("tri-L3-jitter", lambda: build_staggered(generate_triangular(8, jitter=0.2, seed=4))),
+    ("one-10-gon", lambda: one_cell(random_convex_polygon(10, np.random.default_rng(10)))),
+])
+def test_block_size_does_not_change_results(name, gen, monkeypatch):
+    from stokes_sdg.assembly import assemble_rhs
+
+    stag = gen()
+    case = case_taylor()
+    rng = np.random.default_rng(3)
+    u_h = VelocityField(stag, rng.standard_normal((stag.n_edges, 2)))
+    omega_h = GradientField(stag, rng.standard_normal((stag.n_duals, 2)))
+    p_h = PressureField(stag, rng.standard_normal(stag.n_cells))
+    largest = [0]
+
+    def spy(fn):
+        def wrapped(x):
+            largest[0] = max(largest[0], len(x))
+            return fn(x)
+        return wrapped
+
+    def results():
+        f = spy(lambda x: case.f(x, 1.0))
+        return [assemble_rhs(stag, f, "sdg1"), assemble_rhs(stag, f, "sdg2"),
+                interp_pressure(stag, spy(case.p)).values,
+                error_velocity(u_h, spy(case.u)),
+                error_gradient(omega_h, spy(lambda x: case.omega(x, 1.0))),
+                error_pressure(p_h, spy(case.p))]
+
+    nq = len(triangle_rule(spaces._TRI_DEGREE).weights)
+    monkeypatch.setattr(spaces, "_BLOCK", stag.n_duals + 5)
+    ref = results()
+    assert largest[0] == stag.n_duals * nq
+    for block in (1, 7):
+        monkeypatch.setattr(spaces, "_BLOCK", block)
+        largest[0] = 0
+        got = results()
+        assert largest[0] == min(block, stag.n_duals) * nq
+        for a, b in zip(ref, got):
+            assert np.abs(np.asarray(a) - b).max() <= 1e-14 * np.abs(a).max()
