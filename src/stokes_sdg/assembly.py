@@ -15,6 +15,9 @@ its boundary-flux columns (Dg) used for Dirichlet lifting, and a is the
 cell-area vector.  The pressure coupling in the momentum rows is assembled
 as D0^T (the discrete adjoint), never from cell divergences of the
 reconstruction.
+
+q, u, D0, Dg, F and ug interleave the velocity components (entry 2i + c is
+component c of dof i); M = Ms (x) I2 and B = Bs (x) I2 act on each alike.
 """
 
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ import scipy.sparse as sp
 
 from . import _kernels
 from .mesh import StaggeredMesh
-from .spaces import VelocityField, _tri_sums, interp_velocity
+from .spaces import _edge_means, _tri_sums
 
 __all__ = [
     "AssemblyError", "SaddleSystem",
@@ -37,18 +40,15 @@ class AssemblyError(RuntimeError):
 
 
 def assemble_Bh(stag: StaggeredMesh) -> sp.csr_matrix:
-    """Matrix of B_h(omega, v) over all primal-edge dofs (rows) and dual-edge
-    dofs (columns): B_h = -sum_{dual e} |e| q_e . (v_first - v_second)."""
+    """Scalar block Bs of B_h over primal edges (rows) and dual edges
+    (columns): B_h = -sum_{dual e} |e| q_e . (v_first - v_second) acts on each
+    velocity component alike, so the interleaved matrix is Bs (x) I2."""
     s = stag
-    first = s.loc_edge[s.prev_slot]
-    second = s.loc_edge
     d = np.arange(s.n_duals)
-    rows = np.concatenate([2 * first, 2 * first + 1, 2 * second, 2 * second + 1])
-    cols = np.concatenate([2 * d, 2 * d + 1, 2 * d, 2 * d + 1])
-    vals = np.concatenate([-s.dual_len, -s.dual_len, s.dual_len, s.dual_len])
-    return sp.csr_matrix(
-        (vals, (rows, cols)), shape=(2 * s.n_edges, 2 * s.n_duals)
-    )
+    rows = np.concatenate([s.loc_edge[s.prev_slot], s.loc_edge])
+    vals = np.concatenate([-s.dual_len, s.dual_len])
+    return sp.csr_matrix((vals, (rows, np.concatenate([d, d]))),
+                         shape=(s.n_edges, s.n_duals))
 
 
 def assemble_bh(stag: StaggeredMesh) -> sp.csr_matrix:
@@ -69,8 +69,9 @@ def assemble_bh(stag: StaggeredMesh) -> sp.csr_matrix:
 
 
 def assemble_mass(stag: StaggeredMesh) -> sp.csr_matrix:
-    """Gradient-space mass matrix: per sub-triangle, (omega, psi)_tau through the tensor
-    recovery from the two dual-edge traces; block-diagonal per cell, SPD."""
+    """Scalar block Ms of the gradient mass over the dual edges: per
+    sub-triangle, (omega, psi)_tau through the tensor recovery from the two
+    dual-edge traces; block-diagonal per cell, SPD, and M = Ms (x) I2."""
     s = stag
     # sub-triangle t is flanked by dual edges t and next_slot[t]
     c = np.einsum("tc,tc->t", s.dual_normal, s.dual_normal[s.next_slot])
@@ -82,17 +83,11 @@ def assemble_mass(stag: StaggeredMesh) -> sp.csr_matrix:
             f"(gram determinant {det[t]:.3e})"
         )
     fac = s.tri_area / det
-    s11 = fac
-    s12 = -c * fac
     e1, e2 = np.arange(s.n_duals), s.next_slot
-    rows, cols, vals = [], [], []
-    for comp in (0, 1):
-        rows += [2 * e1 + comp, 2 * e2 + comp, 2 * e1 + comp, 2 * e2 + comp]
-        cols += [2 * e1 + comp, 2 * e2 + comp, 2 * e2 + comp, 2 * e1 + comp]
-        vals += [s11, s11, s12, s12]
     mat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * s.n_duals, 2 * s.n_duals),
+        (np.concatenate([fac, fac, -c * fac, -c * fac]),
+         (np.concatenate([e1, e2, e1, e2]), np.concatenate([e1, e2, e2, e1]))),
+        shape=(s.n_duals, s.n_duals),
     )
     mat.sum_duplicates()
     return mat
@@ -146,26 +141,32 @@ def assemble_rhs(stag: StaggeredMesh, f, method: str) -> np.ndarray:
 
 @dataclass
 class SaddleSystem:
-    """Assembled sparse saddle-point system plus the data to interpret it."""
+    """Assembled sparse saddle-point system plus the data to interpret it,
+    with the scalar blocks Ms, Bs0 and Bsg (see the module docstring)."""
 
     stag: StaggeredMesh
     nu: float
     method: str
-    M: sp.csr_matrix
-    B0: sp.csr_matrix
-    Bg: sp.csr_matrix
+    Ms: sp.csr_matrix
+    Bs0: sp.csr_matrix
+    Bsg: sp.csr_matrix
     D0: sp.csr_matrix
     Dg: sp.csr_matrix
     F: np.ndarray          # momentum rhs restricted to interior dofs
     ug: np.ndarray         # boundary dof values (Dirichlet averages)
 
+    # read-only interleaved views block (x) I2, built on each access
+    M = property(lambda self: sp.kron(self.Ms, sp.identity(2), format="coo"))
+    B0 = property(lambda self: sp.kron(self.Bs0, sp.identity(2), format="coo"))
+    Bg = property(lambda self: sp.kron(self.Bsg, sp.identity(2), format="coo"))
+
     @property
     def n_q(self) -> int:
-        return self.M.shape[0]
+        return 2 * self.Ms.shape[0]
 
     @property
     def n_u(self) -> int:
-        return self.B0.shape[0]
+        return 2 * self.Bs0.shape[0]
 
     @property
     def n_p(self) -> int:
@@ -178,11 +179,12 @@ class SaddleSystem:
     def matrix(self) -> sp.csr_matrix:
         """The bordered (q, u, p, mu) matrix, built anew from the blocks on
         every call, so it cannot go stale when a block is replaced."""
-        area =sp.csr_matrix(self.stag.cell_area[:, None])
+        area = sp.csr_matrix(self.stag.cell_area[:, None])
+        b0 = self.B0
         return sp.bmat(
             [
-                [self.M, -self.nu * self.B0.T, None, None],
-                [self.B0, None, self.D0.T, None],
+                [self.M, -self.nu * b0.T, None, None],
+                [b0, None, self.D0.T, None],
                 [None, self.D0, None, area],
                 [None, None, area.T, None],
             ],
@@ -190,32 +192,25 @@ class SaddleSystem:
         )
 
     def rhs(self) -> np.ndarray:
-        out = np.zeros(self.size)
-        nq, nu = self.n_q, self.n_u
-        out[:nq] = self.nu * (self.Bg.T @ self.ug)
-        out[nq:nq + nu] = self.F
-        out[nq + nu:nq + nu + self.n_p] = -(self.Dg @ self.ug)
-        return out
+        r_q = self.nu * (self.Bsg.T @ self.ug.reshape(-1, 2)).ravel()
+        return np.concatenate([r_q, self.F, -(self.Dg @ self.ug), [0.0]])
 
 
 def assemble_system(stag: StaggeredMesh, case, method: str, nu: float) -> SaddleSystem:
     """Build the full system for a manufactured case (f and Dirichlet data)."""
     s = stag
-    bfull = assemble_Bh(s)
+    bs = assemble_Bh(s)
     dfull = assemble_bh(s)
-    mass = assemble_mass(s)
     idof, gdof = (np.stack([2 * e, 2 * e + 1], axis=1).ravel()
                   for e in (s.interior_edges, s.boundary_edges))
-    ug_field: VelocityField = interp_velocity(s, case.u)
-    ug = ug_field.values.ravel()[gdof]
     fvec = assemble_rhs(s, lambda x: case.f(x, nu), method)
     return SaddleSystem(
         stag=s, nu=nu, method=method,
-        M=mass,
-        B0=bfull[idof].tocsr(),
-        Bg=bfull[gdof].tocsr(),
+        Ms=assemble_mass(s),
+        Bs0=bs[s.interior_edges],
+        Bsg=bs[s.boundary_edges],
         D0=dfull[:, idof].tocsr(),
         Dg=dfull[:, gdof].tocsr(),
         F=fvec[idof],
-        ug=ug,
+        ug=_edge_means(case.u, *s.edge_endpoints(s.boundary_edges)).ravel(),
     )

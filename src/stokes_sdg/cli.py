@@ -165,6 +165,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # the factorization reports its own as a SolverError
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -505,10 +505,10 @@ class StaggeredMesh:
         self.h = float(self.tri_diam.max())
 
     # convenience views -----------------------------------------------------
-    def edge_endpoints(self):
-        """(v0, v1) coordinate arrays of the primal edges, shape (ne, 2) each,
-        as traversed CCW in the first cell."""
-        first = self.edge_slots[:, 0]
+    def edge_endpoints(self, edges=slice(None)):
+        """(v0, v1) coordinates of the primal edges (all by default), shape
+        (len(edges), 2) each, as traversed CCW in the first cell."""
+        first = self.edge_slots[edges, 0]
         return self.cvert[first], self.cvert[self.next_slot[first]]
 
 

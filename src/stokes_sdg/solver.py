@@ -1,10 +1,11 @@
 """Sparse direct solution of the saddle-point system with residual checks.
 
 The solver reads the assembled blocks of `SaddleSystem` (see assembly.py for
-the bordered (q, u, p, mu) system they make up).  The gradient mass block M
-couples only the dual-edge traces of one cell, so q is eliminated cell by
-cell: q = M^-1 (r_q + nu B0^T u) with r_q = nu Bg^T ug, and the momentum
-rows become K u + D0^T p = r_u = F - B0 M^-1 r_q with K = nu B0 M^-1 B0^T.
+the bordered (q, u, p, mu) system they make up); its scalar blocks act on
+q and u viewed as (n, 2) arrays.  Ms couples only the dual-edge traces of
+one cell, so q is eliminated cell by cell: q = M^-1 (r_q + nu B0^T u) with
+r_q = nu Bg^T ug, and the momentum rows become K u + D0^T p = r_u =
+F - B0 M^-1 r_q with K = Ks (x) I2, Ks = nu Bs0 Ms^-1 Bs0^T.
 The velocity columns of D0 sum to zero, so the sum of the divergence rows
 gives mu = 1^T r_p / 1^T a (r_p = -Dg ug), and the other rows D1 = D0[1:]
 read D1 u = g[1:] with g = r_p - mu a; p_0 is pinned to zero.  The kernel
@@ -45,14 +46,14 @@ class FieldSolution:
 
 
 def _cell_block_inverse(mass: sp.csr_matrix, stag: StaggeredMesh) -> sp.csr_matrix:
-    """Inverse of a matrix that is block-diagonal over the cells' gradient
-    dofs (cell c owns 2*cell_ptr[c]:2*cell_ptr[c+1]), gathered and inverted
-    with one batched call per block size."""
-    owner = np.repeat(np.arange(stag.n_cells), 2 * stag.cell_sizes)
+    """Inverse of a scalar gradient mass that is block-diagonal over the
+    cells' dual edges (cell c owns cell_ptr[c]:cell_ptr[c+1]), gathered and
+    inverted with one batched call per block size."""
+    owner = stag.tri_cell
     if np.any(owner[mass.indices] != np.repeat(owner, np.diff(mass.indptr))):
         raise SolverError("gradient mass matrix couples two cells; cannot condense it")
     rows, cols, vals = [], [], []
-    for m, _, dofs in _size_groups(2 * stag.cell_ptr):
+    for m, _, dofs in _size_groups(stag.cell_ptr):
         r = np.broadcast_to(dofs[:, :, None], (len(dofs), m, m)).ravel()
         c = np.broadcast_to(dofs[:, None, :], (len(dofs), m, m)).ravel()
         blocks = np.asarray(mass[r, c]).reshape(len(dofs), m, m)
@@ -107,32 +108,35 @@ def _factor(mat: sp.spmatrix):
 def solve(system: SaddleSystem) -> FieldSolution:
     """Solve the system as the module docstring says; raises on singular
     blocks or factors, exhausted memory or poor full-system residuals."""
-    s, b0, area = system.stag, system.B0, system.stag.cell_area
-    nu_b0t = system.nu * b0.T
-    minv = _cell_block_inverse(system.M, s)
+    s, bs0, area = system.stag, system.Bs0, system.stag.cell_area
+    nu_bs0t = system.nu * bs0.T
+    msinv = _cell_block_inverse(system.Ms, s)
     z = _kernel_basis(s)
     if z.shape[1] != system.n_u - system.n_p + 1:  # Euler's formula fails
         raise SolverError(f"divergence-free basis of {z.shape[1]} columns for {system.n_u} "
                           f"velocities and {system.n_p} cells: domain not simply connected")
     d1 = system.D0[1:]  # pin p_0 = 0
-    b0t_z = b0.T @ z
-    lu_u = _factor(system.nu * (b0t_z.T @ (minv @ b0t_z)))
+    k = sp.kron(bs0 @ msinv @ nu_bs0t, sp.identity(2), format="csr")
+    lu_u = _factor(z.T @ k @ z)
     lu_p = _factor(d1 @ d1.T)
     blocks = np.cumsum([system.n_q, system.n_u, system.n_p])
 
     def condensed(rhs):
         r_q, f, r_p, r_mu = np.split(rhs, blocks)
-        r_u = f - b0 @ (minv @ r_q)
+        r_u = f - (bs0 @ (msinv @ r_q.reshape(-1, 2))).ravel()
         mu = r_p.sum() / area.sum()
         u = d1.T @ lu_p.solve((r_p - mu * area)[1:])
-        u += z @ lu_u.solve(z.T @ (r_u - b0 @ (minv @ (nu_b0t @ u))))
-        p = np.concatenate([[0.0], lu_p.solve(d1 @ (r_u - b0 @ (minv @ (nu_b0t @ u))))])
+        u += z @ lu_u.solve(z.T @ (r_u - k @ u))
+        p = np.concatenate([[0.0], lu_p.solve(d1 @ (r_u - k @ u))])
         p += (r_mu[0] - area @ p) / area.sum()
-        return np.concatenate([minv @ (r_q + nu_b0t @ u), u, p, [mu]])
+        q = msinv @ (r_q.reshape(-1, 2) + nu_bs0t @ u.reshape(-1, 2))
+        return np.concatenate([q.ravel(), u, p, [mu]])
 
     def times(x):  # the full (q, u, p, mu) matrix, block by block
         q, u, p, mu = np.split(x, blocks)
-        return np.concatenate([system.M @ q - nu_b0t @ u, b0 @ q + system.D0.T @ p,
+        q2, u2 = q.reshape(-1, 2), u.reshape(-1, 2)
+        return np.concatenate([(system.Ms @ q2 - nu_bs0t @ u2).ravel(),
+                               (bs0 @ q2).ravel() + system.D0.T @ p,
                                system.D0 @ u + mu * area, [area @ p]])
 
     rhs = system.rhs()

@@ -115,28 +115,25 @@ class PressureField:
 # Interpolation operators (edge averages / cell means)
 # ---------------------------------------------------------------------------
 
+def _edge_means(fn, v0, v1) -> np.ndarray:
+    """(1/|e|) int_e fn ds on the segments e = v0 -> v1, shape (ne, k) for
+    fn taking points (n, 2) to values (n, ...) of k entries each."""
+    pts, w = edge_points(edge_rule(), v0, v1)
+    vals = np.asarray(fn(pts.reshape(-1, 2))).reshape(pts.shape[:2] + (-1,))
+    return np.einsum("eqc,eq->ec", vals, w) / np.linalg.norm(v1 - v0, axis=1)[:, None]
+
+
 def interp_velocity(stag: StaggeredMesh, u) -> VelocityField:
     """Edge-average interpolant: dof on e = (1/|e|) int_e u ds."""
-    rule = edge_rule()
-    v0, v1 = stag.edge_endpoints()
-    pts, w = edge_points(rule, v0, v1)
-    vals = np.asarray(u(pts.reshape(-1, 2))).reshape(pts.shape)
-    dofs = np.einsum("eqc,eq->ec", vals, w) / stag.edge_len[:, None]
-    return VelocityField(stag, dofs)
+    return VelocityField(stag, _edge_means(u, *stag.edge_endpoints()))
 
 
 def interp_gradient(stag: StaggeredMesh, omega) -> GradientField:
     """Dual-edge interpolant: q_e = (1/|e|) int_e omega(x) n_e ds."""
-    rule = edge_rule()
     s = stag
-    # dual edge at packed slot d runs from its cell's x* to the vertex cvert[d]
-    v0 = s.xstar[s.tri_cell]
-    v1 = s.cvert
-    pts, w = edge_points(rule, v0, v1)
-    tens = np.asarray(omega(pts.reshape(-1, 2))).reshape(pts.shape[0], pts.shape[1], 2, 2)
-    qn = np.einsum("eqij,ej->eqi", tens, s.dual_normal)
-    dofs = np.einsum("eqi,eq->ei", qn, w) / s.dual_len[:, None]
-    return GradientField(stag, dofs)
+    # dual edge d runs from its cell's x* to cvert[d]; n_d is constant on it
+    mean = _edge_means(omega, s.xstar[s.tri_cell], s.cvert).reshape(-1, 2, 2)
+    return GradientField(stag, np.einsum("dij,dj->di", mean, s.dual_normal))
 
 
 def interp_pressure(stag: StaggeredMesh, p) -> PressureField:

@@ -46,7 +46,7 @@ def test_gradient_adjointness_random_vectors(name, gen):
         q = rng.standard_normal((stag.n_duals, 2))
         vals = rng.standard_normal((stag.n_edges, 2))
         vals[stag.boundary_edges] = 0.0
-        lhs = vals.ravel() @ (mat @ q.ravel())
+        lhs = np.sum(vals * (mat @ q))
         tens = GradientField(stag, q).tensors()
         rhs = bh_star_oracle(stag, vals, tens)
         scale = max(abs(lhs), abs(rhs), 1.0)
@@ -80,7 +80,7 @@ def test_bh_hand_computed_on_single_triangle():
     for d in range(stag.n_duals):
         jump = vals[stag.loc_edge[stag.prev_slot[d]]] - vals[stag.loc_edge[d]]
         manual -= stag.dual_len[d] * q[d] @ jump
-    assert abs(vals.ravel() @ mat @ q.ravel() - manual) < 1e-13
+    assert abs(np.sum(vals * (mat @ q)) - manual) < 1e-13
 
 
 def test_constant_velocity_annihilates_divergence_rows():
@@ -113,8 +113,8 @@ def test_mass_constant_tensor_energy():
     stag = build_staggered(generate_trapezoidal(2))
     mass = assemble_mass(stag)
     tensor = np.array([[1.0, 2.0], [-0.5, 0.25]])
-    q = np.einsum("ij,dj->di", tensor, stag.dual_normal).ravel()
-    energy = q @ (mass @ q)
+    q = np.einsum("ij,dj->di", tensor, stag.dual_normal)
+    energy = np.sum(q * (mass @ q))
     assert abs(energy - np.sum(tensor * tensor)) < 1e-12  # |Omega| = 1
 
 
@@ -130,9 +130,7 @@ def test_mass_block_diagonal_per_cell():
     stag = build_staggered(generate_triangular(2))
     mass = assemble_mass(stag).tocoo()
     cell_of_dual = stag.tri_cell  # dual slots share the packed cell layout
-    assert np.all(
-        cell_of_dual[mass.row // 2] == cell_of_dual[mass.col // 2]
-    )
+    assert np.all(cell_of_dual[mass.row] == cell_of_dual[mass.col])
 
 
 def test_rhs_zero_forcing_gives_zero_vector():

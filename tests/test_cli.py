@@ -182,3 +182,15 @@ def test_jitter_off_the_tri_family_exit_2(mesh, capsys):
                  "--jitter", "0.15"])
     assert code == 2
     assert "--jitter applies only to --mesh tri" in capsys.readouterr().err
+
+
+def test_memory_error_outside_the_factorization_exit_1(monkeypatch, capsys):
+    def exhausted(stag):
+        raise MemoryError("cannot allocate the gradient mass")
+
+    monkeypatch.setattr("stokes_sdg.assembly.assemble_mass", exhausted)
+    code = main(["run", "--case", "taylor", "--mesh", "tri", "--levels", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: cannot allocate the gradient mass\n"
+    assert "Traceback" not in err

@@ -135,9 +135,9 @@ def test_pressure_mean_is_zero():
 def test_singular_system_raises():
     stag = build_staggered(generate_triangular(1))
     system = assemble_system(stag, get_case("noflow"), "sdg1", 1.0)
-    mat = system.M.tolil()
+    mat = system.Ms.tolil()
     mat[0, :] = 0.0  # destroy a gradient row
-    system.M = mat.tocsr()
+    system.Ms = mat.tocsr()
     with pytest.raises(SolverError):
         solve(system)
 
@@ -314,9 +314,9 @@ def test_out_of_memory_in_factorization_raises(monkeypatch):
 def test_gradient_coupling_between_cells_raises():
     stag = build_staggered(generate_triangular(1))
     system = assemble_system(stag, get_case("noflow"), "sdg1", 1.0)
-    mat = system.M.tolil()
+    mat = system.Ms.tolil()
     # first gradient dof of cell 0 against the first of cell 1
-    mat[0, 2 * stag.cell_ptr[1]] = 1e-3
-    system.M = mat.tocsr()
+    mat[0, stag.cell_ptr[1]] = 1e-3
+    system.Ms = mat.tocsr()
     with pytest.raises(SolverError, match="couples two cells"):
         solve(system)
