@@ -212,5 +212,5 @@ def assemble_system(stag: StaggeredMesh, case, method: str, nu: float) -> Saddle
         D0=dfull[:, idof].tocsr(),
         Dg=dfull[:, gdof].tocsr(),
         F=fvec[idof],
-        ug=_edge_means(case.u, *s.edge_endpoints(s.boundary_edges)).ravel(),
+        ug=_edge_means(s, case.u, s.boundary_edges).ravel(),
     )

@@ -134,14 +134,13 @@ def study_on_meshes(case: ManufacturedCase, meshes: Iterable[StaggeredMesh],
     return _orders(records) if len(records) > 1 else records
 
 
-def robustness_sweep(case_name: str, family: str, level: int,
-                     nu_list, jitter: float = 0.0) -> list[dict]:
+def robustness_sweep(case_name: str, family: str, level: int, nu_list) -> list[dict]:
     """Errors for both methods on one fixed mesh across viscosities (pass
     nu_list in descending order).  ratio_omega = previous/current error (the
     shrink factor per step) and ratio_u = current/previous (the growth
     factor), so both read ~10 in their interesting asymptotic regime."""
     case = get_case(case_name)
-    stag = build_staggered(mesh_for(family, level, jitter))
+    stag = build_staggered(mesh_for(family, level))
     rows = []
     for method in ("sdg1", "sdg2"):
         prev = None

@@ -88,7 +88,10 @@ def case_taylor() -> ManufacturedCase:
     return ManufacturedCase("taylor", u, grad_u, lap_u, p, grad_p)
 
 
-def case_noflow(ra: float = 1000.0) -> ManufacturedCase:
+_RA = 1000.0  # the no-flow load scale Ra
+
+
+def case_noflow() -> ManufacturedCase:
     """u = 0, p = -(Ra/2) y^2 + Ra y - Ra/3: a purely irrotational load."""
 
     def u(xy):
@@ -101,11 +104,11 @@ def case_noflow(ra: float = 1000.0) -> ManufacturedCase:
 
     def p(xy):
         _, y = _split(xy)
-        return -0.5 * ra * y * y + ra * y - ra / 3.0
+        return -0.5 * _RA * y * y + _RA * y - _RA / 3.0
 
     def grad_p(xy):
         x, y = _split(xy)
-        return np.stack([np.zeros_like(x), ra * (1.0 - y)], axis=-1)
+        return np.stack([np.zeros_like(x), _RA * (1.0 - y)], axis=-1)
 
     return ManufacturedCase("noflow", u, grad_u, u, p, grad_p)
 

@@ -95,8 +95,9 @@ def _first_appearance(keys):
     return rank[inverse], first[order]
 
 
-def _edge_table(cell_ptr, cell_idx, nv):
-    """The primal edges, numbered by first appearance.
+def _edge_table(cell_idx, nxt, nv):
+    """The primal edges, numbered by first appearance, of the packed cells
+    cell_idx whose next slots are nxt.
 
     Returns (loc_edge, edge_slots, users, forward): the edge of each slot
     (vertex k -> k+1 of its cell), each edge's [first slot, second slot or
@@ -104,7 +105,7 @@ def _edge_table(cell_ptr, cell_idx, nv):
     run from its lower to its higher vertex index.  The first user of an
     edge is its lower-indexed cell, which also uses it first.
     """
-    a, b = cell_idx, cell_idx[_cycle_slots(cell_ptr)[0]]
+    a, b = cell_idx, cell_idx[nxt]
     loc_edge, first = _first_appearance(np.minimum(a, b) * nv + np.maximum(a, b))
     ne = len(first)
     edge_slots = np.stack([first, np.full(ne, -1, dtype=np.int64)], axis=1)
@@ -141,6 +142,8 @@ class PrimalMesh:
     cell_ptr   : (nc+1,) offsets of the cells in cell_idx
     cell_idx   : (sum m,) packed vertex indices, each cell a CCW cycle
     cell_area  : (nc,) cell areas
+    next_slot, prev_slot : (sum m,) slot of the next / previous vertex of
+                 the same cell
     loc_edge   : (sum m,) primal edge of each slot, numbered by first appearance
     edge_slots : (ne, 2) [first slot, second slot or -1] of each edge; the
                  first slot lies in the lower-numbered cell
@@ -197,7 +200,8 @@ class PrimalMesh:
         unused[idx] = False
         _raise_first([(unused, lambda i: f"vertex {i} is used by no cell")])
 
-        nxt = _cycle_slots(ptr)[0]
+        self.next_slot, self.prev_slot = _cycle_slots(ptr)
+        nxt = self.next_slot
         tang, elen, cross = _slot_geometry(v[idx], nxt)
         areas = 0.5 * np.add.reduceat(cross, ptr[:-1])
         # each corner turns left by more than a relative cross product of
@@ -214,7 +218,7 @@ class PrimalMesh:
 
         # interior edges must be shared by exactly two cells with opposite
         # orientation, boundary edges by exactly one
-        loc_edge, edge_slots, users, forward = _edge_table(ptr, idx, nv)
+        loc_edge, edge_slots, users, forward = _edge_table(idx, nxt, nv)
 
         def pair(e):
             s = edge_slots[e, 0]
@@ -402,8 +406,7 @@ def _check_unit_square_boundary(mesh: PrimalMesh):
         )
     # boundary edges (used by one cell), in order of first appearance
     first = mesh.edge_slots[mesh.edge_slots[:, 1] < 0, 0]
-    nxt = _cycle_slots(mesh.cell_ptr)[0]
-    bd = np.sort(mesh.cell_idx[np.stack([first, nxt[first]], axis=1)], axis=1)
+    bd = np.sort(mesh.cell_idx[np.stack([first, mesh.next_slot[first]], axis=1)], axis=1)
     a, b = v[bd[:, 0]], v[bd[:, 1]]
     # both endpoints share the coordinate of one side: 0 or 1, in x or in y
     on_side = (((np.abs(a) <= tol) & (np.abs(b) <= tol))
@@ -467,14 +470,15 @@ class StaggeredMesh:
         sizes = np.diff(ptr)
         total = int(ptr[-1])
         slot_cell = np.repeat(np.arange(nc), sizes)
-        nxt, prv = _cycle_slots(ptr)
+        nxt, prv = primal.next_slot, primal.prev_slot
 
         cvert = verts[idx]
         tang, celen, cross = _slot_geometry(cvert, nxt)
         cnorm = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / celen[:, None]
-        # the area centroid sum (v_k + v_k+1) cross_k / (3 sum cross_k)
+        # the area centroid sum (v_k + v_k+1) cross_k / (3 sum cross_k), with
+        # sum cross_k = 2 |T| (6 (0.5 x) rounds as 3 x does)
         xstar = (np.add.reduceat((cvert + cvert[nxt]) * cross[:, None], ptr[:-1])
-                 / (3.0 * np.add.reduceat(cross, ptr[:-1]))[:, None])
+                 / (6.0 * primal.cell_area)[:, None])
         seg = cvert - xstar[slot_cell]
         # distance from x* to the line of edge k: the height of sub-triangle k
         d = np.einsum("sc,sc->s", seg, cnorm)

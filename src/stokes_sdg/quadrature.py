@@ -1,10 +1,11 @@
-"""Fixed-degree quadrature rules on reference triangles and edges.
+"""The package's quadrature rules: one on the reference triangle, one on the
+reference segment, both with barycentric nodes and one mapper.
 
-Triangle rules are symmetric interior rules (no node ever lies on an edge),
-so mapped onto the sub-triangles of a centroid fan no node lies on a fan
-edge, across which the discrete fields and the sdg1 test functions jump.
-Triangle tables are the classic symmetric rules of Dunavant; the edge rule
-is 8-point Gauss-Legendre.
+The triangle rule is a symmetric interior rule (no node ever lies on an
+edge), so mapped onto the sub-triangles of a centroid fan no node lies on a
+fan edge, across which the discrete fields and the sdg1 test functions jump.
+It is Dunavant's symmetric degree-8 rule; the segment rule is 8-point
+Gauss-Legendre.
 """
 
 import functools
@@ -12,48 +13,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadRule", "triangle_rule", "edge_rule", "map_to_triangles", "edge_points"]
+__all__ = ["QuadRule", "triangle_rule", "edge_rule", "map_rule"]
 
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Nodes and weights on a reference element.
+    """Barycentric nodes and weights on a reference simplex.
 
-    For triangles, ``points`` has shape (n, 2) with coordinates on the
-    reference triangle (0,0)-(1,0)-(0,1) and weights summing to 1/2.
-    For edges, ``points`` has shape (n,) on [0, 1] and weights summing to 1.
+    ``bary`` has one row per node and one column per corner: (l1, l2, l3) on
+    the triangle (0,0)-(1,0)-(0,1), whose weights sum to its area 1/2, and
+    (1 - t, t) on the segment [0, 1], whose weights sum to 1.
     """
 
-    points: np.ndarray
+    bary: np.ndarray
     weights: np.ndarray
 
 
-# Dunavant symmetric triangle rules, stored as barycentric orbits (degree 8
-# is the package's rule, degree 10 the reference it is checked against):
+# Dunavant's symmetric degree-8 rule, stored as barycentric orbits:
 # ("c", w)           -> centroid
 # ("s", w, a)        -> 3 permutations of (a, b, b), b = (1 - a) / 2
 # ("p", w, a, b, c)  -> all 6 permutations of (a, b, c)
 # Weights are normalized to sum to 1 over the orbit expansion.
-_TRI_ORBITS = {
-    8: [
-        ("c", 0.144315607677787),
-        ("s", 0.095091634267285, 0.081414823414554),
-        ("s", 0.103217370534718, 0.658861384496480),
-        ("s", 0.032458497623198, 0.898905543365938),
-        ("p", 0.027230314174435, 0.008394777409958, 0.263112829634638, 0.728492392955404),
-    ],
-    10: [
-        ("c", 0.090817990382754),
-        ("s", 0.036725957756467, 0.028844733232685),
-        ("s", 0.045321059435528, 0.781036849029926),
-        ("p", 0.072757916845420, 0.141707219414880, 0.307939838764121, 0.550352941820999),
-        ("p", 0.028327242531057, 0.025003534762686, 0.246672560639903, 0.728323904597411),
-        ("p", 0.009421666963733, 0.009540815400299, 0.066803251012200, 0.923655933587500),
-    ],
-}
+_TRI_ORBITS = [
+    ("c", 0.144315607677787),
+    ("s", 0.095091634267285, 0.081414823414554),
+    ("s", 0.103217370534718, 0.658861384496480),
+    ("s", 0.032458497623198, 0.898905543365938),
+    ("p", 0.027230314174435, 0.008394777409958, 0.263112829634638, 0.728492392955404),
+]
 
 
-def _expand_orbits(orbits):
+def _rule_from_orbits(orbits) -> QuadRule:
+    """Triangle rule of barycentric orbits as in _TRI_ORBITS; l1 is taken as
+    1 - l2 - l3, so each node's coordinates sum to 1 as computed."""
     bary = []
     weights = []
     for orbit in orbits:
@@ -74,53 +66,34 @@ def _expand_orbits(orbits):
             ):
                 bary.append(coords)
                 weights.append(w)
-    return np.asarray(bary), np.asarray(weights)
+    bary = np.asarray(bary)
+    bary[:, 0] = 1.0 - bary[:, 1] - bary[:, 2]
+    return QuadRule(bary, 0.5 * np.asarray(weights))
 
 
 @functools.cache
-def triangle_rule(degree: int) -> QuadRule:
-    """Symmetric interior rule on the reference triangle, exact to ``degree``."""
-    if degree not in _TRI_ORBITS:
-        raise ValueError(
-            f"unsupported triangle quadrature degree {degree}; "
-            f"available: {sorted(_TRI_ORBITS)}"
-        )
-    bary, w = _expand_orbits(_TRI_ORBITS[degree])
-    return QuadRule(bary[:, 1:3].copy(), 0.5 * w)  # (l1,l2,l3) -> (x,y) = (l2,l3)
+def triangle_rule() -> QuadRule:
+    """Symmetric interior rule on the reference triangle, exact to degree 8."""
+    return _rule_from_orbits(_TRI_ORBITS)
 
 
 @functools.cache
 def edge_rule() -> QuadRule:
     """8-point Gauss-Legendre rule on [0, 1], exact to degree 15."""
     x, w = np.polynomial.legendre.leggauss(8)
-    return QuadRule(0.5 * (x + 1.0), 0.5 * w)
+    t = 0.5 * (x + 1.0)
+    return QuadRule(np.stack([1.0 - t, t], axis=1), 0.5 * w)
 
 
-def map_to_triangles(rule: QuadRule, x0, x1, x2):
-    """Map a reference triangle rule onto physical triangles.
+def map_rule(rule: QuadRule, corners) -> np.ndarray:
+    """Map a rule onto physical simplices.
 
-    x0, x1, x2 : (nt, 2) vertices.  Returns the points (nq, nt, 2),
-    C-contiguous, from one matrix product of the barycentric coordinates
-    with the stacked vertices.  The weights are separable: the integral over
-    triangle t of f is  2 |t| sum_q rule.weights[q] * f(points[q, t]).
+    corners : one (n, 2) array per column of rule.bary, the simplices'
+    corners in that order.  Returns the points (nq, n, 2), C-contiguous, from
+    one matrix product of the barycentric rows with the stacked corners.  The
+    weights are separable: the integral of f over triangle t is
+    2 |t| sum_q w_q f(points[q, t]), and the mean of f over segment e is
+    sum_q w_q f(points[q, e]).
     """
-    l2 = rule.points[:, 0]
-    l3 = rule.points[:, 1]
-    bary = np.stack([1.0 - l2 - l3, l2, l3], axis=1)  # (nq, 3)
-    verts = np.stack([x0, x1, x2]).astype(float, copy=False)  # (3, nt, 2)
-    return (bary @ verts.reshape(3, -1)).reshape(len(bary), -1, 2)
-
-
-def edge_points(rule: QuadRule, v0: np.ndarray, v1: np.ndarray):
-    """Map an edge rule onto segments v0 -> v1.
-
-    v0, v1 : (ne, 2).  Returns points (ne, nq, 2) and weights (ne, nq) with
-    sum_q weights[e, q] = |e|.
-    """
-    v0 = np.atleast_2d(np.asarray(v0, dtype=float))
-    v1 = np.atleast_2d(np.asarray(v1, dtype=float))
-    t = rule.points
-    pts = v0[:, None, :] + t[None, :, None] * (v1 - v0)[:, None, :]
-    length = np.linalg.norm(v1 - v0, axis=1)
-    w = length[:, None] * rule.weights[None, :]
-    return pts, w
+    verts = np.stack(corners).astype(float, copy=False)  # (k, n, 2)
+    return (rule.bary @ verts.reshape(len(verts), -1)).reshape(len(rule.bary), -1, 2)

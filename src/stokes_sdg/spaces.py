@@ -11,7 +11,7 @@ constraint.
 import numpy as np
 
 from .mesh import StaggeredMesh
-from .quadrature import edge_points, edge_rule, map_to_triangles, triangle_rule
+from .quadrature import edge_rule, map_rule, triangle_rule
 
 __all__ = [
     "VelocityField", "GradientField", "PressureField",
@@ -20,8 +20,7 @@ __all__ = [
     "error_velocity", "error_gradient", "error_pressure", "error_super",
 ]
 
-_TRI_DEGREE = 8
-# sub-triangles mapped at a time: 2048 * 16 points * 2 doubles = 0.5 MB per
+# simplices mapped at a time: 2048 * 16 points * 2 doubles = 0.5 MB per
 # block array, so no array of the whole mesh's quadrature points exists
 _BLOCK = 2048
 
@@ -33,34 +32,50 @@ def _checked(values, shape, what):
     return values
 
 
-def _tri_sums(stag, fn, moments=False, approx=None):
-    """Reference sums  S_t = sum_q w_q g(x_tq)  of every sub-triangle t =
-    (x*, v_k, v_k+1), with w the _TRI_DEGREE rule's reference weights, so that
-    int_t g = 2|t| S_t.  The integrand g is fn, which takes points (n, 2), or
-    with approx (nt, ...), a field constant on each sub-triangle, the square
-    (fn - approx)^2.  The rule is mapped onto _BLOCK sub-triangles at a time
-    and each block is reduced by one matrix product against the weights.
-    Returns (nt, ...); with moments (nt, 3, ...), the sums of g, l1 g and
-    l2 g, where l1, l2 are the barycentric coordinates of v_k and v_k+1."""
-    s = stag
-    rule = triangle_rule(_TRI_DEGREE)
-    w = rule.weights
-    red = np.vstack([w, w * rule.points.T]) if moments else w[None, :]   # (3 or 1, nq)
+def _block_sums(rule, n, corners, fn, red=None, approx=None):
+    """Reference sums  S_j = sum_q w_q g(x_jq)  of n simplices j, with w the
+    rule's weights: int_t g = 2|t| S_t on a triangle t, and S_e is the mean
+    of g on a segment e.  corners(sl) gives the corners of the simplices sl,
+    one (nb, 2) array per column of rule.bary.  The integrand g is fn, which
+    takes points (n, 2), or with approx (n, ...), a field constant on each
+    simplex, the square (fn - approx)^2.  The rule is mapped onto _BLOCK
+    simplices at a time and each block is reduced by one matrix product
+    against the weights.  Returns (n, ...); with red (r, nq) in place of the
+    weights, (n, r, ...)."""
+    rows = rule.weights[None, :] if red is None else red
     out = None
-    for lo in range(0, s.n_duals, _BLOCK):
+    for lo in range(0, n, _BLOCK):
         sl = slice(lo, lo + _BLOCK)
-        pts = map_to_triangles(rule, s.xstar[s.tri_cell[sl]], s.cvert[sl],
-                               s.cvert[s.next_slot[sl]])                 # (nq, nb, 2)
+        pts = map_rule(rule, corners(sl))                                # (nq, nb, 2)
         vals = np.asarray(fn(pts.reshape(-1, 2)))
         vals = vals.reshape(pts.shape[:2] + vals.shape[1:])              # (nq, nb, ...)
         if approx is not None:
             vals = vals - approx[sl]
             vals *= vals
-        part = (red @ vals.reshape(len(vals), -1)).reshape(len(red), *vals.shape[1:])
+        part = (rows @ vals.reshape(len(vals), -1)).reshape(len(rows), *vals.shape[1:])
         if out is None:
-            out = np.empty((s.n_duals, len(red)) + vals.shape[2:])
+            out = np.empty((n, len(rows)) + vals.shape[2:])
         out[sl] = np.moveaxis(part, 0, 1)
-    return out if moments else out[:, 0]
+    return out[:, 0] if red is None else out
+
+
+def _tri_sums(stag, fn, moments=False, approx=None):
+    """_block_sums of every sub-triangle t = (x*, v_k, v_k+1); with moments
+    (nt, 3, ...), the sums of g, l1 g and l2 g, where l1, l2 are the
+    barycentric coordinates of v_k and v_k+1."""
+    s = stag
+    rule = triangle_rule()
+    w = rule.weights
+    red = np.vstack([w, w * rule.bary[:, 1:].T]) if moments else None    # (3, nq)
+    return _block_sums(rule, s.n_duals,
+                       lambda sl: (s.xstar[s.tri_cell[sl]], s.cvert[sl], s.cvert[s.next_slot[sl]]),
+                       fn, red, approx)
+
+
+def _edge_means(stag, fn, edges) -> np.ndarray:
+    """(1/|e|) int_e fn ds on the primal edges e (an index array), shape
+    (len(edges), ...)."""
+    return _block_sums(edge_rule(), len(edges), lambda sl: stag.edge_endpoints(edges[sl]), fn)
 
 
 class VelocityField:
@@ -108,31 +123,25 @@ class PressureField:
         self.values = _checked(values, (stag.n_cells,), "pressure")
 
     def mean(self) -> float:
-        return float(np.dot(self.stag.cell_area, self.values))
+        area = self.stag.cell_area
+        return float(np.dot(area, self.values) / area.sum())
 
 
 # ---------------------------------------------------------------------------
 # Interpolation operators (edge averages / cell means)
 # ---------------------------------------------------------------------------
 
-def _edge_means(fn, v0, v1) -> np.ndarray:
-    """(1/|e|) int_e fn ds on the segments e = v0 -> v1, shape (ne, k) for
-    fn taking points (n, 2) to values (n, ...) of k entries each."""
-    pts, w = edge_points(edge_rule(), v0, v1)
-    vals = np.asarray(fn(pts.reshape(-1, 2))).reshape(pts.shape[:2] + (-1,))
-    return np.einsum("eqc,eq->ec", vals, w) / np.linalg.norm(v1 - v0, axis=1)[:, None]
-
-
 def interp_velocity(stag: StaggeredMesh, u) -> VelocityField:
     """Edge-average interpolant: dof on e = (1/|e|) int_e u ds."""
-    return VelocityField(stag, _edge_means(u, *stag.edge_endpoints()))
+    return VelocityField(stag, _edge_means(stag, u, np.arange(stag.n_edges)))
 
 
 def interp_gradient(stag: StaggeredMesh, omega) -> GradientField:
     """Dual-edge interpolant: q_e = (1/|e|) int_e omega(x) n_e ds."""
     s = stag
     # dual edge d runs from its cell's x* to cvert[d]; n_d is constant on it
-    mean = _edge_means(omega, s.xstar[s.tri_cell], s.cvert).reshape(-1, 2, 2)
+    mean = _block_sums(edge_rule(), s.n_duals, lambda sl: (s.xstar[s.tri_cell[sl]], s.cvert[sl]),
+                       omega)
     return GradientField(stag, np.einsum("dij,dj->di", mean, s.dual_normal))
 
 

@@ -2,7 +2,18 @@ import numpy as np
 
 from stokes_sdg.assembly import RTTable
 from stokes_sdg.mesh import PrimalMesh, build_staggered
-from stokes_sdg.quadrature import map_to_triangles, triangle_rule
+from stokes_sdg.quadrature import _rule_from_orbits, map_rule, triangle_rule
+
+# Dunavant's symmetric degree-10 rule, the reference the package's degree-8
+# rule is checked against (orbits as in quadrature._TRI_ORBITS)
+TRI_RULE_10 = _rule_from_orbits([
+    ("c", 0.090817990382754),
+    ("s", 0.036725957756467, 0.028844733232685),
+    ("s", 0.045321059435528, 0.781036849029926),
+    ("p", 0.072757916845420, 0.141707219414880, 0.307939838764121, 0.550352941820999),
+    ("p", 0.028327242531057, 0.025003534762686, 0.246672560639903, 0.728323904597411),
+    ("p", 0.009421666963733, 0.009540815400299, 0.066803251012200, 0.923655933587500),
+])
 
 
 def random_convex_polygon(m: int, rng, center=(0.5, 0.5), radius=0.35):
@@ -107,11 +118,12 @@ def rt_basis(verts, pts):
             + np.einsum("ik,nkc->nic", cmat, fan_hats(verts, pts)[1]))
 
 
-def rt_moments(verts, f, degree=8):
-    """int_T f . phi_i dx for each i, by quadrature on the fan sub-triangles."""
+def rt_moments(verts, f, rule=None):
+    """int_T f . phi_i dx for each i, by quadrature on the fan sub-triangles
+    (the package's triangle rule by default)."""
     s = one_cell(verts)
-    rule = triangle_rule(degree)
-    pts = map_to_triangles(rule, s.xstar[s.tri_cell], s.cvert, s.cvert[s.next_slot])
+    rule = rule or triangle_rule()
+    pts = map_rule(rule, (s.xstar[s.tri_cell], s.cvert, s.cvert[s.next_slot]))
     w = 2.0 * s.tri_area * rule.weights[:, None]
     pts = pts.reshape(-1, 2)
     return np.einsum("nic,nc,n->i", rt_basis(verts, pts), f(pts), w.ravel())

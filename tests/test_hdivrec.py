@@ -4,10 +4,10 @@ from scipy.stats import qmc
 
 from stokes_sdg.assembly import load_moments
 from stokes_sdg.mesh import _diameter
-from stokes_sdg.quadrature import edge_points, edge_rule
+from stokes_sdg.quadrature import edge_rule, map_rule
 from stokes_sdg.spaces import interp_velocity
 
-from conftest import (centroid, fan_hats, interior_points, one_cell,
+from conftest import (TRI_RULE_10, centroid, fan_hats, interior_points, one_cell,
                       random_convex_polygon, rt_basis, rt_cell, rt_moments)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -18,16 +18,16 @@ def trace_matrix(verts):
     linear extrapolation from offsets eps and 2*eps."""
     rule = edge_rule()
     m = len(verts)
-    normals, edge_len = rt_cell(verts)[:2]
+    normals = rt_cell(verts)[0]
     v1 = np.roll(verts, -1, axis=0)
     eps = 1e-7 * _diameter(verts)
 
     def at_offset(delta):
         tr = np.empty((m, m))
         for j in range(m):
-            pts, w = edge_points(rule, verts[j][None], v1[j][None])
-            phi = rt_basis(verts, pts[0] - delta * normals[j])
-            tr[:, j] = np.einsum("nic,c,n->i", phi, normals[j], w[0]) / edge_len[j]
+            pts = map_rule(rule, (verts[j][None], v1[j][None]))[:, 0]
+            phi = rt_basis(verts, pts - delta * normals[j])
+            tr[:, j] = np.einsum("nic,c,n->i", phi, normals[j], rule.weights)
         return tr
 
     return 2.0 * at_offset(eps) - at_offset(2.0 * eps)
@@ -359,7 +359,7 @@ def test_moments_exact_on_triangles():
     oracle = np.einsum("nic,nc->i", rt_basis(tri, pts), f(pts)) * cellw
     assert np.abs(got - oracle).max() < 5e-3 * np.abs(oracle).max()
     # tighter: degree-8 equals degree-10 to machine precision on triangles
-    assert np.abs(got - rt_moments(tri, f, degree=10)).max() < 1e-12
+    assert np.abs(got - rt_moments(tri, f, TRI_RULE_10)).max() < 1e-12
 
 
 def test_moments_constant_forcing_against_quasi_monte_carlo():

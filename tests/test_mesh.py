@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stokes_sdg.mesh import (_HEXAGON, MeshError, PrimalMesh, RegularityReport,
-                             _clip_to_square, _edge_table, _pack_cells,
+                             _clip_to_square, _cycle_slots, _edge_table, _pack_cells,
                              build_staggered, generate_polygonal,
                              generate_trapezoidal, generate_triangular,
                              read_mesh, validate, write_mesh)
@@ -441,9 +441,10 @@ def _unchecked_primal(vertices, cells):
     mesh = PrimalMesh.__new__(PrimalMesh)
     mesh.vertices = np.asarray(vertices, dtype=float)
     mesh.cell_ptr, mesh.cell_idx = _pack_cells(cells)
-    mesh.loc_edge, mesh.edge_slots = _edge_table(mesh.cell_ptr, mesh.cell_idx,
+    mesh.next_slot, mesh.prev_slot = _cycle_slots(mesh.cell_ptr)
+    mesh.loc_edge, mesh.edge_slots = _edge_table(mesh.cell_idx, mesh.next_slot,
                                                  mesh.n_vertices)[:2]
-    mesh.cell_area = np.ones(mesh.n_cells)
+    mesh.cell_area = np.array([polygon_area(mesh.vertices[c]) for c in mesh.cells])
     return mesh
 
 

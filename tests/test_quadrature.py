@@ -3,30 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from stokes_sdg.quadrature import edge_points, edge_rule, map_to_triangles, triangle_rule
+from stokes_sdg.quadrature import edge_rule, map_rule, triangle_rule
 
-TRI_DEGREES = (8, 10)
+from conftest import TRI_RULE_10
+
+# the package's degree-8 rule and the degree-10 reference it is checked against
+TRI_RULES = {8: triangle_rule(), 10: TRI_RULE_10}
 
 
-@pytest.mark.parametrize("degree", TRI_DEGREES)
+@pytest.mark.parametrize("degree", TRI_RULES)
 def test_triangle_weights_sum_to_reference_measure(degree):
-    rule = triangle_rule(degree)
+    rule = TRI_RULES[degree]
     assert abs(rule.weights.sum() - 0.5) < 1e-14
     assert np.all(rule.weights > 0.0)
 
 
-@pytest.mark.parametrize("degree", TRI_DEGREES)
+@pytest.mark.parametrize("degree", TRI_RULES)
 def test_triangle_nodes_strictly_interior(degree):
-    rule = triangle_rule(degree)
-    x, y = rule.points[:, 0], rule.points[:, 1]
-    assert np.all(x > 0.0) and np.all(y > 0.0) and np.all(x + y < 1.0)
+    bary = TRI_RULES[degree].bary
+    assert bary.shape[1] == 3 and np.all(bary > 0.0)
+    assert np.abs(bary.sum(axis=1) - 1.0).max() < 1e-15
 
 
-@pytest.mark.parametrize("degree", TRI_DEGREES)
+@pytest.mark.parametrize("degree", TRI_RULES)
 def test_triangle_monomial_exactness(degree):
     # int over reference triangle of x^a y^b = a! b! / (a + b + 2)!
-    rule = triangle_rule(degree)
-    x, y = rule.points[:, 0], rule.points[:, 1]
+    rule = TRI_RULES[degree]
+    x, y = rule.bary[:, 1], rule.bary[:, 2]
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
             exact = (
@@ -37,34 +40,30 @@ def test_triangle_monomial_exactness(degree):
 
 
 def test_triangle_constant_integral():
-    rule = triangle_rule(8)
+    rule = triangle_rule()
     assert abs(float(np.sum(rule.weights)) - 0.5) < 1e-15
 
 
 def test_edge_rule_exactness():
     rule = edge_rule()
-    assert len(rule.points) == 8
+    assert rule.bary.shape == (8, 2)
+    assert np.abs(rule.bary.sum(axis=1) - 1.0).max() < 1e-15
     assert abs(rule.weights.sum() - 1.0) < 1e-14
     for k in range(16):
         exact = 1.0 / (k + 1)
-        approx = float(np.sum(rule.weights * rule.points**k))
+        approx = float(np.sum(rule.weights * rule.bary[:, 1]**k))
         assert abs(approx - exact) < 1e-14
 
 
-def test_unsupported_degrees_rejected():
-    with pytest.raises(ValueError):
-        triangle_rule(5)
-
-
-def test_map_to_triangles_measures():
-    rule = triangle_rule(8)
+def test_map_rule_on_triangles_measures():
+    rule = triangle_rule()
     tris = np.array([
         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
         [[1.0, 1.0], [3.0, 1.0], [2.0, 4.0]],
     ])
     e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
     area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    pts = map_to_triangles(rule, tris[:, 0], tris[:, 1], tris[:, 2])
+    pts = map_rule(rule, (tris[:, 0], tris[:, 1], tris[:, 2]))
     assert pts.shape == (len(rule.weights), 2, 2) and pts.flags.c_contiguous
     w = 2.0 * area * rule.weights[:, None]
     assert abs(w[:, 0].sum() - 0.5) < 1e-14
@@ -74,11 +73,10 @@ def test_map_to_triangles_measures():
     assert abs(np.sum(w[:, 1] * pts[:, 1, 0]) - 6.0) < 1e-13
 
 
-def test_edge_points_measures():
+def test_map_rule_on_segments_gives_means():
     rule = edge_rule()
-    v0 = np.array([[0.0, 0.0]])
-    v1 = np.array([[3.0, 4.0]])
-    pts, w = edge_points(rule, v0, v1)
-    assert abs(w[0].sum() - 5.0) < 1e-13
-    # integrate the x coordinate along the segment: length * mean(x) = 5 * 1.5
-    assert abs(np.sum(w[0] * pts[0, :, 0]) - 7.5) < 1e-13
+    pts = map_rule(rule, (np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])))
+    assert pts.shape == (8, 1, 2)
+    # the mean of the x coordinate along the segment is its midpoint's, 1.5
+    assert abs(rule.weights @ pts[:, 0, 0] - 1.5) < 1e-14
+    assert abs(rule.weights @ pts[:, 0, 1] - 2.0) < 1e-14

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from stokes_sdg import spaces
 from stokes_sdg.cases import case_taylor
-from stokes_sdg.mesh import build_staggered, generate_polygonal, generate_triangular
-from stokes_sdg.quadrature import edge_points, edge_rule, map_to_triangles, triangle_rule
+from stokes_sdg.mesh import PrimalMesh, build_staggered, generate_polygonal, generate_triangular
+from stokes_sdg.quadrature import edge_rule, map_rule, triangle_rule
 from stokes_sdg.spaces import (GradientField, PressureField, VelocityField,
                                error_gradient, error_pressure, error_super,
                                error_velocity, interp_gradient, interp_pressure,
@@ -24,6 +26,17 @@ def test_field_rejects_wrong_shape(field):
     stag = build_staggered(generate_triangular(2))
     with pytest.raises(ValueError, match="must have shape"):
         field(stag, np.zeros((stag.n_edges + 1, 3)))
+
+
+def test_pressure_mean_divides_by_total_area():
+    # one 2 x 2 square: the constant 1 has mean 1, not the integral 4
+    square = one_cell(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]))
+    assert PressureField(square, [1.0]).mean() == 1.0
+    # two cells of areas 1/2 and 3/2 on [0, 2] x [0, 1]
+    stag = build_staggered(PrimalMesh([[0, 0], [1, 0], [2, 0], [2, 1], [0, 1]],
+                                      [[0, 1, 4], [1, 2, 3, 4]]))
+    assert np.array_equal(stag.cell_area, [0.5, 1.5])
+    assert abs(PressureField(stag, [4.0, -2.0]).mean() - (0.5 * 4.0 - 1.5 * 2.0) / 2.0) < 1e-15
 
 
 # ------------------------------------------------------------ interpolation
@@ -84,8 +97,8 @@ def test_interp_pressure_constant_and_linear():
 
     # one block: the rule's weights times the values at every point, (1, nq) @ (nq, nt)
     assert stag.n_duals <= spaces._BLOCK
-    rule = triangle_rule(8)
-    pts = map_to_triangles(rule, stag.xstar[stag.tri_cell], stag.cvert, stag.cvert[stag.next_slot])
+    rule = triangle_rule()
+    pts = map_rule(rule, (stag.xstar[stag.tri_cell], stag.cvert, stag.cvert[stag.next_slot]))
     per_tri = 2.0 * stag.tri_area * (rule.weights[None, :] @ p(pts))[0]
     sums = [np.add.reduceat(per_tri[lo:hi], [0])[0]
             for lo, hi in zip(stag.cell_ptr[:-1], stag.cell_ptr[1:])]
@@ -162,8 +175,7 @@ def test_velocity_interpolant_orthogonality():
     ih = interp_velocity(stag, case.u)
     rng = np.random.default_rng(5)
     rule = edge_rule()
-    v0, v1 = stag.edge_endpoints()
-    pts, w = edge_points(rule, v0, v1)
+    pts = map_rule(rule, stag.edge_endpoints())                    # (nq, ne, 2)
     uvals = case.u(pts.reshape(-1, 2)).reshape(pts.shape)
     scale = np.abs(ih.values).max()
     for trial in range(100):
@@ -173,8 +185,8 @@ def test_velocity_interpolant_orthogonality():
         for e in stag.interior_edges:
             t1, t2 = stag.edge_slots[e]
             jump_n = (tens[t1] - tens[t2]) @ stag.cnorm[t1]
-            diff = ih.values[e][None, :] - uvals[e]
-            total += np.einsum("qc,c,q->", diff, jump_n, w[e])
+            diff = ih.values[e][None, :] - uvals[:, e]
+            total += stag.edge_len[e] * np.einsum("qc,c,q->", diff, jump_n, rule.weights)
         assert abs(total) < 1e-10 * max(scale, 1.0)
 
 
@@ -187,11 +199,9 @@ def test_gradient_interpolant_orthogonality():
     jh = interp_gradient(stag, lambda p: case.omega(p, nu))
     rng = np.random.default_rng(6)
     rule = edge_rule()
-    v0 = stag.xstar[stag.tri_cell]
-    v1 = stag.cvert
-    pts, w = edge_points(rule, v0, v1)
-    om = case.omega(pts.reshape(-1, 2), nu).reshape(pts.shape[0], pts.shape[1], 2, 2)
-    om_n = np.einsum("dqij,dj->dqi", om, stag.dual_normal)
+    pts = map_rule(rule, (stag.xstar[stag.tri_cell], stag.cvert))     # (nq, nd, 2)
+    om = case.omega(pts.reshape(-1, 2), nu).reshape(pts.shape[:2] + (2, 2))
+    om_n = np.einsum("qdij,dj->dqi", om, stag.dual_normal)
     scale = np.abs(jh.values).max()
     for trial in range(100):
         vals = rng.standard_normal((stag.n_edges, 2))
@@ -202,7 +212,7 @@ def test_gradient_interpolant_orthogonality():
         for d in range(stag.n_duals):
             jump = tv[stag.prev_slot[d]] - tv[d]
             diff = jh.values[d][None, :] - om_n[d]
-            total -= np.einsum("qc,c,q->", diff, jump, w[d])
+            total -= stag.dual_len[d] * np.einsum("qc,c,q->", diff, jump, rule.weights)
         assert abs(total) < 1e-10 * max(scale, 1.0)
 
 
@@ -214,7 +224,7 @@ def test_gradient_interpolant_orthogonality():
     ("one-10-gon", lambda: one_cell(random_convex_polygon(10, np.random.default_rng(10)))),
 ])
 def test_block_size_does_not_change_results(name, gen, monkeypatch):
-    from stokes_sdg.assembly import assemble_rhs
+    from stokes_sdg.assembly import assemble_rhs, assemble_system
 
     stag = gen()
     case = case_taylor()
@@ -236,9 +246,15 @@ def test_block_size_does_not_change_results(name, gen, monkeypatch):
                 interp_pressure(stag, spy(case.p)).values,
                 error_velocity(u_h, spy(case.u)),
                 error_gradient(omega_h, spy(lambda x: case.omega(x, 1.0))),
-                error_pressure(p_h, spy(case.p))]
+                error_pressure(p_h, spy(case.p)),
+                interp_velocity(stag, spy(case.u)).values,
+                interp_gradient(stag, spy(lambda x: case.omega(x, 1.0))).values,
+                assemble_system(stag, dataclasses.replace(case, u=spy(case.u)), "sdg1", 1.0).ug]
 
-    nq = len(triangle_rule(spaces._TRI_DEGREE).weights)
+    # the triangle rule has more nodes than the edge rule, and a mesh has
+    # fewer primal edges than sub-triangles, so the sub-triangle calls are
+    # the largest unless an edge array of the whole mesh is evaluated at once
+    nq = len(triangle_rule().weights)
     monkeypatch.setattr(spaces, "_BLOCK", stag.n_duals + 5)
     ref = results()
     assert largest[0] == stag.n_duals * nq
