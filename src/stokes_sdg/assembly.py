@@ -39,6 +39,41 @@ class AssemblyError(RuntimeError):
     pass
 
 
+def _block_csr(shape, blocks) -> sp.csr_matrix:
+    """CSR matrix of `shape` holding scale * (a (x) I_k) with its top-left
+    entry at (row0, col0) for each (a, row0, col0, k, scale) in `blocks`.
+    The arrays are counted, allocated once and filled in place; blocks that
+    share rows must not overlap and come in increasing col0, so the result
+    is canonical without a sort."""
+    canon = []
+    for a, row0, col0, k, scale in blocks:
+        a = a.tocsr()
+        if not a.has_canonical_format:
+            a = a.copy()  # sum_duplicates works in place
+            a.sum_duplicates()
+        canon.append((a, row0, col0, k, scale))
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    for a, row0, _, k, _ in canon:
+        indptr[row0 + 1:row0 + 1 + k * a.shape[0]] += np.repeat(np.diff(a.indptr), k)
+    np.cumsum(indptr, out=indptr)
+    nnz = int(indptr[-1])
+    itype = np.int32 if max(nnz, *shape) < 2**31 else np.int64
+    indices = np.empty(nnz, dtype=itype)
+    data = np.empty(nnz)
+    fill = indptr[:-1].copy()  # next free position of each row
+    for a, row0, col0, k, scale in canon:
+        lens = np.diff(a.indptr)
+        cols, vals = k * a.indices + col0, scale * a.data
+        for c in range(k):
+            rows = fill[row0 + c:row0 + k * a.shape[0]:k]  # a view, so += advances fill
+            pos = np.repeat(rows - a.indptr[:-1], lens)
+            pos += np.arange(a.nnz)
+            indices[pos] = cols + c
+            data[pos] = vals
+            rows += lens
+    return sp.csr_matrix((data, indices, indptr.astype(itype)), shape=shape)
+
+
 def assemble_Bh(stag: StaggeredMesh) -> sp.csr_matrix:
     """Scalar block Bs of B_h over primal edges (rows) and dual edges
     (columns): B_h = -sum_{dual e} |e| q_e . (v_first - v_second) acts on each
@@ -180,16 +215,14 @@ class SaddleSystem:
         """The bordered (q, u, p, mu) matrix, built anew from the blocks on
         every call, so it cannot go stale when a block is replaced."""
         area = sp.csr_matrix(self.stag.cell_area[:, None])
-        b0 = self.B0
-        return sp.bmat(
-            [
-                [self.M, -self.nu * b0.T, None, None],
-                [b0, None, self.D0.T, None],
-                [None, self.D0, None, area],
-                [None, None, area.T, None],
-            ],
-            format="csr",
-        )
+        u0, p0 = self.n_q, self.n_q + self.n_u  # first u, p and mu rows
+        m0 = p0 + self.n_p
+        return _block_csr((self.size, self.size), [
+            (self.Ms, 0, 0, 2, 1.0), (self.Bs0.T, 0, u0, 2, -self.nu),
+            (self.Bs0, u0, 0, 2, 1.0), (self.D0.T, u0, p0, 1, 1.0),
+            (self.D0, p0, u0, 1, 1.0), (area, p0, m0, 1, 1.0),
+            (area.T, m0, p0, 1, 1.0),
+        ])
 
     def rhs(self) -> np.ndarray:
         r_q = self.nu * (self.Bsg.T @ self.ug.reshape(-1, 2)).ravel()

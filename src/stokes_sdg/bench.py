@@ -71,6 +71,8 @@ def mesh_for(family: str, level: int, jitter: float = 0.0) -> PrimalMesh:
     n = level_to_n(family, level)
     if family == "tri":
         return generate_triangular(n, jitter=jitter)
+    if jitter != 0.0 and family in ("trap", "poly"):
+        raise ValueError(f"jitter applies only to the tri family, not {family!r}")
     if family == "trap":
         return generate_trapezoidal(n)
     if family == "poly":

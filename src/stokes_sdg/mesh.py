@@ -388,6 +388,9 @@ def _check_coordinates_are_numbers(rows):
     would read the string "1" and true as 1.0."""
     if not isinstance(rows, list):
         return  # the float conversion or PrimalMesh rejects the shape
+    if (set(map(type, rows)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
+        return  # one C-level pass; the loop below only names the first bad vertex
     for i, row in enumerate(rows):
         bad = [c for c in row if type(c) not in (int, float)] if isinstance(row, list) else []
         if bad:

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import SaddleSystem
+from .assembly import SaddleSystem, _block_csr
 from .mesh import StaggeredMesh, _size_groups
 from .spaces import GradientField, PressureField, VelocityField
 
@@ -116,7 +116,7 @@ def solve(system: SaddleSystem) -> FieldSolution:
         raise SolverError(f"divergence-free basis of {z.shape[1]} columns for {system.n_u} "
                           f"velocities and {system.n_p} cells: domain not simply connected")
     d1 = system.D0[1:]  # pin p_0 = 0
-    k = sp.kron(bs0 @ msinv @ nu_bs0t, sp.identity(2), format="csr")
+    k = _block_csr((system.n_u, system.n_u), [(bs0 @ msinv @ nu_bs0t, 0, 0, 2, 1.0)])
     lu_u = _factor(z.T @ k @ z)
     lu_p = _factor(d1 @ d1.T)
     blocks = np.cumsum([system.n_q, system.n_u, system.n_p])

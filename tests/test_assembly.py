@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stokes_sdg.assembly import (AssemblyError, RTTable, assemble_Bh,
                                  assemble_bh, assemble_mass, assemble_rhs,
                                  assemble_system, load_moments)
+from stokes_sdg.bench import mesh_for
 from stokes_sdg.cases import case_noflow, case_taylor, get_case
 from stokes_sdg.mesh import (PrimalMesh, build_staggered, generate_polygonal,
                              generate_trapezoidal, generate_triangular)
@@ -192,6 +194,50 @@ def test_velocity_pressure_block_scaling():
     upper = mat[:nq, nq:nq + nu_dofs]   # -nu * B0^T
     lower = mat[nq:nq + nu_dofs, :nq]   # B0
     assert np.abs(upper + nu * lower.T).max() < 1e-14
+
+
+def bordered_oracle(system):
+    """The bordered matrix through sp.bmat of the interleaved sp.kron blocks."""
+    area = sp.csr_matrix(system.stag.cell_area[:, None])
+    m, b0 = (sp.kron(a, sp.identity(2), format="coo") for a in (system.Ms, system.Bs0))
+    return sp.bmat([[m, -system.nu * b0.T, None, None],
+                    [b0, None, system.D0.T, None],
+                    [None, system.D0, None, area],
+                    [None, None, area.T, None]], format="csr")
+
+
+@pytest.mark.parametrize("family,jitter", [("tri", 0.0), ("trap", 0.0), ("poly", 0.0),
+                                           ("tri", 0.2)])
+@pytest.mark.parametrize("method", ["sdg1", "sdg2"])
+def test_matrix_arrays_match_the_kron_bmat_oracle(family, jitter, method):
+    stag = build_staggered(mesh_for(family, 3, jitter))
+    system = assemble_system(stag, get_case("taylor"), method, 0.37)
+    mat, ref = system.matrix(), bordered_oracle(system)
+    assert mat.indices.dtype == mat.indptr.dtype == np.int32
+    assert mat.has_canonical_format
+    assert np.array_equal(mat.indptr, ref.indptr)
+    assert np.array_equal(mat.indices, ref.indices)
+    assert np.array_equal(mat.data, ref.data)
+
+
+def test_matrix_of_an_unsorted_block_with_duplicates():
+    stag = build_staggered(generate_polygonal(2))
+    system = assemble_system(stag, get_case("taylor"), "sdg1", 0.37)
+    ms = system.Ms.tocoo()
+    # split the first entry into two halves and reverse every row's columns
+    order = np.lexsort((-ms.col, ms.row))
+    row, col, val = ms.row[order], ms.col[order], ms.data[order]
+    first = np.flatnonzero(order == 0)[0]
+    val[first] *= 0.5
+    row, col, val = (np.insert(x, first, x[first]) for x in (row, col, val))
+    indptr = np.searchsorted(row, np.arange(ms.shape[0] + 1))
+    system.Ms = sp.csr_matrix((val, col, indptr), shape=ms.shape)
+    assert not system.Ms.has_canonical_format
+    dense = bordered_oracle(system).toarray()
+    mat = system.matrix()
+    assert mat.has_canonical_format
+    assert np.array_equal(mat.toarray(), dense)
+    assert not system.Ms.has_canonical_format  # the block is left as it was
 
 
 def test_nearly_parallel_dual_normals_detected():

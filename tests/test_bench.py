@@ -14,6 +14,15 @@ def test_level_mapping():
     assert [level_to_n("poly", k) for k in (1, 2)] == [4, 8]
 
 
+@pytest.mark.parametrize("family", ["trap", "poly"])
+def test_jitter_on_a_non_triangular_family_is_rejected(family):
+    with pytest.raises(ValueError, match=f"not {family!r}"):
+        mesh_for(family, 2, jitter=0.1)
+    with pytest.raises(ValueError, match=f"not {family!r}"):
+        convergence_study(CaseSpec("taylor", family=family, levels=2, jitter=0.1))
+    assert mesh_for(family, 2, jitter=0.0).n_cells > 0
+
+
 def test_casespec_needs_two_levels():
     with pytest.raises(ValueError):
         CaseSpec("taylor", levels=1)
