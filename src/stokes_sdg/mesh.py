@@ -39,7 +39,10 @@ class MeshError(ValueError):
 # np.add.reduceat over cell_ptr[:-1].  _size_groups stacks the cells of one
 # size only where a batched dense operation needs equal sizes: validate's
 # pairwise vertex distances, the solver's batched block inverse and the
-# per-cell cumulative sums of _kernels.cell_moments.
+# per-cell cumulative sums of _kernels.cell_moments.  The generators hand
+# PrimalMesh._from_packed these arrays directly, and write_mesh serializes
+# the vertex array as it is, so no per-cell Python list is built on the way
+# from a generator to a mesh file.
 # ---------------------------------------------------------------------------
 
 def _is_index_type(t) -> bool:
@@ -81,7 +84,8 @@ def _slot_geometry(p, nxt):
     x_k y_k+1 - x_k+1 y_k."""
     q = p[nxt]
     tang = q - p
-    return tang, np.linalg.norm(tang, axis=1), p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
+    tx, ty = tang[:, 0], tang[:, 1]
+    return tang, np.sqrt(tx * tx + ty * ty), p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
 
 
 def _first_appearance(keys):
@@ -156,8 +160,20 @@ class PrimalMesh:
     """
 
     def __init__(self, vertices, cells):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.cell_ptr, self.cell_idx = _pack_cells(cells)
+        self._set_up(vertices, *_pack_cells(cells))
+
+    @classmethod
+    def _from_packed(cls, vertices, cell_ptr, cell_idx):
+        """The mesh of the packed cells (cell_ptr, cell_idx), with the
+        constructor's checks."""
+        mesh = cls.__new__(cls)
+        mesh._set_up(vertices, cell_ptr, cell_idx)
+        return mesh
+
+    def _set_up(self, vertices, cell_ptr, cell_idx):
+        # C order, which write_mesh's serializer requires
+        self.vertices = np.ascontiguousarray(vertices, dtype=float)
+        self.cell_ptr, self.cell_idx = cell_ptr, cell_idx
         self._validate_structure()
 
     @property
@@ -286,8 +302,8 @@ def generate_triangular(n: int, jitter: float = 0.0, seed: int = 0) -> PrimalMes
         )
         verts[interior] += rng.uniform(-jitter * h, jitter * h, (interior.sum(), 2))
     # per square (v00, v10, v11) then (v00, v11, v01)
-    cells = _grid_quads(n)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
-    return PrimalMesh(verts, cells.tolist())
+    cells = _grid_quads(n)[:, [0, 1, 2, 0, 2, 3]].ravel()
+    return PrimalMesh._from_packed(verts, 3 * np.arange(2 * n * n + 1), cells)
 
 
 def generate_trapezoidal(n: int) -> PrimalMesh:
@@ -305,7 +321,8 @@ def generate_trapezoidal(n: int) -> PrimalMesh:
     y = j * h
     inner = (j > 0) & (j < n)
     y[inner] += 0.25 * h * np.where((i + j) % 2 == 0, 1.0, -1.0)[inner]
-    return PrimalMesh(np.stack([i * h, y], axis=1), _grid_quads(n).tolist())
+    return PrimalMesh._from_packed(np.stack([i * h, y], axis=1),
+                                   4 * np.arange(n * n + 1), _grid_quads(n).ravel())
 
 
 # a hexagon around its center, in (w/2, r/2) lattice units, CCW from the bottom
@@ -345,14 +362,15 @@ def generate_polygonal(n: int) -> PrimalMesh:
 
     # row j has its centers at height 3j and, in even rows, on both sides of
     # the square; vertices are numbered by first appearance
-    centers = np.array([(cx, 3 * j) for j in range(n + 1)
-                        for cx in range(j % 2, 2 * n + 1, 2)])
+    cx, j = np.meshgrid(np.arange(2 * n + 1), np.arange(n + 1))
+    row = (cx + j) % 2 == 0
+    centers = np.stack([cx[row], 3 * j[row]], axis=1)
     pts, corner = _clip_to_square(centers[:, None] + _HEXAGON, 2 * n, 3 * n)
     flat = pts[corner]
     ids, first = _first_appearance(flat[:, 0] * (3 * n + 1) + flat[:, 1])
-    ids, ptr = ids.tolist(), [0] + np.cumsum(corner.sum(axis=1)).tolist()
+    ptr = np.concatenate([[0], np.cumsum(corner.sum(axis=1))])
     coords = np.clip(flat[first] * 0.5 * [w, r], 0.0, 1.0)
-    return PrimalMesh(coords, [ids[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])])
+    return PrimalMesh._from_packed(coords, ptr, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +380,22 @@ def generate_polygonal(n: int) -> PrimalMesh:
 def read_mesh(stream) -> PrimalMesh:
     """Parse the mesh text format; accepts a file-like object or a string."""
     text = stream.read() if hasattr(stream, "read") else stream
+    # the stdlib parser, not orjson's: orjson.loads rejects NaN and Infinity
+    # and reads 100000000000000000000 as a float, so the non-finite and
+    # out-of-range messages below would not name the vertex or the index
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MeshError(f"malformed mesh file at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer beyond the interpreter's digit limit
+        raise MeshError(f"malformed mesh file: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data or "cells" not in data:
         raise MeshError('mesh file must be an object with "vertices" and "cells"')
     _check_coordinates_are_numbers(data["vertices"])
     try:
         verts = np.asarray(data["vertices"], dtype=float)
+    except OverflowError as exc:
+        raise MeshError(_overflow_message(data["vertices"])) from exc
     except (TypeError, ValueError) as exc:
         raise MeshError(f"malformed vertex/cell arrays: {exc}") from exc
     mesh = PrimalMesh(verts, data["cells"])
@@ -395,6 +420,18 @@ def _check_coordinates_are_numbers(rows):
         bad = [c for c in row if type(c) not in (int, float)] if isinstance(row, list) else []
         if bad:
             raise MeshError(f"vertex {i}: coordinate {json.dumps(bad[0])} is not a number")
+
+
+def _overflow_message(rows):
+    """Name the first vertex with an integer coordinate beyond the float
+    range, which JSON allows and the float conversion refuses."""
+    for i, row in enumerate(rows):
+        for c in row if isinstance(row, list) else ():
+            try:
+                float(c)
+            except OverflowError:
+                return f"vertex {i}: integer coordinate beyond the float range"
+    return "a vertex coordinate lies beyond the float range"
 
 
 def _check_unit_square_boundary(mesh: PrimalMesh):
@@ -424,13 +461,18 @@ def _check_unit_square_boundary(mesh: PrimalMesh):
 
 
 def write_mesh(mesh: PrimalMesh) -> str:
-    idx = mesh.cell_idx.tolist()
-    ptr = mesh.cell_ptr.tolist()
+    """The mesh file text of mesh: compact JSON, each coordinate written as
+    the shortest decimal that reads back as the same float (values below
+    1e-4 in positional notation, as 0.00001), which read_mesh parses back
+    into an equal mesh."""
+    import orjson  # here, so that importing the package does not load it
+
+    idx, ptr = mesh.cell_idx.tolist(), mesh.cell_ptr.tolist()
     data = {
-        "vertices": mesh.vertices.tolist(),
+        "vertices": mesh.vertices,
         "cells": [idx[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])],
     }
-    return json.dumps(data, separators=(",", ":"))
+    return orjson.dumps(data, option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
 # ---------------------------------------------------------------------------

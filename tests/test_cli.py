@@ -131,6 +131,19 @@ def test_string_vertex_coordinate_exit_1(tmp_path, capsys):
     assert "is not a number" in capsys.readouterr().err
 
 
+def test_huge_integer_vertex_coordinate_exit_1(tmp_path, capsys):
+    # 1 followed by 400 zeros once ended the run in an OverflowError traceback
+    path = tmp_path / "huge.json"
+    path.write_text('{"vertices":[[0,0],[1,0],[1,1%s],[0,1]],"cells":[[0,1,2,3]]}'
+                    % ("0" * 400))
+    code = main(["run", "--case", "taylor", "--mesh", f"file:{path}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "vertex 2: integer coordinate beyond the float range" in err
+    assert "Traceback" not in err
+
+
 def test_out_of_memory_in_factorization_exit_1(monkeypatch, capsys):
     import stokes_sdg.solver as solver
 

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import math
 
 import numpy as np
@@ -290,6 +291,81 @@ def test_write_mesh_text():
     text = write_mesh(read_mesh(SPEC_EXAMPLE))
     assert text == ('{"vertices":[[0.0,0.0],[0.5,0.0],[1.0,0.0],[1.0,1.0],[0.5,1.0],'
                     '[0.0,1.0]],"cells":[[0,1,4,5],[1,2,3,4]]}')
+
+
+@pytest.mark.parametrize("gen", [
+    lambda: generate_triangular(64, jitter=0.2, seed=3),
+    lambda: generate_trapezoidal(16),
+    lambda: generate_polygonal(64),
+], ids=["tri-jitter", "trap", "poly-L5"])
+def test_write_mesh_text_matches_the_stdlib_writer(gen):
+    # the stdlib writer of the list form, as the text was once written
+    mesh = gen()
+    oracle = json.dumps({"vertices": mesh.vertices.tolist(),
+                         "cells": [c.tolist() for c in mesh.cells]},
+                        separators=(",", ":"))
+    assert write_mesh(mesh) == oracle
+
+
+def test_small_coordinate_round_trips_exactly():
+    # a triangle with a vertex at (1e-05, 0) and a quad tile the square; the
+    # stdlib writes that coordinate as 1e-05, write_mesh as 0.00001
+    mesh = PrimalMesh([[0.0, 0.0], [1e-05, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
+                      [[0, 1, 2], [1, 3, 4, 2]])
+    text = write_mesh(mesh)
+    assert "[0.00001,0.0]" in text
+    assert np.array_equal(np.array(json.loads(text)["vertices"]), mesh.vertices)
+    again = read_mesh(text)
+    assert np.array_equal(again.vertices, mesh.vertices)
+    assert again == mesh
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_non_contiguous_vertices_write_and_round_trip(layout):
+    trap = generate_trapezoidal(4)
+    verts, cells = trap.vertices, [c.tolist() for c in trap.cells]
+    if layout == "fortran":
+        given = np.asfortranarray(verts)
+    else:
+        given = np.zeros((len(verts), 4))[:, ::2]
+        given[:] = verts
+    assert not given.flags.c_contiguous
+    mesh = PrimalMesh(given, cells)
+    assert mesh.vertices.flags.c_contiguous
+    again = read_mesh(write_mesh(mesh))
+    assert np.array_equal(again.vertices, verts)
+    assert again == mesh
+
+
+@pytest.mark.parametrize("gen", [
+    lambda: generate_triangular(1), lambda: generate_triangular(8),
+    lambda: generate_triangular(16, jitter=0.2, seed=5),
+    lambda: generate_trapezoidal(2), lambda: generate_trapezoidal(8),
+    lambda: generate_polygonal(2), lambda: generate_polygonal(3),
+    lambda: generate_polygonal(16),
+], ids=["tri1", "tri8", "tri16-jitter", "trap2", "trap8", "poly2", "poly3", "poly16"])
+def test_packed_generators_match_the_cycle_constructor(gen):
+    mesh = gen()
+    again = PrimalMesh(mesh.vertices, [list(c) for c in mesh.cells])
+    arrays = {k: v for k, v in vars(mesh).items() if isinstance(v, np.ndarray)}
+    assert set(arrays) == {k for k, v in vars(again).items() if isinstance(v, np.ndarray)}
+    for name, value in arrays.items():
+        other = getattr(again, name)
+        assert value.dtype == other.dtype, name
+        assert np.array_equal(value, other), name
+
+
+@pytest.mark.parametrize("zeros,message", [
+    (400, "^vertex 2: integer coordinate beyond the float range$"),
+    (5000, "^malformed mesh file: .*digits"),
+], ids=["float-range", "digit-limit"])
+def test_huge_integer_coordinate_rejected(zeros, message):
+    # a JSON integer beyond the float range once escaped as an OverflowError,
+    # and one the parser refuses for its length as a plain ValueError
+    huge = "1" + "0" * zeros
+    bad = f'{{"vertices":[[0,0],[1,0],[1,{huge}],[0,1]],"cells":[[0,1,2,3]]}}'
+    with pytest.raises(MeshError, match=message):
+        read_mesh(bad)
 
 
 # ------------------------------------------------------------- staggered
