@@ -36,13 +36,14 @@ class MeshError(ValueError):
 # k of the cell, edge k (vertex k -> k+1), sub-triangle k (x*, v_k, v_k+1)
 # and dual edge k (x* -> v_k, between sub-triangles k-1 and k).  Cell
 # geometry is computed per slot (_slot_geometry) and summed per cell with
-# np.add.reduceat over cell_ptr[:-1].  _size_groups stacks the cells of one
-# size only where a batched dense operation needs equal sizes: validate's
-# pairwise vertex distances, the solver's batched block inverse and the
-# per-cell cumulative sums of _kernels.cell_moments.  The generators hand
-# PrimalMesh._from_packed these arrays directly, and write_mesh serializes
-# the vertex array as it is, so no per-cell Python list is built on the way
-# from a generator to a mesh file.
+# np.add.reduceat over cell_ptr[:-1]; PrimalMesh keeps the per-slot arrays,
+# and the StaggeredMesh that fans it shares them.  _size_groups stacks the
+# cells of one size only where a batched dense operation needs equal sizes:
+# validate's pairwise vertex distances, the solver's batched block inverse
+# and the per-cell cumulative sums of _kernels.cell_moments.  The generators
+# hand PrimalMesh._from_packed these arrays directly, and write_mesh
+# serializes the vertex array as it is, so no per-cell Python list is built
+# on the way from a generator to a mesh file.
 # ---------------------------------------------------------------------------
 
 def _is_index_type(t) -> bool:
@@ -146,8 +147,12 @@ class PrimalMesh:
     cell_ptr   : (nc+1,) offsets of the cells in cell_idx
     cell_idx   : (sum m,) packed vertex indices, each cell a CCW cycle
     cell_area  : (nc,) cell areas
+    cell_sizes : (nc,) vertex counts m of the cells
     next_slot, prev_slot : (sum m,) slot of the next / previous vertex of
                  the same cell
+    tri_cell   : (sum m,) cell of each slot
+    cvert      : (sum m, 2) packed cell vertices, vertices[cell_idx]
+    celen      : (sum m,) length |e_k| of each slot's edge
     loc_edge   : (sum m,) primal edge of each slot, numbered by first appearance
     edge_slots : (ne, 2) [first slot, second slot or -1] of each edge; the
                  first slot lies in the lower-numbered cell
@@ -156,7 +161,8 @@ class PrimalMesh:
     The constructor takes the cells as a sequence of index cycles.  It
     checks orientation, strict convexity, and edge sharing; the generators
     and the mesh-file reader additionally guarantee that the cells tile the
-    unit square.
+    unit square, and the staggered build enforces that the tiling is
+    conforming.
     """
 
     def __init__(self, vertices, cells):
@@ -218,7 +224,9 @@ class PrimalMesh:
 
         self.next_slot, self.prev_slot = _cycle_slots(ptr)
         nxt = self.next_slot
-        tang, elen, cross = _slot_geometry(v[idx], nxt)
+        self.cvert, self.cell_sizes, self.tri_cell = v[idx], sizes, slot_cell
+        tang, elen, cross = _slot_geometry(self.cvert, nxt)
+        self.celen, self._cross = elen, cross  # the shoelace terms give the fan's x*
         areas = 0.5 * np.add.reduceat(cross, ptr[:-1])
         # each corner turns left by more than a relative cross product of
         # 1e-13; at a zero-length edge both sides are 0 and the test fails
@@ -479,76 +487,59 @@ def write_mesh(mesh: PrimalMesh) -> str:
 # Staggered subdivision
 # ---------------------------------------------------------------------------
 
-class StaggeredMesh:
-    """Primal mesh plus centroid fans: sub-triangles, dual edges, D(e).
+class StaggeredMesh(PrimalMesh):
+    """A PrimalMesh fanned from its cell centroids: sub-triangles, dual
+    edges, D(e).
 
     Sub-triangles and dual edges are numbered by packed slot (see "Packed
     cells" above): sub-triangle s is (x*, v_k, v_k+1) on primal edge k of its
     cell, and dual edge s (x* -> v_k) leaves sub-triangle prev_slot[s] and
-    enters sub-triangle s.  Attributes (ne = primal edges, nd = slots = dual
-    edges = sub-triangles, nc = cells):
+    enters sub-triangle s.  It shares the primal's arrays and adds (ne =
+    primal edges, nd = slots = dual edges = sub-triangles, nc = cells):
 
-    primal                    the PrimalMesh
-    n_cells, n_edges, n_duals nc, ne, nd
-    cell_ptr (nc+1,), cell_sizes (nc,), cell_area (nc,)
+    n_edges, n_duals          ne, nd
     xstar (nc,2)              centroids x*
-    cvert, cnorm (nd,2)       packed cell vertices / outward edge normals
-    celen (nd,)               packed edge lengths |e_k|
-    loc_edge (nd,) int        primal edge of each slot
-    next_slot, prev_slot (nd,) int   slot of the next / previous vertex of
-                              the same cell
-    edge_slots (ne,2) int     D(e): [first slot, second slot or -1] of edge e
-    edge_len (ne,)
+    cnorm (nd,2)              packed outward edge normals
     interior_edges, boundary_edges   edge indices, ascending
     dual_normal (nd,2)        unit normal of dual edge s, into sub-triangle s
     dual_len (nd,)            |x* v_k|
-    tri_cell (nd,)            owning cell
     tri_area (nd,)            |e_k| d_k / 2, d_k the distance from x* to edge k
     tri_diam (nd,)            longest of the sides dual_len, dual_len[next_slot]
                               and celen
     h                         largest tri_diam
+
+    The build rejects a cell whose centroid is not interior to it, and a
+    mesh that is not a conforming tiling of a simply connected domain.
     """
 
     def __init__(self, primal: PrimalMesh):
-        verts, ptr, idx = primal.vertices, primal.cell_ptr, primal.cell_idx
-        nc = primal.n_cells
-        sizes = np.diff(ptr)
-        total = int(ptr[-1])
-        slot_cell = np.repeat(np.arange(nc), sizes)
-        nxt, prv = primal.next_slot, primal.prev_slot
-
-        cvert = verts[idx]
-        tang, celen, cross = _slot_geometry(cvert, nxt)
-        cnorm = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / celen[:, None]
+        vars(self).update(vars(primal))  # the same arrays, checked once
+        ptr, nxt, cvert, celen = self.cell_ptr, self.next_slot, self.cvert, self.celen
+        # the tangents as _slot_geometry forms them; a mesh that is never
+        # fanned does not keep them, which saves 16 B a slot
+        tang = cvert[nxt] - cvert
+        self.cnorm = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / celen[:, None]
         # the area centroid sum (v_k + v_k+1) cross_k / (3 sum cross_k), with
         # sum cross_k = 2 |T| (6 (0.5 x) rounds as 3 x does)
-        xstar = (np.add.reduceat((cvert + cvert[nxt]) * cross[:, None], ptr[:-1])
-                 / (6.0 * primal.cell_area)[:, None])
-        seg = cvert - xstar[slot_cell]
+        self.xstar = (np.add.reduceat((cvert + cvert[nxt]) * self._cross[:, None], ptr[:-1])
+                      / (6.0 * self.cell_area)[:, None])
+        seg = cvert - self.xstar[self.tri_cell]
         # distance from x* to the line of edge k: the height of sub-triangle k
-        d = np.einsum("sc,sc->s", seg, cnorm)
+        d = np.einsum("sc,sc->s", seg, self.cnorm)
         _raise_first([(~(d > 0.0),
-                       lambda t: f"cell {slot_cell[t]}: centroid not interior to the cell")])
+                       lambda t: f"cell {self.tri_cell[t]}: centroid not interior to the cell")])
+        self.n_edges = len(self.edge_slots)
+        euler = self.n_vertices - self.n_edges + self.n_cells
+        if euler != 1:  # as for every conforming tiling of a disk
+            raise MeshError(f"mesh is not a conforming tiling of a simply connected domain: "
+                            f"V - E + C = {euler}, not 1 (a hole, or a vertex hanging on an edge)")
+        self.interior_edges = np.flatnonzero(self.edge_slots[:, 1] >= 0)
+        self.boundary_edges = np.flatnonzero(self.edge_slots[:, 1] < 0)
+        self.n_duals = int(ptr[-1])
         dual_len = np.hypot(seg[:, 0], seg[:, 1])
-
-        self.primal = primal
-        self.n_cells = nc
-        self.cell_ptr = ptr
-        self.cell_sizes = sizes
-        self.cell_area = primal.cell_area
-        self.xstar = xstar
-        self.cvert, self.cnorm, self.celen = cvert, cnorm, celen
-        self.loc_edge, self.next_slot, self.prev_slot = primal.loc_edge, nxt, prv
-        self.edge_slots = primal.edge_slots
-        self.n_edges = len(primal.edge_slots)
-        self.edge_len = celen[primal.edge_slots[:, 0]]
-        self.interior_edges = np.flatnonzero(primal.edge_slots[:, 1] >= 0)
-        self.boundary_edges = np.flatnonzero(primal.edge_slots[:, 1] < 0)
-        self.n_duals = total
         # the left normal of x* -> v_k points into sub-triangle k
         self.dual_normal = np.stack([-seg[:, 1], seg[:, 0]], axis=1) / dual_len[:, None]
         self.dual_len = dual_len
-        self.tri_cell = slot_cell
         self.tri_area = 0.5 * celen * d
         self.tri_diam = np.maximum(np.maximum(dual_len, dual_len[nxt]), celen)
         self.h = float(self.tri_diam.max())

@@ -75,11 +75,13 @@ def _kernel_basis(stag: StaggeredMesh) -> sp.csr_matrix:
     divergences: column i is interior edge i's tangent t = (-n_y, n_x), and
     the column of interior vertex v is the curl of its P1 stream function,
     (psi_b - psi_a) n / |e| on each interior edge a -> b, n = cnorm of the
-    edge's first slot; psi = 0 on the boundary vertices."""
+    edge's first slot; psi = 0 on the boundary vertices.  The staggered
+    build's check V - E + C = 1 makes these n_ie + n_iv = n_u - n_p + 1
+    columns span the whole kernel."""
     s = stag
-    idx, first = s.primal.cell_idx, s.edge_slots[s.interior_edges, 0]
+    idx, first = s.cell_idx, s.edge_slots[s.interior_edges, 0]
     n_ie = len(first)
-    inner = np.ones(s.primal.n_vertices, dtype=bool)
+    inner = np.ones(s.n_vertices, dtype=bool)
     inner[idx[s.edge_slots[s.boundary_edges, 0]]] = False  # boundary edges form cycles
     col = np.full(len(inner), -1)
     col[inner] = n_ie + np.arange(np.count_nonzero(inner))
@@ -112,9 +114,6 @@ def solve(system: SaddleSystem) -> FieldSolution:
     nu_bs0t = system.nu * bs0.T
     msinv = _cell_block_inverse(system.Ms, s)
     z = _kernel_basis(s)
-    if z.shape[1] != system.n_u - system.n_p + 1:  # Euler's formula fails
-        raise SolverError(f"divergence-free basis of {z.shape[1]} columns for {system.n_u} "
-                          f"velocities and {system.n_p} cells: domain not simply connected")
     d1 = system.D0[1:]  # pin p_0 = 0
     k = _block_csr((system.n_u, system.n_u), [(bs0 @ msinv @ nu_bs0t, 0, 0, 2, 1.0)])
     lu_u = _factor(z.T @ k @ z)

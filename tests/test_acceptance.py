@@ -222,7 +222,7 @@ def test_criterion_6_property_suite():
         rhs = 0.0
         for e in stag.interior_edges:
             t1, t2 = stag.edge_slots[e]
-            rhs += stag.edge_len[e] * vals[e] @ (
+            rhs += stag.celen[stag.edge_slots[e, 0]] * vals[e] @ (
                 (tens[t1] - tens[t2]) @ stag.cnorm[t1]
             )
         worst_adj = max(worst_adj, abs(lhs - rhs) / max(abs(lhs), 1.0))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from stokes_sdg.assembly import (AssemblyError, RTTable, assemble_Bh,
@@ -22,7 +23,7 @@ def bh_star_oracle(stag, vals, tens):
     for e in stag.interior_edges:
         t1, t2 = stag.edge_slots[e]
         jump = (tens[t1] - tens[t2]) @ stag.cnorm[t1]
-        total += stag.edge_len[e] * vals[e] @ jump
+        total += stag.celen[stag.edge_slots[e, 0]] * vals[e] @ jump
     return total
 
 
@@ -152,19 +153,39 @@ def test_rhs_unknown_method_rejected():
         assemble_rhs(stag, lambda p: np.zeros_like(p), "sdg3")
 
 
-@pytest.mark.parametrize("name,gen", [MESHES[0], MESHES[2]])
+@pytest.mark.parametrize("name,gen", MESHES)
 def test_gradient_rhs_matches_pressure_lifting(name, gen):
     # (grad p, reconstruct(v)) = b_h*(pi_h p, v): the sdg1 load of an
-    # irrotational force equals the pressure-gradient rows (exactly on
-    # triangles; within quadrature accuracy of the rational basis on
-    # polygons)
+    # irrotational force equals the pressure-gradient rows, to round-off on
+    # every cell shape, since the reconstruction is piecewise RT0 on the
+    # fan and the rule integrates noflow's linear load exactly
     stag = build_staggered(gen())
     case = case_noflow()
     system = assemble_system(stag, case, "sdg1", 1.0)
     lifting = system.D0.T @ interp_pressure(stag, case.p).values
     scale = np.abs(system.F).max()
-    tol = 1e-10 if name == "tri" else 1e-5
-    assert np.abs(system.F - lifting).max() < tol * scale
+    assert np.abs(system.F - lifting).max() < 1e-13 * scale
+
+
+@pytest.mark.parametrize("family,levels", [("tri", 4), ("trap", 4), ("poly", 3)])
+def test_discrete_inf_sup_constant_stays_bounded_below(family, levels):
+    # beta_h^2 is the smallest nonzero eigenvalue of S = D0 K^-1 D0^T against
+    # the pressure mass diag(area) (Brezzi, RAIRO 8, 1974); the zero one
+    # belongs to the constant pressure.  poly L4 is left out: 17 s densely
+    beta = []
+    for level in range(1, levels + 1):
+        stag = build_staggered(mesh_for(family, level))
+        system = assemble_system(stag, get_case("noflow"), "sdg1", 1.0)
+        bs0, d0 = system.Bs0.toarray(), system.D0.toarray()
+        k = np.kron(bs0 @ np.linalg.solve(system.Ms.toarray(), bs0.T), np.eye(2))
+        ev = sla.eigh(d0 @ np.linalg.solve(k, d0.T), np.diag(stag.cell_area),
+                      eigvals_only=True)
+        assert abs(ev[0]) <= 1e-12 * ev[-1]
+        beta.append(np.sqrt(ev[1]))
+    drops = -np.diff(beta)
+    # measured: tri 0.781 .. 0.532, trap 0.817 .. 0.526, poly 0.646 .. 0.519
+    assert min(beta) >= 0.45, beta
+    assert np.all(drops[1:] < drops[:-1]), beta
 
 
 def test_sdg1_and_sdg2_share_the_matrix():

@@ -2,18 +2,24 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from stokes_sdg.mesh import (_HEXAGON, MeshError, PrimalMesh, RegularityReport,
                              _clip_to_square, _cycle_slots, _edge_table, _pack_cells,
-                             build_staggered, generate_polygonal,
+                             _slot_geometry, build_staggered, generate_polygonal,
                              generate_trapezoidal, generate_triangular,
                              read_mesh, validate, write_mesh)
 
 from conftest import (centroid, edge_normals, one_cell, polygon_area,
                       random_convex_polygon)
+
+# the left half of the square and two quarters on the right: vertex 6 hangs
+# on the edge (1, 4) of cell 0, so V - E + C = 8 - 11 + 3 = 0
+HANGING = {"vertices": [[0, 0], [.5, 0], [1, 0], [0, 1], [.5, 1], [1, 1], [.5, .5], [1, .5]],
+           "cells": [[0, 1, 4, 3], [1, 2, 7, 6], [6, 7, 5, 4]]}
 
 SPEC_EXAMPLE = ('{"vertices":[[0,0],[0.5,0],[1,0],[1,1],[0.5,1],[0,1]],'
                 '"cells":[[0,1,4,5],[1,2,3,4]]}')
@@ -188,6 +194,11 @@ def test_boundary_edge_off_the_square_rejected():
            '"cells":[[0,1,2],[3,4,5]]}')
     with pytest.raises(MeshError, match=r"boundary edge \(1, 2\) does not lie"):
         read_mesh(bad)
+
+
+def test_hanging_vertex_rejected_by_reader():
+    with pytest.raises(MeshError, match=r"boundary edge \(1, 4\) does not lie on its boundary"):
+        read_mesh(json.dumps(HANGING))
 
 
 @pytest.mark.parametrize("index", ["2.7", '"2"', "2.0", "true"])
@@ -518,6 +529,9 @@ def _unchecked_primal(vertices, cells):
     mesh.vertices = np.asarray(vertices, dtype=float)
     mesh.cell_ptr, mesh.cell_idx = _pack_cells(cells)
     mesh.next_slot, mesh.prev_slot = _cycle_slots(mesh.cell_ptr)
+    mesh.cvert, mesh.cell_sizes = mesh.vertices[mesh.cell_idx], np.diff(mesh.cell_ptr)
+    mesh.tri_cell = np.repeat(np.arange(mesh.n_cells), mesh.cell_sizes)
+    mesh.celen, mesh._cross = _slot_geometry(mesh.cvert, mesh.next_slot)[1:]
     mesh.loc_edge, mesh.edge_slots = _edge_table(mesh.cell_idx, mesh.next_slot,
                                                  mesh.n_vertices)[:2]
     mesh.cell_area = np.array([polygon_area(mesh.vertices[c]) for c in mesh.cells])
@@ -529,6 +543,40 @@ def test_staggered_build_rejects_exterior_centroid():
     dart = _unchecked_primal([[0, 0], [1, 0], [0.2, 0.2], [0, 1]], [[0, 1, 2, 3]])
     with pytest.raises(MeshError, match="centroid not interior"):
         build_staggered(dart)
+
+
+def _annulus():
+    """Eight unit-grid squares around a missing middle one, scaled to the
+    unit square: a mesh that is not simply connected."""
+    verts = [(i / 3.0, j / 3.0) for j in range(4) for i in range(4)]
+    cells = [[4 * j + i, 4 * j + i + 1, 4 * j + i + 5, 4 * j + i + 4]
+             for j in range(3) for i in range(3) if (i, j) != (1, 1)]
+    return PrimalMesh(verts, cells)
+
+
+def test_staggered_build_rejects_a_hole():
+    # around a hole the discrete divergence-free space has one more vector
+    # than the curls of P1 stream functions that vanish on the boundary
+    with pytest.raises(MeshError, match=re.escape("V - E + C = 0")):
+        build_staggered(_annulus())
+
+
+def test_staggered_build_rejects_a_hanging_vertex():
+    # PrimalMesh accepts the mesh: every edge has one or two users
+    primal = PrimalMesh(HANGING["vertices"], HANGING["cells"])
+    with pytest.raises(MeshError, match="vertex hanging on an edge"):
+        build_staggered(primal)
+
+
+def test_staggered_mesh_shares_the_primal_arrays():
+    primal = generate_polygonal(4)
+    stag = build_staggered(primal)
+    assert isinstance(stag, PrimalMesh)
+    for name in ("vertices", "cell_ptr", "cell_idx", "cvert", "celen", "tri_cell",
+                 "loc_edge", "edge_slots", "cell_area"):
+        assert getattr(stag, name) is getattr(primal, name), name
+    assert stag == primal
+    assert read_mesh(write_mesh(stag)) == primal
 
 
 def test_convexity_tolerance_shared_by_mesh_and_polygon():

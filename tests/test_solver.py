@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stokes_sdg.assembly import assemble_system
+from stokes_sdg.assembly import assemble_rhs, assemble_system
 from stokes_sdg.bench import mesh_for, run_case
 from stokes_sdg.cases import ManufacturedCase, get_case
-from stokes_sdg.mesh import (PrimalMesh, build_staggered, generate_polygonal,
+from stokes_sdg.mesh import (build_staggered, generate_polygonal,
                              generate_trapezoidal, generate_triangular, read_mesh,
                              write_mesh)
 from stokes_sdg.solver import SolverError, solve
@@ -202,7 +202,7 @@ def test_one_factorization_per_solve(monkeypatch):
     # pressure Laplacian D1 D1^T with cell 0's pressure pinned; neither is
     # the full system nor the coupled (u, p) system
     # the boundary of the square is one cycle: as many vertices as edges
-    n_iv = stag.primal.n_vertices - len(stag.boundary_edges)
+    n_iv = stag.n_vertices - len(stag.boundary_edges)
     n, m = len(stag.interior_edges) + n_iv, system.n_p - 1
     assert calls == [(n, n), (m, m), (n, n), (m, m)]
 
@@ -232,15 +232,6 @@ def test_factored_matrix_matches_dense_schur_complement(nu, monkeypatch):
         assert np.abs(mat - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
-def _annulus():
-    """Eight unit-grid squares around a missing middle one, scaled to the
-    unit square: a mesh that is not simply connected."""
-    verts = [(i / 3.0, j / 3.0) for j in range(4) for i in range(4)]
-    cells = [[4 * j + i, 4 * j + i + 1, 4 * j + i + 5, 4 * j + i + 4]
-             for j in range(3) for i in range(3) if (i, j) != (1, 1)]
-    return PrimalMesh(verts, cells)
-
-
 @pytest.mark.parametrize("label", ["tri", "trap", "poly", "tri-jitter", "file"])
 def test_kernel_basis_spans_the_discrete_divergence_free_space(label):
     import stokes_sdg.solver as solver
@@ -257,13 +248,28 @@ def test_kernel_basis_spans_the_discrete_divergence_free_space(label):
     assert np.linalg.matrix_rank(z.toarray()) == z.shape[1]
 
 
-def test_kernel_basis_of_the_wrong_size_raises():
-    # around a hole the stream function may take a constant on the inner
-    # boundary, so psi = 0 on every boundary vertex misses one kernel vector
-    stag = build_staggered(_annulus())
-    system = assemble_system(stag, get_case("noflow"), "sdg1", 1.0)
-    with pytest.raises(SolverError, match="not simply connected"):
-        solve(system)
+def _grad_x3_cos_y(xy):
+    x, y = xy[..., 0], xy[..., 1]
+    return np.stack([3.0 * x**2 * np.cos(y), -x**3 * np.sin(y)], axis=-1)
+
+
+@pytest.mark.parametrize("family,level", [("poly", 3), ("tri", 4), ("trap", 4)])
+def test_gradient_load_is_orthogonal_to_the_divergence_free_space(family, level):
+    # pressure robustness without a solve (Linke, CMAME 268, 2014): the sdg1
+    # load of f = grad(x^3 cos y), which no quadrature integrates exactly,
+    # does not reach the divergence-free velocities; the sdg2 load does.  A
+    # solver without _kernel_basis would test the same property as a range
+    # residual against D0^T
+    import stokes_sdg.solver as solver
+    stag = build_staggered(mesh_for(family, level))
+    z = solver._kernel_basis(stag)
+    ratio = {}
+    for method in ("sdg1", "sdg2"):
+        f = assemble_rhs(stag, _grad_x3_cos_y, method).reshape(-1, 2)[stag.interior_edges]
+        ratio[method] = np.abs(z.T @ f.ravel()).max() / np.abs(f).max()
+    # measured: sdg1 1.2e-14, 1.1e-14, 4.4e-15; sdg2 9.69, 1.14, 7.67
+    assert ratio["sdg1"] <= 1e-13, ratio
+    assert ratio["sdg2"] >= 0.5, ratio
 
 
 @pytest.mark.parametrize("family", ["tri", "trap", "poly"])

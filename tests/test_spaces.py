@@ -186,7 +186,8 @@ def test_velocity_interpolant_orthogonality():
             t1, t2 = stag.edge_slots[e]
             jump_n = (tens[t1] - tens[t2]) @ stag.cnorm[t1]
             diff = ih.values[e][None, :] - uvals[:, e]
-            total += stag.edge_len[e] * np.einsum("qc,c,q->", diff, jump_n, rule.weights)
+            total += (stag.celen[stag.edge_slots[e, 0]]
+                      * np.einsum("qc,c,q->", diff, jump_n, rule.weights))
         assert abs(total) < 1e-10 * max(scale, 1.0)
 
 
