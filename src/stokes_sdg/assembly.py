@@ -20,6 +20,7 @@ q, u, D0, Dg, F and ug interleave the velocity components (entry 2i + c is
 component c of dof i); M = Ms (x) I2 and B = Bs (x) I2 act on each alike.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ from .spaces import _edge_means, _tri_sums
 __all__ = [
     "AssemblyError", "SaddleSystem",
     "assemble_Bh", "assemble_bh", "assemble_mass", "assemble_rhs",
-    "assemble_system", "RTTable",
+    "assemble_system", "check_viscosities", "RTTable",
 ]
 
 class AssemblyError(RuntimeError):
@@ -229,8 +230,23 @@ class SaddleSystem:
         return np.concatenate([r_q, self.F, -(self.Dg @ self.ug), [0.0]])
 
 
+def check_viscosities(nus) -> None:
+    """Raise ValueError unless nus is a non-empty sequence of positive, finite
+    and strictly descending viscosities."""
+    if len(nus) == 0:
+        raise ValueError("the viscosity list is empty")
+    for nu in nus:
+        if not (math.isfinite(nu) and nu > 0.0):
+            raise ValueError(f"viscosity must be positive and finite, got {nu:g}")
+    for a, b in zip(nus, nus[1:]):
+        if not a > b:
+            raise ValueError(f"viscosities must be strictly descending, got {a:g} then {b:g}")
+
+
 def assemble_system(stag: StaggeredMesh, case, method: str, nu: float) -> SaddleSystem:
-    """Build the full system for a manufactured case (f and Dirichlet data)."""
+    """Build the full system for a manufactured case (f and Dirichlet data);
+    nu must be positive and finite."""
+    check_viscosities([nu])
     s = stag
     bs = assemble_Bh(s)
     dfull = assemble_bh(s)

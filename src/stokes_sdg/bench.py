@@ -11,7 +11,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
-from .assembly import assemble_system
+from .assembly import assemble_system, check_viscosities
 from .cases import ManufacturedCase, get_case
 from .mesh import (PrimalMesh, StaggeredMesh, build_staggered,
                    generate_polygonal, generate_trapezoidal, generate_triangular)
@@ -20,7 +20,7 @@ from .spaces import (error_gradient, error_pressure, error_super,
                      error_velocity)
 
 __all__ = [
-    "CaseSpec", "ErrorRecord", "mesh_for", "run_case",
+    "FAMILIES", "ErrorRecord", "level_to_n", "mesh_for", "run_case",
     "convergence_study", "study_on_meshes", "robustness_sweep", "emit", "emit_sweep",
 ]
 
@@ -28,22 +28,6 @@ CSV_COLUMNS = ("level", "h", "dof", "err_omega", "err_u", "err_p", "err_super",
                "ord_omega", "ord_u", "ord_p", "ord_super")
 SWEEP_COLUMNS = ("method", "nu", "h", "dof", "err_omega", "err_u", "err_p",
                  "err_super", "ratio_omega", "ratio_u")
-
-
-@dataclass(frozen=True)
-class CaseSpec:
-    """Configuration of one experiment family."""
-
-    case: str
-    method: str = "sdg1"
-    family: str = "tri"
-    levels: int = 4
-    nu: float = 1.0
-    jitter: float = 0.0
-
-    def __post_init__(self):
-        if self.levels < 2:
-            raise ValueError("need at least 2 refinement levels to observe orders")
 
 
 @dataclass(frozen=True)
@@ -61,23 +45,27 @@ class ErrorRecord:
     ord_super: float | None = None
 
 
+# mesh family -> generator of its mesh with n subdivisions per side
+FAMILIES = {"tri": generate_triangular, "trap": generate_trapezoidal,
+            "poly": generate_polygonal}
+
+
 def level_to_n(family: str, level: int) -> int:
-    if family == "poly":
-        return 2 ** (level + 1)
-    return 2 ** level
+    if family not in FAMILIES:
+        raise ValueError(f"unknown mesh family {family!r}; expected one of {list(FAMILIES)}")
+    return 2 ** (level + 1) if family == "poly" else 2 ** level
 
 
 def mesh_for(family: str, level: int, jitter: float = 0.0) -> PrimalMesh:
+    """The mesh of a family at a level >= 1; a jitter is for the tri family
+    only."""
+    if level < 1:
+        raise ValueError(f"level must be at least 1, got {level}")
     n = level_to_n(family, level)
-    if family == "tri":
-        return generate_triangular(n, jitter=jitter)
-    if jitter != 0.0 and family in ("trap", "poly"):
+    if jitter != 0.0 and family != "tri":
         raise ValueError(f"jitter applies only to the tri family, not {family!r}")
-    if family == "trap":
-        return generate_trapezoidal(n)
-    if family == "poly":
-        return generate_polygonal(n)
-    raise ValueError(f"unknown mesh family {family!r}")
+    generate = FAMILIES[family]
+    return generate(n, jitter=jitter) if jitter else generate(n)
 
 
 def run_case(case: ManufacturedCase, stag: StaggeredMesh, method: str,
@@ -117,12 +105,16 @@ def _orders(records: list[ErrorRecord]) -> list[ErrorRecord]:
     return out
 
 
-def convergence_study(spec: CaseSpec) -> list[ErrorRecord]:
-    """Convergence study over the levels 1..spec.levels of a mesh family; each
-    mesh is built when its level is reached."""
-    meshes = (build_staggered(mesh_for(spec.family, level, spec.jitter))
-              for level in range(1, spec.levels + 1))
-    return study_on_meshes(get_case(spec.case), meshes, spec.method, spec.nu)
+def convergence_study(case: str, family: str = "tri", levels: int = 4,
+                      method: str = "sdg1", nu: float = 1.0,
+                      jitter: float = 0.0) -> list[ErrorRecord]:
+    """Convergence study of a named case over the levels 1..levels (at least
+    2) of a mesh family; each mesh is built when its level is reached."""
+    if levels < 2:
+        raise ValueError(f"levels must be at least 2 to observe orders, got {levels}")
+    meshes = (build_staggered(mesh_for(family, level, jitter))
+              for level in range(1, levels + 1))
+    return study_on_meshes(get_case(case), meshes, method, nu)
 
 
 def study_on_meshes(case: ManufacturedCase, meshes: Iterable[StaggeredMesh],
@@ -137,10 +129,12 @@ def study_on_meshes(case: ManufacturedCase, meshes: Iterable[StaggeredMesh],
 
 
 def robustness_sweep(case_name: str, family: str, level: int, nu_list) -> list[dict]:
-    """Errors for both methods on one fixed mesh across viscosities (pass
-    nu_list in descending order).  ratio_omega = previous/current error (the
+    """Errors for both methods on one fixed mesh across viscosities.  It
+    checks, before any solve, that nu_list is non-empty, positive, finite
+    and strictly descending.  ratio_omega = previous/current error (the
     shrink factor per step) and ratio_u = current/previous (the growth
     factor), so both read ~10 in their interesting asymptotic regime."""
+    check_viscosities(nu_list)
     case = get_case(case_name)
     stag = build_staggered(mesh_for(family, level))
     rows = []

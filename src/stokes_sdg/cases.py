@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["ManufacturedCase", "case_taylor", "case_noflow", "case_trig", "get_case"]
+__all__ = ["CASES", "ManufacturedCase", "case_taylor", "case_noflow", "case_trig", "get_case"]
 
 
 @dataclass(frozen=True)
@@ -158,11 +158,11 @@ def case_trig() -> ManufacturedCase:
     return ManufacturedCase("trig", u, grad_u, lap_u, p, grad_p)
 
 
-_CASES = {"taylor": case_taylor, "noflow": case_noflow, "trig": case_trig}
+CASES = {"taylor": case_taylor, "noflow": case_noflow, "trig": case_trig}
 
 
 def get_case(name: str) -> ManufacturedCase:
     try:
-        return _CASES[name]()
+        return CASES[name]()
     except KeyError:
-        raise ValueError(f"unknown case {name!r}; expected one of {sorted(_CASES)}")
+        raise ValueError(f"unknown case {name!r}; expected one of {sorted(CASES)}")

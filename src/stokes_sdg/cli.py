@@ -8,21 +8,21 @@
                      [--format csv|md]
     stokes-sdg mesh  --family tri|trap|poly --n <k> --out <path>
 
-Exit codes: 0 success, 1 solver/validation failure, 2 argument errors.
+The library checks every argument it takes; the CLI only parses them and
+maps the errors to exit codes: 0 success, 1 a MeshError, AssemblyError or
+SolverError or running out of memory, 2 any other ValueError (an argument
+the library rejects), an unreadable file or an argument that does not parse.
 """
 
 import argparse
-import math
 import sys
 
-from .bench import (CaseSpec, convergence_study, emit, emit_sweep,
-                    get_case, robustness_sweep, study_on_meshes)
-from .mesh import (MAX_JITTER, MeshError, build_staggered, generate_polygonal,
-                   generate_trapezoidal, generate_triangular, read_mesh,
-                   write_mesh, validate)
+from .assembly import AssemblyError
+from .bench import (FAMILIES, convergence_study, emit, emit_sweep,
+                    robustness_sweep, study_on_meshes)
+from .cases import CASES, get_case
+from .mesh import MeshError, build_staggered, read_mesh, write_mesh, validate
 from .solver import SolverError
-
-_FAMILIES = ("tri", "trap", "poly")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="convergence study for a manufactured case")
-    run.add_argument("--case", required=True, choices=("taylor", "noflow", "trig"))
+    run.add_argument("--case", required=True, choices=CASES)
     run.add_argument("--mesh", required=True,
                      help="tri|trap|poly or file:<path> for an imported mesh")
     run.add_argument("--method", default="sdg1", choices=("sdg1", "sdg2"))
@@ -46,8 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="interior-vertex jitter for the triangular family")
 
     sweep = sub.add_parser("sweep", help="viscosity robustness sweep on a fixed mesh")
-    sweep.add_argument("--case", required=True, choices=("taylor", "noflow", "trig"))
-    sweep.add_argument("--mesh", required=True, choices=_FAMILIES)
+    sweep.add_argument("--case", required=True, choices=CASES)
+    sweep.add_argument("--mesh", required=True, choices=FAMILIES)
     sweep.add_argument("--level", type=int, required=True)
     sweep.add_argument("--nu-list", required=True,
                        help="comma-separated viscosities, strictly descending")
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--format", default="csv", choices=("csv", "md"))
 
     mesh = sub.add_parser("mesh", help="generate a mesh file")
-    mesh.add_argument("--family", required=True, choices=_FAMILIES)
+    mesh.add_argument("--family", required=True, choices=FAMILIES)
     mesh.add_argument("--n", type=int, required=True)
     mesh.add_argument("--out", required=True)
     return parser
@@ -68,106 +68,57 @@ def _emit_output(text: str, out_path):
             fh.write(text)
 
 
-def _bad_viscosity(nus):
-    """Message naming the first viscosity that is not positive and finite."""
-    for nu in nus:
-        if not (math.isfinite(nu) and nu > 0.0):
-            return f"viscosity must be positive and finite, got {nu:g}"
-    return None
-
-
 def _cmd_run(args) -> int:
-    bad = _bad_viscosity([args.nu])
-    if bad:
-        print(f"--nu: {bad}", file=sys.stderr)
-        return 2
-    if not 0.0 <= args.jitter <= MAX_JITTER:
-        print(f"--jitter must lie in [0, {MAX_JITTER}], got {args.jitter:g}", file=sys.stderr)
-        return 2
-    if args.jitter != 0.0 and args.mesh != "tri":
-        print(f"--jitter applies only to --mesh tri, not {args.mesh!r}", file=sys.stderr)
-        return 2
     if args.mesh.startswith("file:"):
-        path = args.mesh[len("file:"):]
-        with open(path, "r", encoding="utf-8") as fh:
-            primal = read_mesh(fh)
-        stag = build_staggered(primal)
+        if args.jitter != 0.0:
+            raise ValueError(f"jitter applies only to the tri family, not {args.mesh!r}")
+        with open(args.mesh[len("file:"):], "r", encoding="utf-8") as fh:
+            stag = build_staggered(read_mesh(fh))
         report = validate(stag)
         if not report.ok:
-            print(f"mesh fails regularity thresholds: {report}", file=sys.stderr)
-            return 1
+            raise MeshError(f"mesh fails regularity thresholds: {report}")
         records = study_on_meshes(get_case(args.case), [stag], args.method, args.nu)
-        _emit_output(emit(records, args.format), args.out)
-        return 0
-    if args.mesh not in _FAMILIES:
-        print(f"unknown mesh family {args.mesh!r}", file=sys.stderr)
-        return 2
-    try:
-        spec = CaseSpec(case=args.case, method=args.method, family=args.mesh,
-                        levels=args.levels, nu=args.nu, jitter=args.jitter)
-    except ValueError as exc:
-        print(f"--levels: {exc}", file=sys.stderr)
-        return 2
-    records = convergence_study(spec)
+    else:
+        records = convergence_study(args.case, args.mesh, args.levels, args.method,
+                                    args.nu, args.jitter)
     _emit_output(emit(records, args.format), args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    if args.level < 1:
-        print(f"--level must be at least 1, got {args.level}", file=sys.stderr)
-        return 2
     try:
         nu_list = [float(v) for v in args.nu_list.split(",") if v.strip()]
     except ValueError:
-        print(f"could not parse --nu-list {args.nu_list!r}", file=sys.stderr)
-        return 2
-    if not nu_list:
-        print("--nu-list is empty", file=sys.stderr)
-        return 2
-    bad = _bad_viscosity(nu_list)
-    if bad:
-        print(f"--nu-list: {bad}", file=sys.stderr)
-        return 2
-    if any(a <= b for a, b in zip(nu_list, nu_list[1:])):
-        print(f"--nu-list must be strictly descending, got {args.nu_list!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"could not parse --nu-list {args.nu_list!r}") from None
     rows = robustness_sweep(args.case, args.mesh, args.level, nu_list)
     _emit_output(emit_sweep(rows, args.format), args.out)
     return 0
 
 
 def _cmd_mesh(args) -> int:
-    gen = {"tri": generate_triangular, "trap": generate_trapezoidal,
-           "poly": generate_polygonal}[args.family]
-    try:
-        mesh = gen(args.n)
-    except MeshError as exc:  # an --n the family cannot take
-        print(f"--n: {exc}", file=sys.stderr)
-        return 2
+    mesh = FAMILIES[args.family](args.n)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(write_mesh(mesh))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = {"run": _cmd_run, "sweep": _cmd_sweep, "mesh": _cmd_mesh}[args.command]
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_mesh(args)
-    except (MeshError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return command(args)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return 1
+    except (MeshError, AssemblyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # the factorization reports its own as a SolverError
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # MeshError aside, the library's argument checks
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -295,9 +295,9 @@ def generate_triangular(n: int, jitter: float = 0.0, seed: int = 0) -> PrimalMes
     and jitter 0.2, seeds 20, 40, 41, 52 and 220 do (aspect 22.4 for 220).
     """
     if n < 1:
-        raise MeshError("triangular generator needs n >= 1")
+        raise ValueError(f"triangular generator needs n >= 1, got {n}")
     if not 0.0 <= jitter <= MAX_JITTER:
-        raise MeshError(f"jitter must lie in [0, {MAX_JITTER}], got {jitter:g}")
+        raise ValueError(f"jitter must lie in [0, {MAX_JITTER}], got {jitter:g}")
     h = 1.0 / n
     xs = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
@@ -320,10 +320,8 @@ def generate_trapezoidal(n: int) -> PrimalMesh:
     Interior horizontal grid lines are displaced alternately by +-0.25*h
     along each column, the classic trapezoidal distortion of a square grid.
     """
-    if n < 1:
-        raise MeshError("trapezoidal generator needs n >= 1")
-    if n % 2 != 0:
-        raise MeshError("trapezoidal generator needs even n (alternating pattern)")
+    if n < 2 or n % 2 != 0:  # the displacement alternates along each column
+        raise ValueError(f"trapezoidal generator needs an even n >= 2, got {n}")
     h = 1.0 / n
     i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
     y = j * h
@@ -363,7 +361,7 @@ def generate_polygonal(n: int) -> PrimalMesh:
     vertices.
     """
     if n < 2:
-        raise MeshError("polygonal generator needs n >= 2")
+        raise ValueError(f"polygonal generator needs n >= 2, got {n}")
     w = 1.0 / n          # hexagon width
     r = 2.0 / (3.0 * n)  # n rows, so refinement halves h exactly; this costs
     #                      a uniform ~15% vertical stretch of the hexagons

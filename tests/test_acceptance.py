@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stokes_sdg.assembly import RTTable, assemble_Bh, assemble_bh, assemble_system
-from stokes_sdg.bench import CaseSpec, convergence_study, robustness_sweep
+from stokes_sdg.bench import convergence_study, robustness_sweep
 from stokes_sdg.cases import ManufacturedCase, case_taylor, get_case
 from stokes_sdg.mesh import build_staggered, generate_triangular
 from stokes_sdg.solver import solve
@@ -27,26 +27,28 @@ def _report(criterion: int, ok: bool, detail: str):
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
-def _timed_study(spec: CaseSpec):
+def _timed_study(**study):
     t0 = time.perf_counter()
-    records = convergence_study(spec)
+    records = convergence_study(**study)
     return records, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def noflow_sdg1():
-    return _timed_study(CaseSpec("noflow", "sdg1", "tri", 5, 1.0))
+    return _timed_study(case="noflow", method="sdg1", family="tri", levels=5, nu=1.0)
 
 
 @pytest.fixture(scope="module")
 def noflow_sdg2():
-    return _timed_study(CaseSpec("noflow", "sdg2", "tri", 5, 1.0))
+    return _timed_study(case="noflow", method="sdg2", family="tri", levels=5, nu=1.0)
 
 
 @pytest.fixture(scope="module")
 def taylor_tri():
-    rec1, t1 = _timed_study(CaseSpec("taylor", "sdg1", "tri", 5, 1.0))
-    rec2, t2 = _timed_study(CaseSpec("taylor", "sdg1", "tri", 5, 1e-6))
+    rec1, t1 = _timed_study(case="taylor", method="sdg1", family="tri", levels=5,
+                            nu=1.0)
+    rec2, t2 = _timed_study(case="taylor", method="sdg1", family="tri", levels=5,
+                            nu=1e-6)
     return rec1, rec2, t1 + t2
 
 
@@ -142,8 +144,8 @@ def test_criterion_4_robustness_sweep():
 
 def test_criterion_5_other_mesh_families():
     t0 = time.perf_counter()
-    trap = convergence_study(CaseSpec("trig", "sdg1", "trap", 4, 1.0))
-    poly = convergence_study(CaseSpec("taylor", "sdg1", "poly", 4, 1.0))
+    trap = convergence_study(case="trig", method="sdg1", family="trap", levels=4, nu=1.0)
+    poly = convergence_study(case="taylor", method="sdg1", family="poly", levels=4, nu=1.0)
     elapsed = time.perf_counter() - t0
     ok = True
     details = []

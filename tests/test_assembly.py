@@ -261,6 +261,15 @@ def test_matrix_of_an_unsorted_block_with_duplicates():
     assert not system.Ms.has_canonical_format  # the block is left as it was
 
 
+@pytest.mark.parametrize("nu", [-1.0, 0.0, float("nan"), float("inf")])
+def test_assemble_system_rejects_a_viscosity_that_is_not_positive_and_finite(nu):
+    # -1 was once solved (taylor tri err_u 0.065), and inf failed in the
+    # factorization
+    stag = build_staggered(generate_triangular(2))
+    with pytest.raises(ValueError, match=f"viscosity must be positive and finite, got {nu:g}"):
+        assemble_system(stag, case_taylor(), "sdg1", nu)
+
+
 def test_nearly_parallel_dual_normals_detected():
     sliver = PrimalMesh(
         np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-8]]), [[0, 1, 2]]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from stokes_sdg.bench import (CSV_COLUMNS, CaseSpec, ErrorRecord,
-                              convergence_study, emit, emit_sweep,
-                              level_to_n, mesh_for, robustness_sweep,
-                              run_case)
+import stokes_sdg.bench as bench
+from stokes_sdg.bench import (CSV_COLUMNS, ErrorRecord, convergence_study,
+                              emit, emit_sweep, level_to_n, mesh_for,
+                              robustness_sweep, run_case)
 from stokes_sdg.cases import get_case
 from stokes_sdg.mesh import build_staggered
 
@@ -19,13 +19,40 @@ def test_jitter_on_a_non_triangular_family_is_rejected(family):
     with pytest.raises(ValueError, match=f"not {family!r}"):
         mesh_for(family, 2, jitter=0.1)
     with pytest.raises(ValueError, match=f"not {family!r}"):
-        convergence_study(CaseSpec("taylor", family=family, levels=2, jitter=0.1))
+        convergence_study(case="taylor", family=family, levels=2, jitter=0.1)
     assert mesh_for(family, 2, jitter=0.0).n_cells > 0
 
 
-def test_casespec_needs_two_levels():
-    with pytest.raises(ValueError):
-        CaseSpec("taylor", levels=1)
+def test_convergence_study_needs_two_levels():
+    with pytest.raises(ValueError, match="levels must be at least 2 to observe orders, got 1"):
+        convergence_study(case="taylor", levels=1)
+
+
+@pytest.mark.parametrize("family,level,message", [
+    ("tri", 0, "level must be at least 1, got 0"),
+    ("poly", -1, "level must be at least 1, got -1"),
+    ("hex", 2, "unknown mesh family 'hex'"),
+], ids=["tri-level0", "poly-level-1", "unknown-family"])
+def test_mesh_for_rejects_a_level_or_family_it_cannot_take(family, level, message):
+    # tri level 0 was once the single-square mesh n = 1
+    with pytest.raises(ValueError, match=message):
+        mesh_for(family, level)
+
+
+@pytest.mark.parametrize("nu_list,message", [
+    ([1e-3, 1.0], "strictly descending, got 0.001 then 1"),
+    ([1.0, 1.0], "strictly descending, got 1 then 1"),
+    ([], "the viscosity list is empty"),
+    ([1.0, 0.0], "positive and finite, got 0"),
+], ids=["ascending", "repeated", "empty", "zero"])
+def test_sweep_checks_the_viscosities_before_any_solve(nu_list, message, monkeypatch):
+    # an ascending list once gave sdg2 a growth factor ratio_u of 0.011
+    def no_solve(system):
+        raise AssertionError("solved before checking the viscosities")
+
+    monkeypatch.setattr(bench, "solve", no_solve)
+    with pytest.raises(ValueError, match=message):
+        robustness_sweep("taylor", "tri", 2, nu_list)
 
 
 def test_emit_header_and_digits():
@@ -80,15 +107,14 @@ def test_emit_rejects_unknown_format():
 
 
 def test_emit_is_deterministic():
-    spec = CaseSpec("noflow", "sdg2", "tri", 2, 1.0)
-    a = emit(convergence_study(spec))
-    b = emit(convergence_study(spec))
+    spec = dict(case="noflow", method="sdg2", family="tri", levels=2, nu=1.0)
+    a = emit(convergence_study(**spec))
+    b = emit(convergence_study(**spec))
     assert a == b
 
 
 def test_orders_computed_from_halving():
-    spec = CaseSpec("noflow", "sdg2", "tri", 3, 1.0)
-    records = convergence_study(spec)
+    records = convergence_study(case="noflow", method="sdg2", family="tri", levels=3, nu=1.0)
     assert records[0].ord_u is None
     for prev, cur in zip(records, records[1:]):
         expected = np.log2(prev.err_u / cur.err_u) / np.log2(prev.h / cur.h)
@@ -96,7 +122,7 @@ def test_orders_computed_from_halving():
 
 
 def test_errors_monotone_from_second_level():
-    records = convergence_study(CaseSpec("taylor", "sdg1", "tri", 4, 1.0))
+    records = convergence_study(case="taylor", method="sdg1", family="tri", levels=4, nu=1.0)
     for prev, cur in zip(records[1:], records[2:]):
         for fieldname in ("err_omega", "err_u", "err_p", "err_super"):
             a, b = getattr(prev, fieldname), getattr(cur, fieldname)

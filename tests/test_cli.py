@@ -39,7 +39,8 @@ def test_mesh_n_the_family_cannot_take_exit_2(family, n, tmp_path, capsys):
     # below the family's minimum, or odd for trap: once exit 1 from the generator
     out = tmp_path / "mesh.json"
     assert main(["mesh", "--family", family, "--n", str(n), "--out", str(out)]) == 2
-    assert "--n:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "generator needs" in err and err.endswith(f", got {n}\n")
     assert not out.exists()
 
 
@@ -74,11 +75,12 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
     for levels in ("1", "0"):
         assert main(["run", "--case", "taylor", "--mesh", "tri", "--levels", levels]) == 2
-        assert "--levels" in capsys.readouterr().err
+        assert f"levels must be at least 2 to observe orders, got {levels}" \
+            in capsys.readouterr().err
     for level in ("0", "-1"):
         assert main(["sweep", "--case", "taylor", "--mesh", "tri", "--level", level,
                      "--nu-list", "1"]) == 2
-        assert "--level " in capsys.readouterr().err
+        assert f"level must be at least 1, got {level}" in capsys.readouterr().err
 
 
 def test_invalid_mesh_file_exit_1(tmp_path, capsys):
@@ -169,14 +171,16 @@ def test_bad_viscosity_exit_2(argv, capsys):
     assert f"viscosity must be positive and finite, got {value}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("nu_list", ["1e-6,1", "1,1", "1,1e-3,1e-2"])
-def test_sweep_nu_list_not_descending_exit_2(nu_list, capsys):
+@pytest.mark.parametrize("nu_list,pair", [("1e-6,1", "1e-06 then 1"), ("1,1", "1 then 1"),
+                                          ("1,1e-3,1e-2", "0.001 then 0.01")],
+                         ids=["1e-6,1", "1,1", "1,1e-3,1e-2"])
+def test_sweep_nu_list_not_descending_exit_2(nu_list, pair, capsys):
     # an ascending list once printed sdg2's growth factor ratio_u as 1e-06
     assert main(["sweep", "--case", "taylor", "--mesh", "tri", "--level", "2",
                  "--nu-list", nu_list]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--nu-list must be strictly descending" in captured.err
+    assert f"viscosities must be strictly descending, got {pair}" in captured.err
 
 
 @pytest.mark.parametrize("jitter", ["5", "-0.1", "nan"])
@@ -186,7 +190,7 @@ def test_bad_jitter_exit_2(jitter, capsys):
     code = main(["run", "--case", "taylor", "--mesh", "tri", "--levels", "2",
                  "--jitter", jitter])
     assert code == 2
-    assert f"--jitter must lie in [0, 0.2], got {jitter}" in capsys.readouterr().err
+    assert f"jitter must lie in [0, 0.2], got {jitter}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mesh", ["trap", "poly", "file:unread.json"])
@@ -194,7 +198,7 @@ def test_jitter_off_the_tri_family_exit_2(mesh, capsys):
     code = main(["run", "--case", "taylor", "--mesh", mesh, "--levels", "2",
                  "--jitter", "0.15"])
     assert code == 2
-    assert "--jitter applies only to --mesh tri" in capsys.readouterr().err
+    assert f"jitter applies only to the tri family, not {mesh!r}" in capsys.readouterr().err
 
 
 def test_memory_error_outside_the_factorization_exit_1(monkeypatch, capsys):
@@ -206,4 +210,19 @@ def test_memory_error_outside_the_factorization_exit_1(monkeypatch, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error: out of memory: cannot allocate the gradient mass\n"
+    assert "Traceback" not in err
+
+
+def test_assembly_error_exit_1(monkeypatch, capsys):
+    # an AssemblyError, a RuntimeError, once escaped main with a traceback
+    from stokes_sdg.assembly import AssemblyError
+
+    def degenerate(stag):
+        raise AssemblyError("singular sub-triangle 3")
+
+    monkeypatch.setattr("stokes_sdg.assembly.assemble_mass", degenerate)
+    code = main(["run", "--case", "taylor", "--mesh", "tri", "--levels", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: singular sub-triangle 3\n"
     assert "Traceback" not in err

@@ -42,11 +42,11 @@ def test_triangular_n1_two_half_squares():
 def test_triangular_convex_with_and_without_jitter():
     generate_triangular(4, jitter=0.0)          # constructor validates
     generate_triangular(4, jitter=0.2, seed=3)  # bounded jitter stays valid
-    with pytest.raises(MeshError):
+    with pytest.raises(ValueError, match="got 0.3"):
         generate_triangular(4, jitter=0.3)
-    with pytest.raises(MeshError, match="got nan"):  # nan fails every comparison
+    with pytest.raises(ValueError, match="got nan"):  # nan fails every comparison
         generate_triangular(4, jitter=float("nan"))
-    with pytest.raises(MeshError):
+    with pytest.raises(ValueError, match="got 0"):
         generate_triangular(0)
 
 
@@ -62,7 +62,7 @@ def test_trapezoidal_convex_ccw_n4():
 
 
 def test_trapezoidal_rejects_odd_n():
-    with pytest.raises(MeshError):
+    with pytest.raises(ValueError, match="got 3"):
         generate_trapezoidal(3)
 
 
@@ -113,8 +113,21 @@ def test_clip_to_square_corner_and_bottom_row_hexagons():
 
 
 def test_polygonal_rejects_small_n():
-    with pytest.raises(MeshError):
+    with pytest.raises(ValueError, match="got 1"):
         generate_polygonal(1)
+
+
+@pytest.mark.parametrize("generate", [
+    lambda: generate_triangular(0), lambda: generate_triangular(2, jitter=0.3),
+    lambda: generate_trapezoidal(0), lambda: generate_trapezoidal(3),
+    lambda: generate_polygonal(1),
+], ids=["tri-n0", "tri-jitter", "trap-n0", "trap-odd", "poly-n1"])
+def test_generator_argument_errors_are_plain_value_errors(generate):
+    # MeshError is kept for mesh files and mesh geometry: read_mesh,
+    # PrimalMesh and build_staggered, as the tests below check
+    with pytest.raises(ValueError) as info:
+        generate()
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("family,gen", [
