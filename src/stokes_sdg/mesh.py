@@ -397,14 +397,7 @@ def read_mesh(stream) -> PrimalMesh:
         raise MeshError(f"malformed mesh file: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data or "cells" not in data:
         raise MeshError('mesh file must be an object with "vertices" and "cells"')
-    _check_coordinates_are_numbers(data["vertices"])
-    try:
-        verts = np.asarray(data["vertices"], dtype=float)
-    except OverflowError as exc:
-        raise MeshError(_overflow_message(data["vertices"])) from exc
-    except (TypeError, ValueError) as exc:
-        raise MeshError(f"malformed vertex/cell arrays: {exc}") from exc
-    mesh = PrimalMesh(verts, data["cells"])
+    mesh = PrimalMesh(_vertex_array(data["vertices"]), data["cells"])
     # the file contract pins the domain to the unit square
     if abs(mesh.total_area() - 1.0) > 1e-12:
         raise MeshError(
@@ -414,30 +407,36 @@ def read_mesh(stream) -> PrimalMesh:
     return mesh
 
 
-def _check_coordinates_are_numbers(rows):
-    """Every vertex coordinate is a JSON number: the float conversion alone
-    would read the string "1" and true as 1.0."""
-    if not isinstance(rows, list):
-        return  # the float conversion or PrimalMesh rejects the shape
-    if (set(map(type, rows)) <= {list}
+# the least integer that the float conversion rounds up to inf: the largest
+# float plus half its spacing
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
+def _vertex_array(rows):
+    """The float array of the vertex list rows, whose coordinates must be
+    JSON numbers within the float range (the float conversion alone reads
+    the string "1" and true as 1.0); PrimalMesh checks its shape.  The
+    counterpart of _pack_cells: a well-formed list is type-checked and
+    converted at C level, and only a failure walks the rows to name the
+    first bad coordinate."""
+    if (isinstance(rows, list) and set(map(type, rows)) <= {list}
             and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
-        return  # one C-level pass; the loop below only names the first bad vertex
-    for i, row in enumerate(rows):
-        bad = [c for c in row if type(c) not in (int, float)] if isinstance(row, list) else []
-        if bad:
-            raise MeshError(f"vertex {i}: coordinate {json.dumps(bad[0])} is not a number")
-
-
-def _overflow_message(rows):
-    """Name the first vertex with an integer coordinate beyond the float
-    range, which JSON allows and the float conversion refuses."""
-    for i, row in enumerate(rows):
+        try:
+            return np.array(rows, dtype=float)
+        except (OverflowError, ValueError):
+            pass  # named below
+    for i, row in enumerate(rows if isinstance(rows, list) else ()):
         for c in row if isinstance(row, list) else ():
-            try:
-                float(c)
-            except OverflowError:
-                return f"vertex {i}: integer coordinate beyond the float range"
-    return "a vertex coordinate lies beyond the float range"
+            if type(c) not in (int, float):
+                raise MeshError(f"vertex {i}: coordinate {json.dumps(c)} is not a number")
+            if type(c) is int and abs(c) >= _FLOAT_OVERFLOW:
+                raise MeshError(f"vertex {i}: integer coordinate beyond the float range")
+    try:
+        return np.asarray(rows, dtype=float)
+    except OverflowError as exc:  # a flat list, which PrimalMesh would reject
+        raise MeshError("a vertex coordinate lies beyond the float range") from exc
+    except (TypeError, ValueError) as exc:
+        raise MeshError(f"malformed vertex/cell arrays: {exc}") from exc
 
 
 def _check_unit_square_boundary(mesh: PrimalMesh):

@@ -9,6 +9,7 @@ Gauss-Legendre.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,28 +45,20 @@ _TRI_ORBITS = [
 
 
 def _rule_from_orbits(orbits) -> QuadRule:
-    """Triangle rule of barycentric orbits as in _TRI_ORBITS; l1 is taken as
-    1 - l2 - l3, so each node's coordinates sum to 1 as computed."""
-    bary = []
-    weights = []
-    for orbit in orbits:
-        kind, w = orbit[0], orbit[1]
+    """Triangle rule of barycentric orbits as in _TRI_ORBITS: each orbit's
+    nodes are the distinct permutations of its (a, b, c), in the order
+    itertools.permutations gives them.  l1 is taken as 1 - l2 - l3, so each
+    node's coordinates sum to 1 as computed."""
+    bary, weights = [], []
+    for kind, w, *abc in orbits:
         if kind == "c":
-            bary.append((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
-            weights.append(w)
+            abc = (1.0 / 3.0,) * 3
         elif kind == "s":
-            a = orbit[2]
-            b = 0.5 * (1.0 - a)
-            for coords in ((a, b, b), (b, a, b), (b, b, a)):
-                bary.append(coords)
-                weights.append(w)
-        else:
-            a, b, c = orbit[2:]
-            for coords in (
-                (a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a),
-            ):
-                bary.append(coords)
-                weights.append(w)
+            b = 0.5 * (1.0 - abc[0])
+            abc = (abc[0], b, b)
+        nodes = list(dict.fromkeys(itertools.permutations(abc)))
+        bary += nodes
+        weights += [w] * len(nodes)
     bary = np.asarray(bary)
     bary[:, 0] = 1.0 - bary[:, 1] - bary[:, 2]
     return QuadRule(bary, 0.5 * np.asarray(weights))

@@ -16,6 +16,79 @@ TRI_RULE_10 = _rule_from_orbits([
 ])
 
 
+def _file(vertices="[[0,0],[1,0],[1,1],[0,1]]", cells="[[0,1,2,3]]"):
+    """Mesh file text of the JSON texts of its arrays, by default the unit
+    square as one cell."""
+    return f'{{"vertices":{vertices},"cells":{cells}}}'
+
+
+_TRIANGLE = "[[0,0],[1,0],[0,1]]"
+
+
+def _huge(zeros):
+    """The unit square with the y of vertex 2 written as 1 and zeros zeros."""
+    return _file(f"[[0,0],[1,0],[1,1{'0' * zeros}],[0,1]]")
+
+
+# One failing mesh file per rule of the mesh-file contract, id -> (file text,
+# regex of the MeshError message).  test_mesh reads each with read_mesh, and
+# test_cli runs each through the CLI.
+MESH_FILE_REJECTIONS = {
+    # the file is a JSON object with both keys; the parser refuses an
+    # integer of more than 4300 digits
+    "malformed-json": ('{"vertices": [[0,0],\n  oops', "^malformed mesh file at line 2: "),
+    "digit-limit": (_huge(5000), "^malformed mesh file: .*digits"),
+    "one-key": ('{"vertices":[]}', '^mesh file must be an object with "vertices" and "cells"'),
+    # vertices: an (nv, 2) array of finite JSON numbers within the float
+    # range; the float conversion alone would read "1" and true as 1.0, and
+    # it raises OverflowError for an integer beyond the float range
+    "string-y": (_file('[[0,0],[1,0],[1,1],[0,"1"]]'), 'vertex 3: coordinate "1" is not a number'),
+    "bool-y": (_file("[[0,0],[1,0],[1,1],[0,true]]"), "vertex 3: coordinate true is not a number"),
+    "string-x": (_file('[[0,0],["1",0],[1,1],[0,1]]'), 'vertex 1: coordinate "1" is not a number'),
+    "rows-and-scalars": (_file('[[0,"1"],5]'), '^vertex 0: coordinate "1" is not a number$'),
+    "huge-integer": (_huge(400), "^vertex 2: integer coordinate beyond the float range$"),
+    "flat-huge": (_file(f"[1{'0' * 400}]"), "^a vertex coordinate lies beyond the float range$"),
+    "ragged-rows": (_file("[[0,0],[1,0],[1,1],[0]]"), "^malformed vertex/cell arrays: "),
+    "xyz-vertices": (_file("[[0,0,0],[1,0,0],[0,1,0]]"), r"^vertices must be an \(nv, 2\) array$"),
+    # vertex 4 is used by no cell, so no area or convexity check sees it
+    "nan": (_file("[[0,0],[1,0],[1,1],[0,1],[NaN,0]]"), "^vertex 4: .* not finite$"),
+    "infinity": (_file("[[0,0],[1,0],[1,1],[0,1],[Infinity,0]]"), "^vertex 4: .* not finite$"),
+    # cells: at least three distinct in-range JSON integers each; an integer
+    # conversion would truncate 2.7 to vertex 2 and parse "2" as 2
+    "flat-cells": (_file(cells="[0,1,2,3]"), "^cells must be lists of vertex indices: "),
+    "index-2.7": (_file(cells="[[0,1,2.7,3]]"), "^cell 0: vertex index 2.7 is not an integer$"),
+    "string-index": (_file(cells='[[0,1,"2",3]]'), "^cell 0: vertex index '2' is not an integer$"),
+    "float-index": (_file(cells="[[0,1,2.0,3]]"), "^cell 0: vertex index 2.0 is not an integer$"),
+    "bool-index": (_file(cells="[[0,1,true,3]]"), "^cell 0: vertex index True is not an integer$"),
+    "int64-index": (_file(_TRIANGLE, f"[[0,1,{10 ** 20}]]"), "^vertex index out of range: "),
+    "index-out-of-range": (_file(_TRIANGLE, "[[0,1,7]]"), "^cell 0: vertex index 7 out of range$"),
+    "negative-index": (_file(_TRIANGLE, "[[0,1,-1]]"), "^cell 0: vertex index -1 out of range$"),
+    "two-vertex-cell": (_file(cells="[[0,1,2],[2,3]]"), "^cell 1: fewer than 3 vertices$"),
+    "repeated-index": (_file(cells="[[0,1,2,0]]"), "^cell 0: repeated vertex index$"),
+    "unused-vertex": (_file("[[0,0],[1,0],[1,1],[0,1],[0.5,0.5]]"), "vertex 4 is used by no cell"),
+    # cells counterclockwise and strictly convex
+    "clockwise": (_file(cells="[[0,3,2,1]]"), r"^cell 0: vertices not counterclockwise \(signed"),
+    "reflex-corner": (_file("[[0,0],[1,0],[0.4,0.4],[0,1]]"), "^cell 0: not strictly convex$"),
+    # an edge used by at most two cells, in opposite directions when two
+    "edge-in-three-cells": (_file("[[0,0],[1,0],[1,1],[0,1],[0,-1]]", "[[0,1,2],[0,1,3],[1,0,4]]"),
+                            r"^edge \(0, 1\) shared by more than two cells$"),
+    "one-way-edge": (_file(cells="[[0,1,2],[0,1,3]]"),
+                     r"^edge \(0, 1\) traversed twice in the same direction$"),
+    # the cells tile the unit square: total area 1, every vertex in it, and
+    # every edge used once on its boundary
+    "quarter": (_file("[[0,0],[0.5,0],[0.5,0.5],[0,0.5]]"), "unit square: total area 0.25$"),
+    "sheared": (_file("[[0,0],[1,0],[1.5,1],[0.5,1]]"), "unit square: vertex 2 .* lies outside"),
+    # the lower-left half of the square, twice: area 1 and every vertex in the
+    # square, but the diagonal boundary edges cut across it
+    "triangle-twice": (_file("[[0,0],[1,0],[0,1],[0,0],[1,0],[0,1]]", "[[0,1,2],[3,4,5]]"),
+                       r"boundary edge \(1, 2\) does not lie"),
+    # the left half of the square and two quarters on the right: vertex 6
+    # hangs on the edge (1, 4) of cell 0, so V - E + C = 8 - 11 + 3 = 0
+    "hanging": (_file("[[0,0],[0.5,0],[1,0],[0,1],[0.5,1],[1,1],[0.5,0.5],[1,0.5]]",
+                      "[[0,1,4,3],[1,2,7,6],[6,7,5,4]]"),
+                r"boundary edge \(1, 4\) does not lie on its boundary"),
+}
+
 def random_convex_polygon(m: int, rng, center=(0.5, 0.5), radius=0.35):
     """Strictly convex CCW polygon: distinct sorted angles on a circle, then a
     mild random affine distortion."""

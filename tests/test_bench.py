@@ -121,6 +121,14 @@ def test_orders_computed_from_halving():
         assert abs(cur.ord_u - expected) < 1e-12
 
 
+def test_an_exact_zero_error_gives_an_empty_order():
+    # log2 of a ratio with a zero error has no value; the CSV leaves the cell empty
+    records = bench._orders([ErrorRecord(1, 0.5, 10, 1.0, 1e-15, 1.0, 1.0),
+                             ErrorRecord(2, 0.25, 40, 0.5, 0.0, 0.25, 0.25)])
+    assert records[1].ord_u is None
+    assert emit(records).splitlines()[2].split(",")[7:] == ["1", "", "2", "2"]
+
+
 def test_errors_monotone_from_second_level():
     records = convergence_study(case="taylor", method="sdg1", family="tri", levels=4, nu=1.0)
     for prev, cur in zip(records[1:], records[2:]):

@@ -132,13 +132,45 @@ def test_pressure_mean_is_zero():
     assert abs(sol.p.mean()) <= 1e-11 * max(pnorm, 1.0)
 
 
-def test_singular_system_raises():
-    stag = build_staggered(generate_triangular(1))
-    system = assemble_system(stag, get_case("noflow"), "sdg1", 1.0)
-    mat = system.Ms.tolil()
-    mat[0, :] = 0.0  # destroy a gradient row
-    system.Ms = mat.tocsr()
-    with pytest.raises(SolverError):
+def _zero_row(block, i):
+    block.data[block.indptr[i]:block.indptr[i + 1]] = 0.0
+
+
+def _couple_cells_0_and_1(system):
+    mass = system.Ms.tolil()
+    mass[0, system.stag.cell_ptr[1]] = 1e-3  # the first gradient dofs of the two cells
+    system.Ms = mass.tocsr()
+
+
+def _break_a_column_sum(system):
+    system.D0[1, 0] += 0.3  # an entry D0 stores
+
+
+# Each row edits the assembled taylor system (sdg1, nu = 1, generate_polygonal(4))
+# and names the SolverError that solve must raise for it.
+SOLVER_GATES = {
+    # a zero gradient row makes its cell's mass block singular
+    "singular-mass-block": (lambda s: _zero_row(s.Ms, 0),
+                            "^singular gradient mass block of size 4: "),
+    "mass-couples-cells": (_couple_cells_0_and_1, "^gradient mass matrix couples two cells"),
+    # a zero divergence row makes L = D1 D1^T singular
+    "singular-factor": (lambda s: _zero_row(s.D0, 1),
+                        "^sparse factorization failed: Factor is exactly singular$"),
+    # the velocity columns of D0 no longer sum to zero, as the elimination of
+    # mu assumes; the module docstring says such a matrix fails at the
+    # full-system residual check
+    "column-sum": (_break_a_column_sum, r"^solve residual 5\.484e-01 exceeds tolerance 1\.0e-10$"),
+    "nan-load": (lambda s: np.put(s.F, 0, np.nan),
+                 "^factorization produced non-finite solution entries$"),
+}
+
+
+@pytest.mark.parametrize("edit,message", SOLVER_GATES.values(), ids=SOLVER_GATES)
+def test_solver_gate_raises(edit, message):
+    stag = build_staggered(generate_polygonal(4))
+    system = assemble_system(stag, get_case("taylor"), "sdg1", 1.0)
+    edit(system)
+    with pytest.raises(SolverError, match=message):
         solve(system)
 
 
@@ -314,15 +346,4 @@ def test_out_of_memory_in_factorization_raises(monkeypatch):
     stag = build_staggered(generate_triangular(2))
     system = assemble_system(stag, get_case("taylor"), "sdg1", 1.0)
     with pytest.raises(SolverError, match="out of memory"):
-        solve(system)
-
-
-def test_gradient_coupling_between_cells_raises():
-    stag = build_staggered(generate_triangular(1))
-    system = assemble_system(stag, get_case("noflow"), "sdg1", 1.0)
-    mat = system.Ms.tolil()
-    # first gradient dof of cell 0 against the first of cell 1
-    mat[0, stag.cell_ptr[1]] = 1e-3
-    system.Ms = mat.tocsr()
-    with pytest.raises(SolverError, match="couples two cells"):
         solve(system)
