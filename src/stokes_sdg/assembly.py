@@ -75,6 +75,11 @@ def _block_csr(shape, blocks) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr.astype(itype)), shape=shape)
 
 
+def _interleaved(block) -> sp.csr_matrix:
+    """block (x) I2, the interleaved matrix of a scalar block."""
+    return _block_csr((2 * block.shape[0], 2 * block.shape[1]), [(block, 0, 0, 2, 1.0)])
+
+
 def assemble_Bh(stag: StaggeredMesh) -> sp.csr_matrix:
     """Scalar block Bs of B_h over primal edges (rows) and dual edges
     (columns): B_h = -sum_{dual e} |e| q_e . (v_first - v_second) acts on each
@@ -191,10 +196,11 @@ class SaddleSystem:
     F: np.ndarray          # momentum rhs restricted to interior dofs
     ug: np.ndarray         # boundary dof values (Dirichlet averages)
 
-    # read-only interleaved views block (x) I2, built on each access
-    M = property(lambda self: sp.kron(self.Ms, sp.identity(2), format="coo"))
-    B0 = property(lambda self: sp.kron(self.Bs0, sp.identity(2), format="coo"))
-    Bg = property(lambda self: sp.kron(self.Bsg, sp.identity(2), format="coo"))
+    # read-only interleaved views block (x) I2 in canonical CSR, built on
+    # each access by the helper that fills matrix()
+    M = property(lambda self: _interleaved(self.Ms))
+    B0 = property(lambda self: _interleaved(self.Bs0))
+    Bg = property(lambda self: _interleaved(self.Bsg))
 
     @property
     def n_q(self) -> int:

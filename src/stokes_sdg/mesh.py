@@ -15,6 +15,8 @@ points away from; on the boundary [v] = v_first.
 
 import itertools
 import json
+import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,8 +395,8 @@ def read_mesh(stream) -> PrimalMesh:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MeshError(f"malformed mesh file at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer beyond the interpreter's digit limit
-        raise MeshError(f"malformed mesh file: {exc}") from exc
+    except ValueError as exc:  # an integer beyond int()'s digit limit, or undecodable bytes
+        raise MeshError(_long_integer(text) or f"malformed mesh file: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data or "cells" not in data:
         raise MeshError('mesh file must be an object with "vertices" and "cells"')
     mesh = PrimalMesh(_vertex_array(data["vertices"]), data["cells"])
@@ -405,6 +407,27 @@ def read_mesh(stream) -> PrimalMesh:
         )
     _check_unit_square_boundary(mesh)
     return mesh
+
+
+# a JSON string or number literal; matched from the start of a file, a match
+# outside a string is a number literal, and an integer is all digits
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?')
+
+
+def _long_integer(text):
+    """The message naming the first integer literal of the mesh file text
+    that has more digits than int() converts, or None.  A float literal has
+    no such limit."""
+    if isinstance(text, (bytes, bytearray)):  # json.loads reads these too
+        text = text.decode(errors="replace")
+    limit = sys.get_int_max_str_digits()
+    for m in _JSON_TOKEN.finditer(text):
+        digits = m[0].lstrip("-")
+        if digits.isdigit() and len(digits) > limit:
+            line = text.count("\n", 0, m.start()) + 1
+            return (f"malformed mesh file at line {line}: integer of {len(digits)} digits, "
+                    f"beyond the limit of {limit}")
+    return None
 
 
 # the least integer that the float conversion rounds up to inf: the largest
@@ -418,14 +441,18 @@ def _vertex_array(rows):
     the string "1" and true as 1.0); PrimalMesh checks its shape.  The
     counterpart of _pack_cells: a well-formed list is type-checked and
     converted at C level, and only a failure walks the rows to name the
-    first bad coordinate."""
-    if (isinstance(rows, list) and set(map(type, rows)) <= {list}
-            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
+    first bad coordinate, or in a ragged list the first row whose length is
+    not 2."""
+    all_lists = isinstance(rows, list) and set(map(type, rows)) <= {list}
+    if all_lists and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
         try:
             return np.array(rows, dtype=float)
         except (OverflowError, ValueError):
             pass  # named below
+    ragged = all_lists and len(set(map(len, rows))) > 1
     for i, row in enumerate(rows if isinstance(rows, list) else ()):
+        if ragged and len(row) != 2:
+            raise MeshError(f"vertex {i}: {len(row)} coordinate{'s' * (len(row) != 1)}, not 2")
         for c in row if isinstance(row, list) else ():
             if type(c) not in (int, float):
                 raise MeshError(f"vertex {i}: coordinate {json.dumps(c)} is not a number")

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import SaddleSystem, _block_csr
+from .assembly import SaddleSystem, _interleaved
 from .mesh import StaggeredMesh, _size_groups
 from .spaces import GradientField, PressureField, VelocityField
 
@@ -115,7 +115,7 @@ def solve(system: SaddleSystem) -> FieldSolution:
     msinv = _cell_block_inverse(system.Ms, s)
     z = _kernel_basis(s)
     d1 = system.D0[1:]  # pin p_0 = 0
-    k = _block_csr((system.n_u, system.n_u), [(bs0 @ msinv @ nu_bs0t, 0, 0, 2, 1.0)])
+    k = _interleaved(bs0 @ msinv @ nu_bs0t)
     lu_u = _factor(z.T @ k @ z)
     lu_p = _factor(d1 @ d1.T)
     blocks = np.cumsum([system.n_q, system.n_u, system.n_p])

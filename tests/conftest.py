@@ -37,7 +37,8 @@ MESH_FILE_REJECTIONS = {
     # the file is a JSON object with both keys; the parser refuses an
     # integer of more than 4300 digits
     "malformed-json": ('{"vertices": [[0,0],\n  oops', "^malformed mesh file at line 2: "),
-    "digit-limit": (_huge(5000), "^malformed mesh file: .*digits"),
+    "digit-limit": (_file("[[0,0],[1,0],\n[1,1" + "0" * 5000 + "],[0,1]]"),
+                    r"^malformed mesh file at line 2: integer of 5001 digits, beyond the limit of \d+$"),
     "one-key": ('{"vertices":[]}', '^mesh file must be an object with "vertices" and "cells"'),
     # vertices: an (nv, 2) array of finite JSON numbers within the float
     # range; the float conversion alone would read "1" and true as 1.0, and
@@ -48,7 +49,8 @@ MESH_FILE_REJECTIONS = {
     "rows-and-scalars": (_file('[[0,"1"],5]'), '^vertex 0: coordinate "1" is not a number$'),
     "huge-integer": (_huge(400), "^vertex 2: integer coordinate beyond the float range$"),
     "flat-huge": (_file(f"[1{'0' * 400}]"), "^a vertex coordinate lies beyond the float range$"),
-    "ragged-rows": (_file("[[0,0],[1,0],[1,1],[0]]"), "^malformed vertex/cell arrays: "),
+    "ragged-rows": (_file("[[0,0],[1,0],[1,1],[0]]"), "^vertex 3: 1 coordinate, not 2$"),
+    "ragged-xyz-row": (_file("[[0,0],[1,0,5],[1,1],[0,1]]"), "^vertex 1: 3 coordinates, not 2$"),
     "xyz-vertices": (_file("[[0,0,0],[1,0,0],[0,1,0]]"), r"^vertices must be an \(nv, 2\) array$"),
     # vertex 4 is used by no cell, so no area or convexity check sees it
     "nan": (_file("[[0,0],[1,0],[1,1],[0,1],[NaN,0]]"), "^vertex 4: .* not finite$"),

@@ -241,6 +241,21 @@ def test_matrix_arrays_match_the_kron_bmat_oracle(family, jitter, method):
     assert np.array_equal(mat.data, ref.data)
 
 
+@pytest.mark.parametrize("family", ["tri", "trap", "poly"])
+@pytest.mark.parametrize("method", ["sdg1", "sdg2"])
+def test_interleaved_views_match_the_kron_of_their_blocks(family, method):
+    stag = build_staggered(mesh_for(family, 3, 0.0))
+    system = assemble_system(stag, get_case("taylor"), method, 0.37)
+    for view, block in ((system.M, system.Ms), (system.B0, system.Bs0), (system.Bg, system.Bsg)):
+        ref = sp.kron(block, sp.identity(2), format="csr")
+        assert view.format == "csr" and view.has_canonical_format
+        assert view.shape == ref.shape
+        assert np.array_equal(view.indptr, ref.indptr)
+        assert np.array_equal(view.indices, ref.indices)
+        assert np.array_equal(view.data, ref.data)
+    assert (system.M != system.M.T).nnz == 0
+
+
 def test_matrix_of_an_unsorted_block_with_duplicates():
     stag = build_staggered(generate_polygonal(2))
     system = assemble_system(stag, get_case("taylor"), "sdg1", 0.37)

@@ -159,6 +159,18 @@ def test_read_mesh_rejects(text, message):
         read_mesh(text)
 
 
+def test_read_mesh_names_a_long_integer_in_bytes_too():
+    text, message = MESH_FILE_REJECTIONS["digit-limit"]
+    with pytest.raises(MeshError, match=message):
+        read_mesh(text.encode())
+
+
+def test_read_mesh_parses_a_float_literal_beyond_the_integer_digit_limit():
+    # the 5000 digits that the digit-limit row refuses in an integer
+    text = SPEC_EXAMPLE.replace("[1,1]", f"[1,1.{'0' * 5000}]")
+    assert read_mesh(text) == read_mesh(SPEC_EXAMPLE)
+
+
 def _disjoint_cells(sizes):
     """Vertices and cells of disjoint regular CCW polygons, one per entry of
     sizes, side by side; every vertex is used once."""
