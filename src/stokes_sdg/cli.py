@@ -72,7 +72,7 @@ def _cmd_run(args) -> int:
     if args.mesh.startswith("file:"):
         if args.jitter != 0.0:
             raise ValueError(f"jitter applies only to the tri family, not {args.mesh!r}")
-        with open(args.mesh[len("file:"):], "r", encoding="utf-8") as fh:
+        with open(args.mesh[len("file:"):], "rb") as fh:  # read_mesh decodes it
             stag = build_staggered(read_mesh(fh))
         report = validate(stag)
         if not report.ok:

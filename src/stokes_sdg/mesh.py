@@ -15,8 +15,6 @@ points away from; on the boundary [v] = v_first.
 
 import itertools
 import json
-import re
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,22 +383,39 @@ def generate_polygonal(n: int) -> PrimalMesh:
 # Mesh file IO (JSON: {"vertices": [[x, y], ...], "cells": [[i, ...], ...]})
 # ---------------------------------------------------------------------------
 
-def read_mesh(stream) -> PrimalMesh:
-    """Parse the mesh text format; accepts a file-like object or a string."""
-    text = stream.read() if hasattr(stream, "read") else stream
+# how far a vertex or a boundary edge of a mesh file may lie off the unit square
+_SQUARE_TOL = 1e-12
+
+
+def read_mesh(source) -> PrimalMesh:
+    """Parse a mesh file: a file-like object, a str, or bytes, which json
+    decodes as UTF-8, UTF-16 or UTF-32, with or without a BOM."""
+    text = source.read() if hasattr(source, "read") else source
     # the stdlib parser, not orjson's: orjson.loads rejects NaN and Infinity
     # and reads 100000000000000000000 as a float, so the non-finite and
     # out-of-range messages below would not name the vertex or the index
     try:
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # an integer beyond int()'s digit limit, or undecodable bytes
+            data = json.loads(text, parse_int=_clamped_int)
     except json.JSONDecodeError as exc:
         raise MeshError(f"malformed mesh file at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer beyond int()'s digit limit, or undecodable bytes
-        raise MeshError(_long_integer(text) or f"malformed mesh file: {exc}") from exc
+    except ValueError as exc:
+        raise MeshError(f"malformed mesh file: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data or "cells" not in data:
         raise MeshError('mesh file must be an object with "vertices" and "cells"')
-    mesh = PrimalMesh(_vertex_array(data["vertices"]), data["cells"])
-    # the file contract pins the domain to the unit square
+    v = _vertex_array(data["vertices"])
+    # the file contract pins the domain to the unit square.  A finite vertex
+    # far outside it would overflow PrimalMesh's geometry, so it is named
+    # first; PrimalMesh names the non-finite ones
+    off = (v < -_SQUARE_TOL) | (v > 1.0 + _SQUARE_TOL)
+    _raise_first([(np.isfinite(v).all(axis=-1) & off.any(axis=-1),
+                   lambda i: f"mesh does not tile the unit square: "
+                             f"vertex {i} at {v[i].tolist()} lies outside it")])
+    mesh = PrimalMesh(v, data["cells"])
     if abs(mesh.total_area() - 1.0) > 1e-12:
         raise MeshError(
             f"mesh does not tile the unit square: total area {mesh.total_area()!r}"
@@ -409,25 +424,13 @@ def read_mesh(stream) -> PrimalMesh:
     return mesh
 
 
-# a JSON string or number literal; matched from the start of a file, a match
-# outside a string is a number literal, and an integer is all digits
-_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?')
-
-
-def _long_integer(text):
-    """The message naming the first integer literal of the mesh file text
-    that has more digits than int() converts, or None.  A float literal has
-    no such limit."""
-    if isinstance(text, (bytes, bytearray)):  # json.loads reads these too
-        text = text.decode(errors="replace")
-    limit = sys.get_int_max_str_digits()
-    for m in _JSON_TOKEN.finditer(text):
-        digits = m[0].lstrip("-")
-        if digits.isdigit() and len(digits) > limit:
-            line = text.count("\n", 0, m.start()) + 1
-            return (f"malformed mesh file at line {line}: integer of {len(digits)} digits, "
-                    f"beyond the limit of {limit}")
-    return None
+def _clamped_int(literal):
+    """The integer of a JSON integer literal; one of more than 400 digits,
+    which int() may refuse, is read as +-10**400, beyond both the float and
+    the index range like the literal itself."""
+    if len(literal.lstrip("-")) <= 400:
+        return int(literal)
+    return -10 ** 400 if literal.startswith("-") else 10 ** 400
 
 
 # the least integer that the float conversion rounds up to inf: the largest
@@ -441,46 +444,37 @@ def _vertex_array(rows):
     the string "1" and true as 1.0); PrimalMesh checks its shape.  The
     counterpart of _pack_cells: a well-formed list is type-checked and
     converted at C level, and only a failure walks the rows to name the
-    first bad coordinate, or in a ragged list the first row whose length is
-    not 2."""
-    all_lists = isinstance(rows, list) and set(map(type, rows)) <= {list}
-    if all_lists and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+    first row that is not a list of two numbers within the float range."""
+    if not isinstance(rows, list):
+        raise MeshError("vertices must be a list of [x, y] rows")
+    if (set(map(type, rows)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
         try:
             return np.array(rows, dtype=float)
         except (OverflowError, ValueError):
-            pass  # named below
-    ragged = all_lists and len(set(map(len, rows))) > 1
-    for i, row in enumerate(rows if isinstance(rows, list) else ()):
-        if ragged and len(row) != 2:
+            pass  # a ragged list or an integer beyond the float range, named below
+    for i, row in enumerate(rows):
+        if type(row) is not list:
+            raise MeshError(f"vertex {i}: not an [x, y] row")
+        if len(row) != 2:
             raise MeshError(f"vertex {i}: {len(row)} coordinate{'s' * (len(row) != 1)}, not 2")
-        for c in row if isinstance(row, list) else ():
+        for c in row:
             if type(c) not in (int, float):
                 raise MeshError(f"vertex {i}: coordinate {json.dumps(c)} is not a number")
             if type(c) is int and abs(c) >= _FLOAT_OVERFLOW:
                 raise MeshError(f"vertex {i}: integer coordinate beyond the float range")
-    try:
-        return np.asarray(rows, dtype=float)
-    except OverflowError as exc:  # a flat list, which PrimalMesh would reject
-        raise MeshError("a vertex coordinate lies beyond the float range") from exc
-    except (TypeError, ValueError) as exc:
-        raise MeshError(f"malformed vertex/cell arrays: {exc}") from exc
+    return np.array(rows, dtype=float)
 
 
 def _check_unit_square_boundary(mesh: PrimalMesh):
-    """Every vertex lies in [0,1]^2 and every boundary edge on one side of it."""
-    tol = 1e-12
+    """Every boundary edge lies on one side of the unit square."""
     v = mesh.vertices
-    outside = np.flatnonzero(np.any((v < -tol) | (v > 1.0 + tol), axis=1))
-    if outside.size:
-        i = int(outside[0])
-        raise MeshError(
-            f"mesh does not tile the unit square: vertex {i} at {v[i].tolist()} lies outside it"
-        )
     # boundary edges (used by one cell), in order of first appearance
     first = mesh.edge_slots[mesh.edge_slots[:, 1] < 0, 0]
     bd = np.sort(mesh.cell_idx[np.stack([first, mesh.next_slot[first]], axis=1)], axis=1)
     a, b = v[bd[:, 0]], v[bd[:, 1]]
     # both endpoints share the coordinate of one side: 0 or 1, in x or in y
+    tol = _SQUARE_TOL
     on_side = (((np.abs(a) <= tol) & (np.abs(b) <= tol))
                | ((np.abs(a - 1.0) <= tol) & (np.abs(b - 1.0) <= tol))).any(axis=1)
     off = np.flatnonzero(~on_side)

@@ -30,25 +30,36 @@ def _huge(zeros):
     return _file(f"[[0,0],[1,0],[1,1{'0' * zeros}],[0,1]]")
 
 
-# One failing mesh file per rule of the mesh-file contract, id -> (file text,
-# regex of the MeshError message).  test_mesh reads each with read_mesh, and
-# test_cli runs each through the CLI.
+# an integer of 5001 digits, more than int() converts by default
+_DIGIT_LIMIT = _file("[[0,0],[1,0],\n[1,1" + "0" * 5000 + "],[0,1]]")
+_BEYOND_FLOATS = "^vertex 2: integer coordinate beyond the float range$"
+
+# One failing mesh file per rule of the mesh-file contract, id -> (file text
+# or bytes, regex of the MeshError message).  test_mesh reads each with
+# read_mesh, and test_cli runs each through the CLI.
 MESH_FILE_REJECTIONS = {
-    # the file is a JSON object with both keys; the parser refuses an
-    # integer of more than 4300 digits
+    # the file is JSON, in an encoding json detects, and an object with both
+    # keys; an integer literal too long for int() is read as one beyond the
+    # float and index ranges, and named as the coordinate or index it is
     "malformed-json": ('{"vertices": [[0,0],\n  oops', "^malformed mesh file at line 2: "),
-    "digit-limit": (_file("[[0,0],[1,0],\n[1,1" + "0" * 5000 + "],[0,1]]"),
-                    r"^malformed mesh file at line 2: integer of 5001 digits, beyond the limit of \d+$"),
+    "undecodable": (b'{"vertices":\xff}', "^malformed mesh file: 'utf-8' codec can't decode"),
+    "digit-limit": (_DIGIT_LIMIT, _BEYOND_FLOATS),
+    "digit-limit-utf16": (_DIGIT_LIMIT.encode("utf-16"), _BEYOND_FLOATS),
+    "index-digit-limit": (_file(_TRIANGLE, f"[[0,1,{'9' * 5000}]]"),
+                          "^vertex index out of range: "),
     "one-key": ('{"vertices":[]}', '^mesh file must be an object with "vertices" and "cells"'),
-    # vertices: an (nv, 2) array of finite JSON numbers within the float
-    # range; the float conversion alone would read "1" and true as 1.0, and
-    # it raises OverflowError for an integer beyond the float range
+    # vertices: a list of [x, y] rows of finite JSON numbers within the
+    # float range; the float conversion alone would read "1" and true as
+    # 1.0, and it raises OverflowError for an integer beyond the float range
+    "string-vertices": (_file('"abc"'), r"^vertices must be a list of \[x, y\] rows$"),
+    "object-vertices": (_file('{"a":1}'), r"^vertices must be a list of \[x, y\] rows$"),
+    "scalar-row": (_file("[[0,0],[1,0],[1,1],5]"), r"^vertex 3: not an \[x, y\] row$"),
     "string-y": (_file('[[0,0],[1,0],[1,1],[0,"1"]]'), 'vertex 3: coordinate "1" is not a number'),
     "bool-y": (_file("[[0,0],[1,0],[1,1],[0,true]]"), "vertex 3: coordinate true is not a number"),
     "string-x": (_file('[[0,0],["1",0],[1,1],[0,1]]'), 'vertex 1: coordinate "1" is not a number'),
     "rows-and-scalars": (_file('[[0,"1"],5]'), '^vertex 0: coordinate "1" is not a number$'),
-    "huge-integer": (_huge(400), "^vertex 2: integer coordinate beyond the float range$"),
-    "flat-huge": (_file(f"[1{'0' * 400}]"), "^a vertex coordinate lies beyond the float range$"),
+    "huge-integer": (_huge(400), _BEYOND_FLOATS),
+    "flat-huge": (_file(f"[1{'0' * 400}]"), r"^vertex 0: not an \[x, y\] row$"),
     "ragged-rows": (_file("[[0,0],[1,0],[1,1],[0]]"), "^vertex 3: 1 coordinate, not 2$"),
     "ragged-xyz-row": (_file("[[0,0],[1,0,5],[1,1],[0,1]]"), "^vertex 1: 3 coordinates, not 2$"),
     "xyz-vertices": (_file("[[0,0,0],[1,0,0],[0,1,0]]"), r"^vertices must be an \(nv, 2\) array$"),
@@ -72,14 +83,17 @@ MESH_FILE_REJECTIONS = {
     "clockwise": (_file(cells="[[0,3,2,1]]"), r"^cell 0: vertices not counterclockwise \(signed"),
     "reflex-corner": (_file("[[0,0],[1,0],[0.4,0.4],[0,1]]"), "^cell 0: not strictly convex$"),
     # an edge used by at most two cells, in opposite directions when two
-    "edge-in-three-cells": (_file("[[0,0],[1,0],[1,1],[0,1],[0,-1]]", "[[0,1,2],[0,1,3],[1,0,4]]"),
+    "edge-in-three-cells": (_file("[[0.5,0.2],[0.5,0.8],[0.2,0.5],[0.1,0.5],[0.8,0.5]]",
+                                  "[[0,1,2],[0,1,3],[1,0,4]]"),
                             r"^edge \(0, 1\) shared by more than two cells$"),
     "one-way-edge": (_file(cells="[[0,1,2],[0,1,3]]"),
                      r"^edge \(0, 1\) traversed twice in the same direction$"),
-    # the cells tile the unit square: total area 1, every vertex in it, and
-    # every edge used once on its boundary
+    # the cells tile the unit square: every vertex in it, checked before any
+    # geometry, total area 1, and every edge used once on its boundary
     "quarter": (_file("[[0,0],[0.5,0],[0.5,0.5],[0,0.5]]"), "unit square: total area 0.25$"),
     "sheared": (_file("[[0,0],[1,0],[1.5,1],[0.5,1]]"), "unit square: vertex 2 .* lies outside"),
+    "far-vertex": (_file("[[0,0],[1e300,0],[1,1],[0,1]]"),
+                   r"^mesh does not tile the unit square: vertex 1 at \[1e\+300, 0\.0\] lies"),
     # the lower-left half of the square, twice: area 1 and every vertex in the
     # square, but the diagonal boundary edges cut across it
     "triangle-twice": (_file("[[0,0],[1,0],[0,1],[0,0],[1,0],[0,1]]", "[[0,1,2],[3,4,5]]"),

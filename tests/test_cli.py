@@ -4,7 +4,7 @@ import re
 import pytest
 
 from stokes_sdg.cli import main
-from stokes_sdg.mesh import read_mesh
+from stokes_sdg.mesh import generate_triangular, read_mesh, write_mesh
 
 from conftest import MESH_FILE_REJECTIONS
 
@@ -89,11 +89,22 @@ def test_bad_arguments_exit_2(capsys):
 @pytest.mark.parametrize("text,message", MESH_FILE_REJECTIONS.values(), ids=MESH_FILE_REJECTIONS)
 def test_mesh_file_rejection_exit_1(text, message, tmp_path, capsys):
     path = tmp_path / "mesh.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["run", "--case", "taylor", "--mesh", f"file:{path}"]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch("error: .*\n", err) and "Traceback" not in err  # a single line
     assert re.search(message, err[len("error: "):])
+
+
+def test_mesh_file_in_any_encoding_json_detects(tmp_path, capsys):
+    text = write_mesh(generate_triangular(4))
+    outs = []
+    for encoding in ("utf-8", "utf-8-sig", "utf-16"):
+        path = tmp_path / f"{encoding}.json"
+        path.write_bytes(text.encode(encoding))
+        assert main(["run", "--case", "taylor", "--mesh", f"file:{path}"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] and outs == [outs[0]] * 3
 
 
 def test_missing_mesh_file_exit_2(tmp_path, capsys):

@@ -3,9 +3,11 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stokes_sdg.mesh import (_HEXAGON, MeshError, PrimalMesh, RegularityReport,
                              _clip_to_square, _cycle_slots, _edge_table, _pack_cells,
@@ -13,7 +15,7 @@ from stokes_sdg.mesh import (_HEXAGON, MeshError, PrimalMesh, RegularityReport,
                              generate_trapezoidal, generate_triangular,
                              read_mesh, validate, write_mesh)
 
-from conftest import (MESH_FILE_REJECTIONS, centroid, edge_normals, one_cell,
+from conftest import (MESH_FILE_REJECTIONS, _file, centroid, edge_normals, one_cell,
                       polygon_area, random_convex_polygon)
 
 SPEC_EXAMPLE = ('{"vertices":[[0,0],[0.5,0],[1,0],[1,1],[0.5,1],[0,1]],'
@@ -169,6 +171,59 @@ def test_read_mesh_parses_a_float_literal_beyond_the_integer_digit_limit():
     # the 5000 digits that the digit-limit row refuses in an integer
     text = SPEC_EXAMPLE.replace("[1,1]", f"[1,1.{'0' * 5000}]")
     assert read_mesh(text) == read_mesh(SPEC_EXAMPLE)
+
+
+def test_read_mesh_parses_again_with_a_hook_only_after_a_digit_limit_error(monkeypatch):
+    loads, calls = json.loads, []
+
+    def spy(text, **kwargs):
+        calls.append(sorted(kwargs))
+        return loads(text, **kwargs)
+    monkeypatch.setattr(json, "loads", spy)
+    read_mesh(write_mesh(generate_polygonal(4)))
+    assert calls == [[]]
+    with pytest.raises(MeshError):
+        read_mesh(MESH_FILE_REJECTIONS["digit-limit"][0])
+    assert calls == [[], [], ["parse_int"]]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 7), st.floats())
+def test_read_mesh_of_any_coordinate_gives_a_mesh_or_an_error_and_no_warning(k, x):
+    rows = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    rows[k // 2][k % 2] = x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            assert isinstance(read_mesh(_file(json.dumps(rows))), PrimalMesh)
+        except MeshError:
+            pass
+
+
+# JSON texts of null, booleans, integers (some 10**k beyond int()'s digit
+# limit), floats (NaN and Infinity included), short strings, and lists and
+# objects of these
+_JSON_TEXTS = st.recursive(
+    st.one_of(st.sampled_from(["null", "true", "false"]), st.integers().map(str),
+              st.integers(0, 5000).map(lambda k: "1" + "0" * k),
+              st.floats().map(json.dumps), st.text(max_size=4).map(json.dumps)),
+    lambda items: st.one_of(
+        st.lists(items, max_size=5).map(lambda xs: f"[{','.join(xs)}]"),
+        st.dictionaries(st.sampled_from(["vertices", "cells"]) | st.text(max_size=2), items,
+                        max_size=3).map(
+            lambda d: "{%s}" % ",".join(f"{json.dumps(k)}:{v}" for k, v in d.items()))),
+    max_leaves=12)
+
+
+@pytest.mark.parametrize("place", ["vertices", "cells", "file"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(doc=_JSON_TEXTS)
+def test_read_mesh_of_any_json_gives_a_mesh_or_a_mesh_error(place, doc):
+    text = {"vertices": _file(doc), "cells": _file(cells=doc), "file": doc}[place]
+    try:
+        assert isinstance(read_mesh(text), PrimalMesh)
+    except MeshError:
+        pass
 
 
 def _disjoint_cells(sizes):
