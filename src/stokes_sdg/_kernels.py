@@ -29,10 +29,9 @@ def cell_moments(cell_ptr, cvert, tri_area, xstar, c0, frac, hatw, S):
     (r_k . S_k1 + r_k+1 . S_k2).  With p_k = r_k+1 . S_k0, q_k = r_k . S_k0
     and g_k = p_k - q_k-1 + w_k sum_j (q_j - p_j), the moment is
     c0_i (int_T f . (x - x*) + 2|T| (G_i - sum_k a_k G_k))."""
-    xs = np.repeat(xstar, np.diff(cell_ptr), axis=0)             # x* of each slot
     mom = np.empty(cell_ptr[-1])
-    for _, _, slots in _size_groups(cell_ptr):
-        r, sk = cvert[slots] - xs[slots], S[slots]               # v_k - x*
+    for _, cells, slots in _size_groups(cell_ptr):
+        r, sk = cvert[slots] - xstar[cells, None], S[slots]      # v_k - x*
         rn = np.roll(r, -1, axis=1)                              # v_k+1 - x*
         two_tri = 2.0 * tri_area[slots]
         first = two_tri * (np.einsum("ckd,ckd->ck", r, sk[:, :, 1])

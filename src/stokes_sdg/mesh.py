@@ -61,7 +61,7 @@ def _pack_cells(cells):
     if not all(map(_is_index_type, set(map(type, flat)))):
         k = next(k for k, i in enumerate(flat) if not _is_index_type(type(i)))
         ci = int(np.searchsorted(cell_ptr, k, side="right")) - 1
-        raise MeshError(f"cell {ci}: vertex index {flat[k]!r} is not an integer")
+        raise MeshError(f"cell {ci}: vertex index {_shown(repr(flat[k]))} is not an integer")
     try:
         cell_idx = np.array(flat, dtype=np.int64)
     except OverflowError as exc:
@@ -140,6 +140,10 @@ def _raise_first(checks):
         raise MeshError(checks[k][1](i))
 
 
+# the largest coordinate magnitude a mesh takes
+_MAX_COORD = 1e100
+
+
 class PrimalMesh:
     """Conforming mesh of convex polygons.
 
@@ -159,10 +163,12 @@ class PrimalMesh:
     n_vertices, n_cells, cells   nv, nc and per-cell views of cell_idx
 
     The constructor takes the cells as a sequence of index cycles.  It
-    checks orientation, strict convexity, and edge sharing; the generators
-    and the mesh-file reader additionally guarantee that the cells tile the
-    unit square, and the staggered build enforces that the tiling is
-    conforming.
+    checks that every coordinate is finite and at most 1e100 in magnitude,
+    so that no product of the geometry overflows; orientation; strict
+    convexity, which also rejects an edge too short to measure (its length
+    underflows to 0); and edge sharing.  The generators and the mesh-file
+    reader additionally guarantee that the cells tile the unit square, and
+    the staggered build enforces that the tiling is conforming.
     """
 
     def __init__(self, vertices, cells):
@@ -175,12 +181,6 @@ class PrimalMesh:
         mesh = cls.__new__(cls)
         mesh._set_up(vertices, cell_ptr, cell_idx)
         return mesh
-
-    def _set_up(self, vertices, cell_ptr, cell_idx):
-        # C order, which write_mesh's serializer requires
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.cell_ptr, self.cell_idx = cell_ptr, cell_idx
-        self._validate_structure()
 
     @property
     def n_vertices(self) -> int:
@@ -195,13 +195,21 @@ class PrimalMesh:
         """Per-cell views of cell_idx."""
         return np.split(self.cell_idx, self.cell_ptr[1:-1])
 
-    def _validate_structure(self):
-        v, ptr, idx = self.vertices, self.cell_ptr, self.cell_idx
+    def _set_up(self, vertices, ptr, idx):
+        # C order, which write_mesh's serializer requires
+        self.vertices = v = np.ascontiguousarray(vertices, dtype=float)
+        self.cell_ptr, self.cell_idx = ptr, idx
         if v.ndim != 2 or v.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
         nv, nc = self.n_vertices, self.n_cells
-        _raise_first([(~np.all(np.isfinite(v), axis=1),
-                       lambda i: f"vertex {i}: coordinates {v[i].tolist()} are not finite")])
+        # the fan's centroid sums products of three coordinates, which stay
+        # finite below 1e100
+        _raise_first([
+            (~np.all(np.isfinite(v), axis=1),
+             lambda i: f"vertex {i}: coordinates {v[i].tolist()} are not finite"),
+            (np.any(np.abs(v) > _MAX_COORD, axis=1), lambda i: (
+                f"vertex {i}: coordinates {v[i].tolist()} exceed {_MAX_COORD:g} in magnitude")),
+        ])
         sizes = np.diff(ptr)
         slot_cell = np.repeat(np.arange(nc), sizes)
         off = (idx < 0) | (idx >= nv)
@@ -229,9 +237,10 @@ class PrimalMesh:
         self.celen, self._cross = elen, cross  # the shoelace terms give the fan's x*
         areas = 0.5 * np.add.reduceat(cross, ptr[:-1])
         # each corner turns left by more than a relative cross product of
-        # 1e-13; at a zero-length edge both sides are 0 and the test fails
+        # 1e-13, and each edge has a length: a zero-length edge fails both,
+        # and one whose length underflows to 0 fails the second
         turn = tang[:, 0] * tang[nxt, 1] - tang[:, 1] * tang[nxt, 0]
-        bent = ~(turn > 1e-13 * elen * elen[nxt])
+        bent = ~(turn > 1e-13 * elen * elen[nxt]) | (elen == 0)
         _raise_first([
             (areas <= 0.0, lambda c: (f"cell {c}: vertices not counterclockwise "
                                       f"(signed area {areas[c]:g})")),
@@ -407,20 +416,8 @@ def read_mesh(source) -> PrimalMesh:
         raise MeshError(f"malformed mesh file: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data or "cells" not in data:
         raise MeshError('mesh file must be an object with "vertices" and "cells"')
-    v = _vertex_array(data["vertices"])
-    # the file contract pins the domain to the unit square.  A finite vertex
-    # far outside it would overflow PrimalMesh's geometry, so it is named
-    # first; PrimalMesh names the non-finite ones
-    off = (v < -_SQUARE_TOL) | (v > 1.0 + _SQUARE_TOL)
-    _raise_first([(np.isfinite(v).all(axis=-1) & off.any(axis=-1),
-                   lambda i: f"mesh does not tile the unit square: "
-                             f"vertex {i} at {v[i].tolist()} lies outside it")])
-    mesh = PrimalMesh(v, data["cells"])
-    if abs(mesh.total_area() - 1.0) > 1e-12:
-        raise MeshError(
-            f"mesh does not tile the unit square: total area {mesh.total_area()!r}"
-        )
-    _check_unit_square_boundary(mesh)
+    mesh = PrimalMesh(_vertex_array(data["vertices"]), data["cells"])
+    _check_unit_square(mesh)
     return mesh
 
 
@@ -433,57 +430,56 @@ def _clamped_int(literal):
     return -10 ** 400 if literal.startswith("-") else 10 ** 400
 
 
-# the least integer that the float conversion rounds up to inf: the largest
-# float plus half its spacing
-_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+def _shown(text):
+    """text as a message shows it: whole up to 40 characters, else its first
+    20 and last 17 around "..."."""
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-17:]}"
 
 
 def _vertex_array(rows):
-    """The float array of the vertex list rows, whose coordinates must be
-    JSON numbers within the float range (the float conversion alone reads
-    the string "1" and true as 1.0); PrimalMesh checks its shape.  The
-    counterpart of _pack_cells: a well-formed list is type-checked and
-    converted at C level, and only a failure walks the rows to name the
-    first row that is not a list of two numbers within the float range."""
+    """The float array of the vertex list rows, each a list of two JSON
+    numbers within the float range (the float conversion alone reads the
+    string "1" and true as 1.0, and raises OverflowError for an integer
+    beyond the float range).  The counterpart of _pack_cells: one walk over
+    the rows names the first that breaks the rule, and the C-level
+    conversion runs only on a list that keeps it."""
     if not isinstance(rows, list):
         raise MeshError("vertices must be a list of [x, y] rows")
-    if (set(map(type, rows)) <= {list}
-            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
-        try:
-            return np.array(rows, dtype=float)
-        except (OverflowError, ValueError):
-            pass  # a ragged list or an integer beyond the float range, named below
     for i, row in enumerate(rows):
         if type(row) is not list:
             raise MeshError(f"vertex {i}: not an [x, y] row")
         if len(row) != 2:
             raise MeshError(f"vertex {i}: {len(row)} coordinate{'s' * (len(row) != 1)}, not 2")
         for c in row:
-            if type(c) not in (int, float):
-                raise MeshError(f"vertex {i}: coordinate {json.dumps(c)} is not a number")
-            if type(c) is int and abs(c) >= _FLOAT_OVERFLOW:
-                raise MeshError(f"vertex {i}: integer coordinate beyond the float range")
+            if type(c) is float:  # json reads a float literal beyond the range as inf
+                continue
+            if type(c) is not int:
+                raise MeshError(f"vertex {i}: coordinate {_shown(json.dumps(c))} is not a number")
+            try:
+                float(c)
+            except OverflowError:
+                raise MeshError(f"vertex {i}: integer coordinate beyond the float range") from None
     return np.array(rows, dtype=float)
 
 
-def _check_unit_square_boundary(mesh: PrimalMesh):
-    """Every boundary edge lies on one side of the unit square."""
-    v = mesh.vertices
+def _check_unit_square(mesh: PrimalMesh):
+    """The cells tile the unit square: every vertex lies in it, the total
+    area is 1, and every boundary edge lies on one side of it."""
+    v, tol = mesh.vertices, _SQUARE_TOL
+    _raise_first([(((v < -tol) | (v > 1.0 + tol)).any(axis=1),
+                   lambda i: f"mesh does not tile the unit square: "
+                             f"vertex {i} at {v[i].tolist()} lies outside it")])
+    if abs(mesh.total_area() - 1.0) > 1e-12:
+        raise MeshError(f"mesh does not tile the unit square: total area {mesh.total_area()!r}")
     # boundary edges (used by one cell), in order of first appearance
     first = mesh.edge_slots[mesh.edge_slots[:, 1] < 0, 0]
     bd = np.sort(mesh.cell_idx[np.stack([first, mesh.next_slot[first]], axis=1)], axis=1)
     a, b = v[bd[:, 0]], v[bd[:, 1]]
     # both endpoints share the coordinate of one side: 0 or 1, in x or in y
-    tol = _SQUARE_TOL
     on_side = (((np.abs(a) <= tol) & (np.abs(b) <= tol))
                | ((np.abs(a - 1.0) <= tol) & (np.abs(b - 1.0) <= tol))).any(axis=1)
-    off = np.flatnonzero(~on_side)
-    if off.size:
-        edge = tuple(int(k) for k in bd[off[0]])
-        raise MeshError(
-            f"mesh does not tile the unit square: boundary edge {edge} "
-            "does not lie on its boundary"
-        )
+    _raise_first([(~on_side, lambda k: f"mesh does not tile the unit square: boundary edge "
+                                      f"{tuple(bd[k].tolist())} does not lie on its boundary")])
 
 
 def write_mesh(mesh: PrimalMesh) -> str:

@@ -48,28 +48,37 @@ MESH_FILE_REJECTIONS = {
     "index-digit-limit": (_file(_TRIANGLE, f"[[0,1,{'9' * 5000}]]"),
                           "^vertex index out of range: "),
     "one-key": ('{"vertices":[]}', '^mesh file must be an object with "vertices" and "cells"'),
-    # vertices: a list of [x, y] rows of finite JSON numbers within the
-    # float range; the float conversion alone would read "1" and true as
-    # 1.0, and it raises OverflowError for an integer beyond the float range
+    # vertices: a list of [x, y] rows of JSON numbers within the float
+    # range; the float conversion alone would read "1" and true as 1.0, and
+    # it raises OverflowError for an integer beyond the float range.  A
+    # value too long to read whole is shown by its ends
     "string-vertices": (_file('"abc"'), r"^vertices must be a list of \[x, y\] rows$"),
     "object-vertices": (_file('{"a":1}'), r"^vertices must be a list of \[x, y\] rows$"),
     "scalar-row": (_file("[[0,0],[1,0],[1,1],5]"), r"^vertex 3: not an \[x, y\] row$"),
     "string-y": (_file('[[0,0],[1,0],[1,1],[0,"1"]]'), 'vertex 3: coordinate "1" is not a number'),
     "bool-y": (_file("[[0,0],[1,0],[1,1],[0,true]]"), "vertex 3: coordinate true is not a number"),
     "string-x": (_file('[[0,0],["1",0],[1,1],[0,1]]'), 'vertex 1: coordinate "1" is not a number'),
+    "long-string-y": (_file(f'[[0,0],[1,0],[1,1],[0,"{"a" * 1000}"]]'),
+                      r'^vertex 3: coordinate "a{19}\.\.\.a{16}" is not a number$'),
     "rows-and-scalars": (_file('[[0,"1"],5]'), '^vertex 0: coordinate "1" is not a number$'),
     "huge-integer": (_huge(400), _BEYOND_FLOATS),
     "flat-huge": (_file(f"[1{'0' * 400}]"), r"^vertex 0: not an \[x, y\] row$"),
     "ragged-rows": (_file("[[0,0],[1,0],[1,1],[0]]"), "^vertex 3: 1 coordinate, not 2$"),
     "ragged-xyz-row": (_file("[[0,0],[1,0,5],[1,1],[0,1]]"), "^vertex 1: 3 coordinates, not 2$"),
-    "xyz-vertices": (_file("[[0,0,0],[1,0,0],[0,1,0]]"), r"^vertices must be an \(nv, 2\) array$"),
-    # vertex 4 is used by no cell, so no area or convexity check sees it
+    "xyz-vertices": (_file("[[0,0,0],[1,0,0],[0,1,0]]"), "^vertex 0: 3 coordinates, not 2$"),
+    # the mesh constructor takes finite coordinates of at most 1e100 in
+    # magnitude, so that no product of its geometry overflows; vertex 4 is
+    # used by no cell, so no area or convexity check sees it
     "nan": (_file("[[0,0],[1,0],[1,1],[0,1],[NaN,0]]"), "^vertex 4: .* not finite$"),
     "infinity": (_file("[[0,0],[1,0],[1,1],[0,1],[Infinity,0]]"), "^vertex 4: .* not finite$"),
+    "far-vertex": (_file("[[0,0],[1e300,0],[1,1],[0,1]]"),
+                   r"^vertex 1: coordinates \[1e\+300, 0\.0\] exceed 1e\+100 in magnitude$"),
     # cells: at least three distinct in-range JSON integers each; an integer
     # conversion would truncate 2.7 to vertex 2 and parse "2" as 2
     "flat-cells": (_file(cells="[0,1,2,3]"), "^cells must be lists of vertex indices: "),
     "index-2.7": (_file(cells="[[0,1,2.7,3]]"), "^cell 0: vertex index 2.7 is not an integer$"),
+    "long-index": (_file(cells=f"[[0,1,[1{'0' * 400}],3]]"),
+                   r"^cell 0: vertex index \[10{18}\.\.\.0{16}\] is not an integer$"),
     "string-index": (_file(cells='[[0,1,"2",3]]'), "^cell 0: vertex index '2' is not an integer$"),
     "float-index": (_file(cells="[[0,1,2.0,3]]"), "^cell 0: vertex index 2.0 is not an integer$"),
     "bool-index": (_file(cells="[[0,1,true,3]]"), "^cell 0: vertex index True is not an integer$"),
@@ -88,12 +97,11 @@ MESH_FILE_REJECTIONS = {
                             r"^edge \(0, 1\) shared by more than two cells$"),
     "one-way-edge": (_file(cells="[[0,1,2],[0,1,3]]"),
                      r"^edge \(0, 1\) traversed twice in the same direction$"),
-    # the cells tile the unit square: every vertex in it, checked before any
-    # geometry, total area 1, and every edge used once on its boundary
+    # the cells tile the unit square, checked on the mesh the constructor
+    # accepts: every vertex in it, total area 1, and every edge used once on
+    # its boundary
     "quarter": (_file("[[0,0],[0.5,0],[0.5,0.5],[0,0.5]]"), "unit square: total area 0.25$"),
     "sheared": (_file("[[0,0],[1,0],[1.5,1],[0.5,1]]"), "unit square: vertex 2 .* lies outside"),
-    "far-vertex": (_file("[[0,0],[1e300,0],[1,1],[0,1]]"),
-                   r"^mesh does not tile the unit square: vertex 1 at \[1e\+300, 0\.0\] lies"),
     # the lower-left half of the square, twice: area 1 and every vertex in the
     # square, but the diagonal boundary edges cut across it
     "triangle-twice": (_file("[[0,0],[1,0],[0,1],[0,0],[1,0],[0,1]]", "[[0,1,2],[3,4,5]]"),

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stokes_sdg.mesh import (_HEXAGON, MeshError, PrimalMesh, RegularityReport,
                              _clip_to_square, _cycle_slots, _edge_table, _pack_cells,
@@ -157,8 +157,9 @@ def test_roundtrip_identity():
 
 @pytest.mark.parametrize("text,message", MESH_FILE_REJECTIONS.values(), ids=MESH_FILE_REJECTIONS)
 def test_read_mesh_rejects(text, message):
-    with pytest.raises(MeshError, match=message):
+    with pytest.raises(MeshError, match=message) as info:
         read_mesh(text)
+    assert len(str(info.value)) <= 120  # a long value is shown by its ends
 
 
 def test_read_mesh_names_a_long_integer_in_bytes_too():
@@ -196,6 +197,32 @@ def test_read_mesh_of_any_coordinate_gives_a_mesh_or_an_error_and_no_warning(k, 
         warnings.simplefilter("error")
         try:
             assert isinstance(read_mesh(_file(json.dumps(rows))), PrimalMesh)
+        except MeshError:
+            pass
+
+
+@pytest.mark.parametrize("x,message", [
+    # the fan's centroid would overflow
+    (1e300, r"^vertex 1: coordinates \[1e\+300, 0\.0\] exceed 1e\+100 in magnitude$"),
+    # edge 0 is (5.8e-224, 0), whose length underflows to 0
+    (5.8e-224, "^cell 0: not strictly convex$"),
+])
+def test_constructor_rejects_a_coordinate_its_geometry_cannot_take(x, message):
+    with pytest.raises(MeshError, match=message):
+        PrimalMesh([[0, 0], [x, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
+
+
+@example(2, 1e300)
+@example(2, 5.8e-224)
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.integers(0, 7), st.floats())
+def test_fan_of_any_coordinate_gives_a_mesh_or_an_error_and_no_warning(k, x):
+    verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    verts[k // 2, k % 2] = x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            build_staggered(PrimalMesh(verts, [[0, 1, 2, 3]]))
         except MeshError:
             pass
 
