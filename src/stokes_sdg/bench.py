@@ -128,14 +128,14 @@ def study_on_meshes(case: ManufacturedCase, meshes: Iterable[StaggeredMesh],
     return _orders(records) if len(records) > 1 else records
 
 
-def robustness_sweep(case_name: str, family: str, level: int, nu_list) -> list[dict]:
+def robustness_sweep(case: str, family: str, level: int, nu_list) -> list[dict]:
     """Errors for both methods on one fixed mesh across viscosities.  It
     checks, before any solve, that nu_list is non-empty, positive, finite
     and strictly descending.  ratio_omega = previous/current error (the
     shrink factor per step) and ratio_u = current/previous (the growth
     factor), so both read ~10 in their interesting asymptotic regime."""
     check_viscosities(nu_list)
-    case = get_case(case_name)
+    case = get_case(case)
     stag = build_staggered(mesh_for(family, level))
     rows = []
     for method in ("sdg1", "sdg2"):

@@ -16,7 +16,6 @@ __all__ = ["CASES", "ManufacturedCase", "case_taylor", "case_noflow", "case_trig
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    name: str
     u: Callable
     grad_u: Callable
     lap_u: Callable
@@ -85,7 +84,7 @@ def case_taylor() -> ManufacturedCase:
         x, y = _split(xy)
         return np.stack([np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y)], axis=-1)
 
-    return ManufacturedCase("taylor", u, grad_u, lap_u, p, grad_p)
+    return ManufacturedCase(u, grad_u, lap_u, p, grad_p)
 
 
 _RA = 1000.0  # the no-flow load scale Ra
@@ -110,7 +109,7 @@ def case_noflow() -> ManufacturedCase:
         x, y = _split(xy)
         return np.stack([np.zeros_like(x), _RA * (1.0 - y)], axis=-1)
 
-    return ManufacturedCase("noflow", u, grad_u, u, p, grad_p)
+    return ManufacturedCase(u, grad_u, u, p, grad_p)
 
 
 def case_trig() -> ManufacturedCase:
@@ -150,14 +149,14 @@ def case_trig() -> ManufacturedCase:
         ex = np.exp(x)
         return np.stack([2.0 * ex * np.sin(y), 2.0 * ex * np.cos(y)], axis=-1)
 
-    return ManufacturedCase("trig", u, grad_u, lap_u, p, grad_p)
+    return ManufacturedCase(u, grad_u, lap_u, p, grad_p)
 
 
 CASES = {"taylor": case_taylor, "noflow": case_noflow, "trig": case_trig}
 
 
-def get_case(name: str) -> ManufacturedCase:
+def get_case(case: str) -> ManufacturedCase:
     try:
-        return CASES[name]()
+        return CASES[case]()
     except KeyError:
-        raise ValueError(f"unknown case {name!r}; expected one of {sorted(CASES)}")
+        raise ValueError(f"unknown case {case!r}; expected one of {sorted(CASES)}")

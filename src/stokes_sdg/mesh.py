@@ -160,13 +160,14 @@ class PrimalMesh:
     loc_edge   : (sum m,) primal edge of each slot, numbered by first appearance
     edge_slots : (ne, 2) [first slot, second slot or -1] of each edge; the
                  first slot lies in the lower-numbered cell
-    n_vertices, n_cells, cells   nv, nc and per-cell views of cell_idx
+    n_vertices, n_cells   nv and nc
 
     The constructor takes the cells as a sequence of index cycles.  It
     checks that every coordinate is finite and at most 1e100 in magnitude,
-    so that no product of the geometry overflows; orientation; strict
-    convexity, which also rejects an edge too short to measure (its length
-    underflows to 0); and edge sharing.  The generators and the mesh-file
+    so that no product of the geometry overflows; a nonzero area, which a
+    collinear cell or one too small for its shoelace terms lacks;
+    orientation; strict convexity, which also rejects an edge too short to
+    measure (its length underflows to 0); and edge sharing.  The generators and the mesh-file
     reader additionally guarantee that the cells tile the unit square, and
     the staggered build enforces that the tiling is conforming.
     """
@@ -189,11 +190,6 @@ class PrimalMesh:
     @property
     def n_cells(self) -> int:
         return len(self.cell_ptr) - 1
-
-    @property
-    def cells(self) -> list:
-        """Per-cell views of cell_idx."""
-        return np.split(self.cell_idx, self.cell_ptr[1:-1])
 
     def _set_up(self, vertices, ptr, idx):
         # C order, which write_mesh's serializer requires
@@ -242,8 +238,9 @@ class PrimalMesh:
         turn = tang[:, 0] * tang[nxt, 1] - tang[:, 1] * tang[nxt, 0]
         bent = ~(turn > 1e-13 * elen * elen[nxt]) | (elen == 0)
         _raise_first([
-            (areas <= 0.0, lambda c: (f"cell {c}: vertices not counterclockwise "
-                                      f"(signed area {areas[c]:g})")),
+            (areas == 0.0, lambda c: f"cell {c}: zero area (collinear, or too small to measure)"),
+            (areas < 0.0, lambda c: (f"cell {c}: vertices not counterclockwise "
+                                     f"(signed area {areas[c]:g})")),
             (np.bincount(slot_cell[bent], minlength=nc) > 0,
              lambda c: f"cell {c}: not strictly convex"),
         ])

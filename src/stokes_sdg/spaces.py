@@ -1,5 +1,5 @@
-"""Discrete fields on the staggered mesh, interpolation operators, the jump
-seminorm and error functionals.
+"""Discrete fields on the staggered mesh, interpolation operators and error
+functionals.
 
 Velocity lives as one 2-vector per primal edge (constant on the dual region
 D(e)), the velocity gradient as one 2-vector trace q_e = psi n_e per dual
@@ -16,7 +16,6 @@ from .quadrature import edge_rule, map_rule, triangle_rule
 __all__ = [
     "VelocityField", "GradientField", "PressureField",
     "interp_velocity", "interp_gradient", "interp_pressure",
-    "jump_norm",
     "error_velocity", "error_gradient", "error_pressure", "error_super",
 ]
 
@@ -122,10 +121,6 @@ class PressureField:
         self.stag = stag
         self.values = _checked(values, (stag.n_cells,), "pressure")
 
-    def mean(self) -> float:
-        area = self.stag.cell_area
-        return float(np.dot(area, self.values) / area.sum())
-
 
 # ---------------------------------------------------------------------------
 # Interpolation operators (edge averages / cell means)
@@ -149,18 +144,6 @@ def interp_pressure(stag: StaggeredMesh, p) -> PressureField:
     """Cell-mean interpolant via sub-triangle quadrature."""
     per_tri = 2.0 * stag.tri_area * _tri_sums(stag, p)
     return PressureField(stag, np.add.reduceat(per_tri, stag.cell_ptr[:-1]) / stag.cell_area)
-
-
-# ---------------------------------------------------------------------------
-# Jump seminorm
-# ---------------------------------------------------------------------------
-
-def jump_norm(v: VelocityField) -> float:
-    """Jump seminorm over dual edges: (sum h_e^-1 ||[v]||_{0,e}^2)^(1/2), h_e = |e|."""
-    s = v.stag
-    tv = v.on_tris()
-    jump = tv[s.prev_slot] - tv
-    return float(np.sqrt(np.sum(jump * jump)))
 
 
 # ---------------------------------------------------------------------------

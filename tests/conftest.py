@@ -231,6 +231,26 @@ def one_cell(verts):
     return build_staggered(PrimalMesh(verts, [list(range(len(verts)))]))
 
 
+def cells_of(mesh):
+    """The cells of a mesh as lists of vertex indices, in cell order."""
+    return [c.tolist() for c in np.split(mesh.cell_idx, mesh.cell_ptr[1:-1])]
+
+
+def pressure_mean(p):
+    """The area-weighted mean of a pressure field, which the solve makes 0."""
+    area = p.stag.cell_area
+    return float(area @ p.values / area.sum())
+
+
+def jump_norm(v):
+    """The paper's jump seminorm of a velocity field over the dual edges,
+    (sum h_e^-1 ||[v]||_{0,e}^2)^(1/2): with h_e = |e| and [v] constant on
+    each edge, every term is |[v]|^2."""
+    tv = v.on_tris()
+    jump = tv[v.stag.prev_slot] - tv
+    return float(np.sqrt(np.sum(jump * jump)))
+
+
 def reconstruction_divergence(stag, values):
     """Per-cell divergence sum_i 2 c0_i (u[loc_edge_i] . n_i) of the flux
     reconstruction of an edge velocity field (values (n_edges, 2))."""

@@ -249,8 +249,7 @@ def test_criterion_6_property_suite():
         gchi = np.stack([3 * x**2 * y**2 + y, 2 * x**3 * y + x], axis=-1)
         return base.grad_p(xy) + lam * gchi
 
-    shifted = ManufacturedCase("shift", base.u, base.grad_u, base.lap_u,
-                               base.p, shifted_grad_p)
+    shifted = ManufacturedCase(base.u, base.grad_u, base.lap_u, base.p, shifted_grad_p)
     stag4 = build_staggered(generate_triangular(4))
     sol0 = solve(assemble_system(stag4, base, "sdg1", 1.0))
     sol1 = solve(assemble_system(stag4, shifted, "sdg1", 1.0))
@@ -272,9 +271,8 @@ def test_criterion_6_property_suite():
         x = np.asarray(xy)[..., 0]
         return np.zeros(x.shape + (2, 2))
 
-    patch = ManufacturedCase("patch", upatch, ztens, zvec,
-                             lambda xy: np.zeros(np.asarray(xy)[..., 0].shape),
-                             zvec)
+    patch = ManufacturedCase(upatch, ztens, zvec,
+                             lambda xy: np.zeros(np.asarray(xy)[..., 0].shape), zvec)
     solp = solve(assemble_system(stag, patch, "sdg1", 1.0))
     checks.append(("patch test",
                    np.abs(solp.u.values - [3.0, -1.0]).max() <= 1e-11

@@ -12,8 +12,8 @@ from stokes_sdg.mesh import (PrimalMesh, build_staggered, generate_polygonal,
                              generate_trapezoidal, generate_triangular)
 from stokes_sdg.spaces import GradientField, interp_pressure
 
-from conftest import (one_cell, random_convex_polygon, reconstruction_divergence, rt_basis,
-                      rt_cell, rt_moments)
+from conftest import (jump_norm, one_cell, random_convex_polygon, reconstruction_divergence,
+                      rt_basis, rt_cell, rt_moments)
 
 
 def bh_star_oracle(stag, vals, tens):
@@ -307,8 +307,7 @@ def test_velocity_invariance_under_irrotational_shift():
         gchi = np.stack([3 * x**2 * y**2 + y, 2 * x**3 * y + x], axis=-1)
         return base.grad_p(xy) + lam * gchi
 
-    shifted = ManufacturedCase("shift", base.u, base.grad_u, base.lap_u,
-                               base.p, shifted_grad_p)
+    shifted = ManufacturedCase(base.u, base.grad_u, base.lap_u, base.p, shifted_grad_p)
     stag = build_staggered(generate_triangular(4))
     sol0 = solve(assemble_system(stag, base, "sdg1", 1.0))
     sol1 = solve(assemble_system(stag, shifted, "sdg1", 1.0))
@@ -331,7 +330,7 @@ def test_reconstruction_divergence_free_after_solve():
 def test_reconstruction_proximity_constant_across_refinement():
     # ||v - reconstruct(v)||_0 <= C h ||v||_h with stable C
     from stokes_sdg.quadrature import map_rule, triangle_rule
-    from stokes_sdg.spaces import interp_velocity, jump_norm
+    from stokes_sdg.spaces import interp_velocity
 
     case = case_taylor()
     rule = triangle_rule()

@@ -166,8 +166,7 @@ def test_exact_in_space_case_saturates():
         return np.zeros(x.shape + (2, 2))
 
     patch = ManufacturedCase(
-        "patch", u, ztens, zvec,
-        lambda xy: np.zeros(np.asarray(xy)[..., 0].shape), zvec,
+        u, ztens, zvec, lambda xy: np.zeros(np.asarray(xy)[..., 0].shape), zvec,
     )
     meshes = [build_staggered(mesh_for("tri", k)) for k in (1, 2)]
     records = study_on_meshes(patch, meshes, "sdg1", 1.0)

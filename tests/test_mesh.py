@@ -15,8 +15,8 @@ from stokes_sdg.mesh import (_HEXAGON, MeshError, PrimalMesh, RegularityReport,
                              generate_trapezoidal, generate_triangular,
                              read_mesh, validate, write_mesh)
 
-from conftest import (MESH_FILE_REJECTIONS, _file, centroid, edge_normals, one_cell,
-                      polygon_area, random_convex_polygon)
+from conftest import (MESH_FILE_REJECTIONS, _file, cells_of, centroid, edge_normals,
+                      one_cell, polygon_area, random_convex_polygon)
 
 SPEC_EXAMPLE = ('{"vertices":[[0,0],[0.5,0],[1,0],[1,1],[0.5,1],[0,1]],'
                 '"cells":[[0,1,4,5],[1,2,3,4]]}')
@@ -50,7 +50,7 @@ def test_triangular_convex_with_and_without_jitter():
 def test_trapezoidal_counts_and_tiling():
     mesh = generate_trapezoidal(2)
     assert mesh.n_cells == 4
-    assert all(len(c) == 4 for c in mesh.cells)
+    assert all(len(c) == 4 for c in cells_of(mesh))
     assert abs(mesh.total_area() - 1.0) < 1e-12
 
 
@@ -67,14 +67,14 @@ def test_trapezoidal_rejects_odd_n():
 def test_polygonal_tiling_and_shapes(n):
     mesh = generate_polygonal(n)
     assert abs(mesh.total_area() - 1.0) < 1e-12
-    sizes = {len(c) for c in mesh.cells}
+    sizes = {len(c) for c in cells_of(mesh)}
     assert sizes <= {3, 4, 5, 6}
     if n >= 3:  # at n=2 every hexagon touches the boundary
         # the boundary is one CCW loop, so each of its vertices starts
         # exactly one boundary edge
         on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
         on_boundary[mesh.cell_idx[mesh.edge_slots[mesh.edge_slots[:, 1] < 0, 0]]] = True
-        interior = [c for c in mesh.cells if not np.any(on_boundary[c])]
+        interior = [c for c in cells_of(mesh) if not np.any(on_boundary[c])]
         assert interior and all(len(c) == 6 for c in interior)
 
 
@@ -82,14 +82,13 @@ def test_generators_keep_their_numbering():
     # vertex and cell order are part of the mesh-file text, so they are pinned
     tri = [[0, 3, 4], [0, 4, 1], [1, 4, 5], [1, 5, 2],
            [3, 6, 7], [3, 7, 4], [4, 7, 8], [4, 8, 5]]
-    assert [c.tolist() for c in generate_triangular(2).cells] == tri
+    assert cells_of(generate_triangular(2)) == tri
     trap = generate_trapezoidal(2)
-    assert [c.tolist() for c in trap.cells] == [[0, 3, 4, 1], [1, 4, 5, 2],
-                                                [3, 6, 7, 4], [4, 7, 8, 5]]
+    assert cells_of(trap) == [[0, 3, 4, 1], [1, 4, 5, 2], [3, 6, 7, 4], [4, 7, 8, 5]]
     assert trap.vertices[:, 1].tolist() == [0.0, 0.375, 1.0, 0.0, 0.625, 1.0,
                                             0.0, 0.375, 1.0]
     poly = generate_polygonal(2)
-    assert [c.tolist() for c in poly.cells] == [
+    assert cells_of(poly) == [
         [0, 1, 2, 3], [4, 5, 6, 2, 1], [7, 8, 5, 4], [2, 6, 9, 10, 11, 3],
         [5, 8, 12, 13, 9, 6], [11, 10, 14, 15], [9, 13, 16, 14, 10], [12, 17, 16, 13]]
     # in (w/2, r/2) lattice units
@@ -297,6 +296,19 @@ def test_multi_cell_rejection_names_lowest_offending_cell(defect, message):
         PrimalMesh(verts, cells)
 
 
+@pytest.mark.parametrize("verts", [
+    [[0, 0], [1e-200, 0], [0, 1e-200]],
+    [[0, 0], [1e-170, 0], [0, 1e-170]],
+    [[0, 0], [1, 0], [2, 0]],
+], ids=["1e-200", "1e-170", "collinear"])
+def test_zero_area_cell_is_named_as_such(verts):
+    # the shoelace terms of the two small triangles underflow to 0, so their
+    # orientation cannot be told either
+    with pytest.raises(MeshError,
+                       match=r"^cell 0: zero area \(collinear, or too small to measure\)$"):
+        PrimalMesh(verts, [[0, 1, 2]])
+
+
 @pytest.mark.parametrize("m", range(7, 13))
 def test_large_cell_geometry_and_convexity(m):
     poly = random_convex_polygon(m, np.random.default_rng(m))
@@ -329,8 +341,7 @@ def test_write_mesh_text():
 def test_write_mesh_text_matches_the_stdlib_writer(gen):
     # the stdlib writer of the list form, as the text was once written
     mesh = gen()
-    oracle = json.dumps({"vertices": mesh.vertices.tolist(),
-                         "cells": [c.tolist() for c in mesh.cells]},
+    oracle = json.dumps({"vertices": mesh.vertices.tolist(), "cells": cells_of(mesh)},
                         separators=(",", ":"))
     assert write_mesh(mesh) == oracle
 
@@ -351,7 +362,7 @@ def test_small_coordinate_round_trips_exactly():
 @pytest.mark.parametrize("layout", ["fortran", "strided"])
 def test_non_contiguous_vertices_write_and_round_trip(layout):
     trap = generate_trapezoidal(4)
-    verts, cells = trap.vertices, [c.tolist() for c in trap.cells]
+    verts, cells = trap.vertices, cells_of(trap)
     if layout == "fortran":
         given = np.asfortranarray(verts)
     else:
@@ -374,7 +385,7 @@ def test_non_contiguous_vertices_write_and_round_trip(layout):
 ], ids=["tri1", "tri8", "tri16-jitter", "trap2", "trap8", "poly2", "poly3", "poly16"])
 def test_packed_generators_match_the_cycle_constructor(gen):
     mesh = gen()
-    again = PrimalMesh(mesh.vertices, [list(c) for c in mesh.cells])
+    again = PrimalMesh(mesh.vertices, cells_of(mesh))
     arrays = {k: v for k, v in vars(mesh).items() if isinstance(v, np.ndarray)}
     assert set(arrays) == {k for k, v in vars(again).items() if isinstance(v, np.ndarray)}
     for name, value in arrays.items():
@@ -507,10 +518,10 @@ def test_packed_build_numbers_edges_by_first_appearance(name, gen):
 def test_edge_slots_match_per_cell_dict(name, gen):
     mesh = gen()
     slots_of = {}  # unordered vertex pair -> the slots that traverse it
-    for ci, cell in enumerate(mesh.cells):
+    for ci, cell in enumerate(cells_of(mesh)):
         lo = mesh.cell_ptr[ci]
-        for k, a in enumerate(cell.tolist()):
-            b = int(cell[(k + 1) % len(cell)])
+        for k, a in enumerate(cell):
+            b = cell[(k + 1) % len(cell)]
             slots_of.setdefault(frozenset((a, b)), []).append(lo + k)
     # numbered by first appearance: the edges in order of their first slot
     expected = sorted((s + [-1])[:2] for s in slots_of.values())
@@ -538,7 +549,7 @@ def _unchecked_primal(vertices, cells):
     mesh.celen, mesh._cross = _slot_geometry(mesh.cvert, mesh.next_slot)[1:]
     mesh.loc_edge, mesh.edge_slots = _edge_table(mesh.cell_idx, mesh.next_slot,
                                                  mesh.n_vertices)[:2]
-    mesh.cell_area = np.array([polygon_area(mesh.vertices[c]) for c in mesh.cells])
+    mesh.cell_area = np.array([polygon_area(mesh.vertices[c]) for c in cells])
     return mesh
 
 

@@ -10,9 +10,9 @@ from stokes_sdg.quadrature import edge_rule, map_rule, triangle_rule
 from stokes_sdg.spaces import (GradientField, PressureField, VelocityField,
                                error_gradient, error_pressure, error_super,
                                error_velocity, interp_gradient, interp_pressure,
-                               interp_velocity, jump_norm)
+                               interp_velocity)
 
-from conftest import one_cell, random_convex_polygon
+from conftest import jump_norm, one_cell, pressure_mean, random_convex_polygon
 
 
 def constant_velocity(c):
@@ -31,12 +31,13 @@ def test_field_rejects_wrong_shape(field):
 def test_pressure_mean_divides_by_total_area():
     # one 2 x 2 square: the constant 1 has mean 1, not the integral 4
     square = one_cell(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]))
-    assert PressureField(square, [1.0]).mean() == 1.0
+    assert pressure_mean(PressureField(square, [1.0])) == 1.0
     # two cells of areas 1/2 and 3/2 on [0, 2] x [0, 1]
     stag = build_staggered(PrimalMesh([[0, 0], [1, 0], [2, 0], [2, 1], [0, 1]],
                                       [[0, 1, 4], [1, 2, 3, 4]]))
     assert np.array_equal(stag.cell_area, [0.5, 1.5])
-    assert abs(PressureField(stag, [4.0, -2.0]).mean() - (0.5 * 4.0 - 1.5 * 2.0) / 2.0) < 1e-15
+    mean = pressure_mean(PressureField(stag, [4.0, -2.0]))
+    assert abs(mean - (0.5 * 4.0 - 1.5 * 2.0) / 2.0) < 1e-15
 
 
 # ------------------------------------------------------------ interpolation
