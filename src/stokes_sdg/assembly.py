@@ -238,12 +238,15 @@ class SaddleSystem:
 
 def check_viscosities(nus) -> None:
     """Raise ValueError unless nus is a non-empty sequence of positive, finite
-    and strictly descending viscosities."""
+    and strictly descending viscosities in [1e-100, 1e100]; omega and p scale
+    with nu, and the squares in their errors overflow from about 1e154."""
     if len(nus) == 0:
         raise ValueError("the viscosity list is empty")
     for nu in nus:
         if not (math.isfinite(nu) and nu > 0.0):
             raise ValueError(f"viscosity must be positive and finite, got {nu:g}")
+        if not 1e-100 <= nu <= 1e100:
+            raise ValueError(f"viscosity must lie in [1e-100, 1e100], got {nu:g}")
     for a, b in zip(nus, nus[1:]):
         if not a > b:
             raise ValueError(f"viscosities must be strictly descending, got {a:g} then {b:g}")
@@ -251,7 +254,7 @@ def check_viscosities(nus) -> None:
 
 def assemble_system(stag: StaggeredMesh, case, method: str, nu: float) -> SaddleSystem:
     """Build the full system for a manufactured case (f and Dirichlet data);
-    nu must be positive and finite."""
+    nu must lie in [1e-100, 1e100]."""
     check_viscosities([nu])
     s = stag
     bs = assemble_Bh(s)

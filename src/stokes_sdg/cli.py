@@ -77,11 +77,11 @@ def _cmd_run(args) -> int:
         report = validate(stag)
         if not report.ok:
             raise MeshError(f"mesh fails regularity thresholds: {report}")
-        records = study_on_meshes(get_case(args.case), [stag], args.method, args.nu)
+        rows = study_on_meshes(get_case(args.case), [stag], args.method, args.nu)
     else:
-        records = convergence_study(args.case, args.mesh, args.levels, args.method,
-                                    args.nu, args.jitter)
-    _emit_output(emit(records, args.format), args.out)
+        rows = convergence_study(args.case, args.mesh, args.levels, args.method,
+                                 args.nu, args.jitter)
+    _emit_output(emit(rows, args.format), args.out)
     return 0
 
 

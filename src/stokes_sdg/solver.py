@@ -20,6 +20,7 @@ matrix without zero column sums fails there.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -143,9 +144,10 @@ def solve(system: SaddleSystem) -> FieldSolution:
     x += condensed(rhs - times(x))  # the L solves' round-off grows like cond(L) ~ h^-2
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite solution entries")
-    scale = np.linalg.norm(rhs)
-    residual = np.linalg.norm(times(x) - rhs) / (scale if scale > 0.0 else 1.0)
-    if residual > _RESIDUAL_TOL:
+    # BLAS nrm2 scales as it sums, so no square overflows; a nan fails the gate
+    scale = sla.norm(rhs, check_finite=False)
+    residual = sla.norm(times(x) - rhs, check_finite=False) / (scale if scale > 0.0 else 1.0)
+    if not residual <= _RESIDUAL_TOL:
         raise SolverError(f"solve residual {residual:.3e} exceeds tolerance {_RESIDUAL_TOL:.1e}")
 
     q, u, p, mu = np.split(x, blocks)

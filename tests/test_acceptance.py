@@ -29,8 +29,8 @@ def _report(criterion: int, ok: bool, detail: str):
 
 def _timed_study(**study):
     t0 = time.perf_counter()
-    records = convergence_study(**study)
-    return records, time.perf_counter() - t0
+    rows = convergence_study(**study)
+    return rows, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +53,10 @@ def taylor_tri():
 
 
 def test_criterion_1_noflow_sdg1(noflow_sdg1):
-    records, elapsed = noflow_sdg1
-    records = records  # levels 1..5 are h = 1/2 .. 1/32
-    max_u = max(r.err_u for r in records)
-    max_super = max(r.err_super for r in records)
-    p_orders = [r.ord_p for r in records[2:]]
+    rows, elapsed = noflow_sdg1  # levels 1..5 are h = 1/2 .. 1/32
+    max_u = max(r["err_u"] for r in rows)
+    max_super = max(r["err_super"] for r in rows)
+    p_orders = [r["ord_p"] for r in rows[2:]]
     ok = (
         max_u <= 1e-10
         and max_super <= 1e-10
@@ -69,12 +68,12 @@ def test_criterion_1_noflow_sdg1(noflow_sdg1):
 
 
 def test_criterion_2_noflow_sdg2(noflow_sdg2):
-    records, elapsed = noflow_sdg2
+    rows, elapsed = noflow_sdg2
     reference = [8.75, 3.60, 1.12, 0.30, 0.08]
-    errs = [r.err_u for r in records]
+    errs = [r["err_u"] for r in rows]
     within = all(ref / 3.0 <= e <= ref * 3.0 for e, ref in zip(errs, reference))
-    final_order = records[-1].ord_u
-    p_orders = [r.ord_p for r in records[1:]]
+    final_order = rows[-1]["ord_u"]
+    p_orders = [r["ord_p"] for r in rows[1:]]
     ok = (
         all(e > 0.0 for e in errs)
         and within
@@ -89,15 +88,15 @@ def test_criterion_2_noflow_sdg2(noflow_sdg2):
 def test_criterion_3_taylor_convergence(taylor_tri):
     rec_nu1, rec_nu6, elapsed = taylor_tri
 
-    def finest_orders(records):
-        last = records[-1]
-        return last.ord_omega, last.ord_u, last.ord_p, last.ord_super
+    def finest_orders(rows):
+        last = rows[-1]
+        return last["ord_omega"], last["ord_u"], last["ord_p"], last["ord_super"]
 
     ok = elapsed <= 300.0
     details = []
-    for tag, records in (("nu=1", rec_nu1), ("nu=1e-6", rec_nu6)):
-        # criterion levels are h = 1/4 .. 1/32: drop the h = 1/2 record
-        o_om, o_u, o_p, o_su = finest_orders(records[1:])
+    for tag, rows in (("nu=1", rec_nu1), ("nu=1e-6", rec_nu6)):
+        # criterion levels are h = 1/4 .. 1/32: drop the h = 1/2 row
+        o_om, o_u, o_p, o_su = finest_orders(rows[1:])
         details.append(f"{tag}: omega={o_om:.2f} u={o_u:.2f} "
                        f"p={o_p:.2f} super={o_su:.2f}")
         ok = ok and min(o_om, o_u, o_p) >= 0.9 and o_su >= 1.8
@@ -149,12 +148,12 @@ def test_criterion_5_other_mesh_families():
     elapsed = time.perf_counter() - t0
     ok = True
     details = []
-    for tag, records in (("trap/trig", trap), ("poly/taylor", poly)):
-        last = records[-1]
-        details.append(f"{tag}: omega={last.ord_omega:.2f} u={last.ord_u:.2f} "
-                       f"p={last.ord_p:.2f} super={last.ord_super:.2f}")
-        ok = ok and min(last.ord_omega, last.ord_u, last.ord_p) >= 0.9 \
-            and last.ord_super >= 1.8
+    for tag, rows in (("trap/trig", trap), ("poly/taylor", poly)):
+        last = rows[-1]
+        details.append(f"{tag}: omega={last['ord_omega']:.2f} u={last['ord_u']:.2f} "
+                       f"p={last['ord_p']:.2f} super={last['ord_super']:.2f}")
+        ok = ok and min(last["ord_omega"], last["ord_u"], last["ord_p"]) >= 0.9 \
+            and last["ord_super"] >= 1.8
     _report(5, ok, "; ".join(details) + f", {elapsed:.1f}s")
 
 

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import stokes_sdg.bench as bench
-from stokes_sdg.bench import (CSV_COLUMNS, ErrorRecord, convergence_study,
-                              emit, emit_sweep, level_to_n, mesh_for,
-                              robustness_sweep, run_case)
+from stokes_sdg.assembly import assemble_system
+from stokes_sdg.bench import (CSV_COLUMNS, convergence_study, emit, emit_sweep,
+                              level_to_n, mesh_for, robustness_sweep, run_case,
+                              study_on_meshes)
 from stokes_sdg.cases import get_case
 from stokes_sdg.mesh import build_staggered
+from stokes_sdg.solver import solve
 
 
 def test_level_mapping():
@@ -44,7 +46,9 @@ def test_mesh_for_rejects_a_level_or_family_it_cannot_take(family, level, messag
     ([1.0, 1.0], "strictly descending, got 1 then 1"),
     ([], "the viscosity list is empty"),
     ([1.0, 0.0], "positive and finite, got 0"),
-], ids=["ascending", "repeated", "empty", "zero"])
+    ([1e200, 1.0], r"must lie in \[1e-100, 1e100\], got 1e\+200"),
+    ([1.0, 1e-300], r"must lie in \[1e-100, 1e100\], got 1e-300"),
+], ids=["ascending", "repeated", "empty", "zero", "huge", "tiny"])
 def test_sweep_checks_the_viscosities_before_any_solve(nu_list, message, monkeypatch):
     # an ascending list once gave sdg2 a growth factor ratio_u of 0.011
     def no_solve(system):
@@ -55,10 +59,17 @@ def test_sweep_checks_the_viscosities_before_any_solve(nu_list, message, monkeyp
         robustness_sweep("taylor", "tri", 2, nu_list)
 
 
+def _row(level, h, dof, *errors, orders=None):
+    row = {"level": level, "h": h, "dof": dof}
+    row.update(zip(("err_omega", "err_u", "err_p", "err_super"), errors))
+    if orders is not None:
+        row.update(zip(("ord_omega", "ord_u", "ord_p", "ord_super"), orders))
+    return row
+
+
 def test_emit_header_and_digits():
-    rec = ErrorRecord(level=1, h=1.0 / 3.0, dof=123, err_omega=0.123456789,
-                      err_u=1e-15, err_p=2.0, err_super=0.5)
-    text = emit([rec], "csv")
+    row = _row(1, 1.0 / 3.0, 123, 0.123456789, 1e-15, 2.0, 0.5)
+    text = emit([row], "csv")
     lines = text.strip().split("\n")
     assert lines[0] == "level,h,dof,err_omega,err_u,err_p,err_super," \
                        "ord_omega,ord_u,ord_p,ord_super"
@@ -74,15 +85,15 @@ def test_emit_empty_results_is_header_only():
 
 
 def test_emit_markdown_pairs_error_and_order():
-    rec1 = ErrorRecord(1, 0.5, 10, 1.0, 1.0, 1.0, 1.0)
-    rec2 = ErrorRecord(2, 0.25, 40, 0.5, 0.5, 0.5, 0.5,
-                       ord_omega=1.0, ord_u=1.0, ord_p=1.0, ord_super=1.0)
-    text = emit([rec1, rec2], "md")
-    lines = text.strip().split("\n")
-    header = [c.strip() for c in lines[0].strip("|").split("|")]
-    assert header == ["level", "h", "dof", "err_omega", "ord", "err_u", "ord",
-                      "err_p", "ord", "err_super", "ord"]
-    assert "N/A" in lines[2]  # first level has no order
+    rows = [_row(1, 0.5, 10, 1.0, 2.0, 3.0, 4.0),
+            _row(2, 0.25, 40, 0.5, 1.0, 0.75, 1.0, orders=(1.0, 1.0, 2.0, None))]
+    assert emit(rows, "md") == (
+        "| level | h | dof | err_omega | ord | err_u | ord | err_p | ord"
+        " | err_super | ord |\n"
+        "|---|---|---|---|---|---|---|---|---|---|---|\n"
+        "| 1 | 0.5 | 10 | 1 | N/A | 2 | N/A | 3 | N/A | 4 | N/A |\n"
+        "| 2 | 0.25 | 40 | 0.5 | 1 | 1 | 1 | 0.75 | 2 | 1 | N/A |\n"
+    )
 
 
 def test_emit_sweep_markdown_marks_missing_ratios():
@@ -114,43 +125,53 @@ def test_emit_is_deterministic():
 
 
 def test_orders_computed_from_halving():
-    records = convergence_study(case="noflow", method="sdg2", family="tri", levels=3, nu=1.0)
-    assert records[0].ord_u is None
-    for prev, cur in zip(records, records[1:]):
-        expected = np.log2(prev.err_u / cur.err_u) / np.log2(prev.h / cur.h)
-        assert abs(cur.ord_u - expected) < 1e-12
+    rows = convergence_study(case="noflow", method="sdg2", family="tri", levels=3, nu=1.0)
+    for prev, cur in zip(rows, rows[1:]):
+        expected = np.log2(prev["err_u"] / cur["err_u"]) / np.log2(prev["h"] / cur["h"])
+        assert abs(cur["ord_u"] - expected) < 1e-12
 
 
-def test_an_exact_zero_error_gives_an_empty_order():
+def test_study_rows_are_keyed_by_the_csv_columns():
+    rows = convergence_study(case="taylor", family="tri", levels=3)
+    assert [row["level"] for row in rows] == [1, 2, 3]
+    assert set(rows[0]) == {c for c in CSV_COLUMNS if not c.startswith("ord_")}
+    for row in rows[1:]:
+        assert set(row) == set(CSV_COLUMNS)
+
+
+def test_an_exact_zero_error_gives_an_empty_order(monkeypatch):
     # log2 of a ratio with a zero error has no value; the CSV leaves the cell empty
-    records = bench._orders([ErrorRecord(1, 0.5, 10, 1.0, 1e-15, 1.0, 1.0),
-                             ErrorRecord(2, 0.25, 40, 0.5, 0.0, 0.25, 0.25)])
-    assert records[1].ord_u is None
-    assert emit(records).splitlines()[2].split(",")[7:] == ["1", "", "2", "2"]
+    rows = iter([dict(h=0.5, dof=10, err_omega=1.0, err_u=1e-15, err_p=1.0, err_super=1.0),
+                 dict(h=0.25, dof=40, err_omega=0.5, err_u=0.0, err_p=0.25, err_super=0.25)])
+    monkeypatch.setattr(bench, "run_case", lambda case, stag, method, nu: next(rows))
+    study = study_on_meshes(get_case("taylor"), ["mesh 1", "mesh 2"], "sdg1", 1.0)
+    assert study[1]["ord_u"] is None
+    assert emit(study).splitlines()[2] == "2,0.25,40,0.5,0,0.25,0.25,1,,2,2"
 
 
 def test_errors_monotone_from_second_level():
-    records = convergence_study(case="taylor", method="sdg1", family="tri", levels=4, nu=1.0)
-    for prev, cur in zip(records[1:], records[2:]):
+    rows = convergence_study(case="taylor", method="sdg1", family="tri", levels=4, nu=1.0)
+    for prev, cur in zip(rows[1:], rows[2:]):
         for fieldname in ("err_omega", "err_u", "err_p", "err_super"):
-            a, b = getattr(prev, fieldname), getattr(cur, fieldname)
+            a, b = prev[fieldname], cur[fieldname]
             if a > 1e-13:
                 assert b <= 1.05 * a
 
 
-def test_run_case_returns_solution_and_record():
+def test_run_case_returns_the_row_of_one_mesh():
     stag = build_staggered(mesh_for("tri", 2))
-    rec, sol = run_case(get_case("taylor"), stag, "sdg1", 1.0, level=2)
-    assert rec.dof == sol.omega.values.size + \
+    row = run_case(get_case("taylor"), stag, "sdg1", 1.0)
+    assert set(row) == {"h", "dof", "err_omega", "err_u", "err_p", "err_super"}
+    sol = solve(assemble_system(stag, get_case("taylor"), "sdg1", 1.0))
+    assert row["dof"] == sol.omega.values.size + \
         sol.u.values[stag.interior_edges].size + sol.p.values.size + 1
-    assert rec.h == stag.h
-    assert rec.err_u > 0.0
+    assert row["h"] == stag.h
+    assert row["err_u"] > 0.0
 
 
 def test_exact_in_space_case_saturates():
     # a globally constant flow lies in the discrete space: every error sits
     # at machine precision on all levels and reported orders are meaningless
-    from stokes_sdg.bench import study_on_meshes
     from stokes_sdg.cases import ManufacturedCase
 
     def u(xy):
@@ -169,9 +190,8 @@ def test_exact_in_space_case_saturates():
         u, ztens, zvec, lambda xy: np.zeros(np.asarray(xy)[..., 0].shape), zvec,
     )
     meshes = [build_staggered(mesh_for("tri", k)) for k in (1, 2)]
-    records = study_on_meshes(patch, meshes, "sdg1", 1.0)
-    for rec in records:
-        assert max(rec.err_omega, rec.err_u, rec.err_p, rec.err_super) <= 1e-11
+    for row in study_on_meshes(patch, meshes, "sdg1", 1.0):
+        assert max(row[f"err_{q}"] for q in ("omega", "u", "p", "super")) <= 1e-11
 
 
 def test_sweep_rows_and_ratios():

@@ -140,17 +140,26 @@ def test_out_of_memory_in_factorization_exit_1(monkeypatch, capsys):
     assert "solver error: out of memory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--case", "taylor", "--mesh", "tri", "--levels", "2", "--nu", nu]
+_RUN = ["run", "--case", "taylor", "--mesh", "tri", "--levels", "2", "--nu"]
+_SWEEP = ["sweep", "--case", "taylor", "--mesh", "tri", "--level", "2", "--nu-list"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (_RUN + [nu], f"viscosity must be positive and finite, got {nu}")
     for nu in ("-1", "0", "nan", "inf")
-] + [["sweep", "--case", "taylor", "--mesh", "tri", "--level", "2", "--nu-list", "1,0"]],
-    ids=["nu-1", "nu0", "nu-nan", "nu-inf", "nu-list-1,0"])
-def test_bad_viscosity_exit_2(argv, capsys):
+] + [
+    (_SWEEP + ["1,0"], "viscosity must be positive and finite, got 0"),
+    (_RUN + ["1e200"], "viscosity must lie in [1e-100, 1e100], got 1e+200"),
+    (_SWEEP + ["1,1e-300"], "viscosity must lie in [1e-100, 1e100], got 1e-300"),
+], ids=["nu-1", "nu0", "nu-nan", "nu-inf", "nu-list-1,0", "nu1e200", "nu-list-1,1e-300"])
+def test_bad_viscosity_exit_2(argv, message, capsys):
     # -1 once printed a table; 0, nan and inf failed in the factorization with
-    # exit 1
+    # exit 1; 1e200 printed inf errors and nan orders with exit 0, and 1e-300
+    # warned of an overflow before its solver error
     assert main(argv) == 2
-    value = argv[-1].split(",")[-1]
-    assert f"viscosity must be positive and finite, got {value}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("nu_list,pair", [("1e-6,1", "1e-06 then 1"), ("1,1", "1 then 1"),

@@ -56,8 +56,7 @@ def test_noflow_velocity_on_hexagons_is_round_off():
     # rule integrates the no-flow load exactly on pentagons and hexagons too
     for level in (2, 3, 4):
         stag = build_staggered(mesh_for("poly", level))
-        rec, _ = run_case(get_case("noflow"), stag, "sdg1", 1.0)
-        assert rec.err_u <= 1e-12
+        assert run_case(get_case("noflow"), stag, "sdg1", 1.0)["err_u"] <= 1e-12
 
 
 @pytest.mark.parametrize("family,level", [("tri", 4), ("trap", 4), ("poly", 3)])
@@ -65,10 +64,10 @@ def test_sdg1_velocity_errors_do_not_depend_on_viscosity(family, level):
     # pressure robustness: nu only scales the gradient part of f, which the
     # H(div) test functions remove, so u_h is the same at every nu
     stag = build_staggered(mesh_for(family, level))
-    rec1, _ = run_case(get_case("taylor"), stag, "sdg1", 1.0)
-    rec6, _ = run_case(get_case("taylor"), stag, "sdg1", 1e-6)
+    row1 = run_case(get_case("taylor"), stag, "sdg1", 1.0)
+    row6 = run_case(get_case("taylor"), stag, "sdg1", 1e-6)
     for field in ("err_u", "err_super"):
-        a, b = getattr(rec1, field), getattr(rec6, field)
+        a, b = row1[field], row6[field]
         assert abs(a - b) <= 1e-7 * a
 
 
@@ -147,6 +146,10 @@ def _break_a_column_sum(system):
     system.D0[1, 0] += 0.3  # an entry D0 stores
 
 
+def _scale_a_divergence_entry(system):
+    system.D0.data[0] *= 1e200
+
+
 # Each row edits the assembled taylor system (sdg1, nu = 1, generate_polygonal(4))
 # and names the SolverError that solve must raise for it.
 SOLVER_GATES = {
@@ -163,6 +166,10 @@ SOLVER_GATES = {
     "column-sum": (_break_a_column_sum, r"^solve residual 5\.484e-01 exceeds tolerance 1\.0e-10$"),
     "nan-load": (lambda s: np.put(s.F, 0, np.nan),
                  "^factorization produced non-finite solution entries$"),
+    # the residual's squares overflow: the gate raises on an inf residual
+    # without a warning from the norm
+    "huge-divergence-entry": (_scale_a_divergence_entry,
+                              r"^solve residual inf exceeds tolerance 1\.0e-10$"),
 }
 
 
@@ -173,6 +180,16 @@ def test_solver_gate_raises(edit, message):
     edit(system)
     with pytest.raises(SolverError, match=message):
         solve(system)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_residual_of_a_huge_load_is_round_off(scale):
+    # the squares of such a load overflow: a residual that summed them read
+    # 0.0 at 1e160 and nan from 1e200, and nan passed the gate
+    stag = build_staggered(generate_polygonal(4))
+    system = assemble_system(stag, get_case("taylor"), "sdg1", 1.0)
+    system.F = scale * system.F
+    assert solve(system).residual <= 1e-10
 
 
 def test_residual_reported():
@@ -311,11 +328,9 @@ def test_noflow_velocity_is_machine_epsilon(family):
     # the reconstruction leaves as round-off cannot reach it through p
     for level in (2, 3, 4):
         stag = build_staggered(mesh_for(family, level))
-        rec, _ = run_case(get_case("noflow"), stag, "sdg1", 1.0)
-        assert rec.err_u <= 1e-14
+        assert run_case(get_case("noflow"), stag, "sdg1", 1.0)["err_u"] <= 1e-14
         if (family, level) in (("tri", 4), ("poly", 3)):
-            rec, _ = run_case(get_case("noflow"), stag, "sdg1", 1e-6)
-            assert rec.err_u <= 2e-9
+            assert run_case(get_case("noflow"), stag, "sdg1", 1e-6)["err_u"] <= 2e-9
 
 
 @pytest.mark.parametrize("nu", [1.0, 1e-6])
