@@ -36,14 +36,17 @@ class MeshError(ValueError):
 # k of the cell, edge k (vertex k -> k+1), sub-triangle k (x*, v_k, v_k+1)
 # and dual edge k (x* -> v_k, between sub-triangles k-1 and k).  Cell
 # geometry is computed per slot (_slot_geometry) and summed per cell with
-# np.add.reduceat over cell_ptr[:-1]; PrimalMesh keeps the per-slot arrays,
-# and the StaggeredMesh that fans it shares them.  _size_groups stacks the
-# cells of one size only where a batched dense operation needs equal sizes:
-# validate's pairwise vertex distances, the solver's batched block inverse
-# and the per-cell cumulative sums of _kernels.cell_moments.  The generators
-# hand PrimalMesh._from_packed these arrays directly, and write_mesh
-# serializes the vertex array as it is, so no per-cell Python list is built
-# on the way from a generator to a mesh file.
+# np.add.reduceat over cell_ptr[:-1]: the area and the centroid x* both come
+# from one set of shoelace terms taken about the cell's first vertex, so
+# neither loses digits to where the cell sits.  PrimalMesh keeps the
+# per-slot arrays, and the StaggeredMesh that fans it shares them.
+# _size_groups stacks the cells of one size only where a batched dense
+# operation needs equal sizes: validate's pairwise vertex distances, the
+# solver's batched block inverse and the per-cell cumulative sums of
+# _kernels.cell_moments.  The generators hand PrimalMesh._from_packed these
+# arrays directly, and write_mesh serializes the vertex array as it is, so
+# no per-cell Python list is built on the way from a generator to a mesh
+# file.
 # ---------------------------------------------------------------------------
 
 def _is_index_type(t) -> bool:
@@ -79,14 +82,17 @@ def _cycle_slots(cell_ptr):
     return nxt, prv
 
 
-def _slot_geometry(p, nxt):
-    """(tang, elen, cross) of the packed cell vertices p (sum m, 2): per slot
-    the tangent v_k+1 - v_k of edge k, its length and the shoelace term
-    x_k y_k+1 - x_k+1 y_k."""
-    q = p[nxt]
-    tang = q - p
+def _slot_geometry(p, nxt, first):
+    """(tang, elen, mid, cross) of the packed cell vertices p (sum m, 2)
+    whose cells start at the vertices first (per slot): the tangent
+    v_k+1 - v_k of edge k, its length, and, with r_k = v_k - first,
+    r_k + r_k+1 and the shoelace term r_k x r_k+1.  Taken about the cell's
+    first vertex, the last two keep their digits wherever the cell sits."""
+    tang = p[nxt] - p
     tx, ty = tang[:, 0], tang[:, 1]
-    return tang, np.sqrt(tx * tx + ty * ty), p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
+    r = p - first
+    rn = r[nxt]
+    return tang, np.sqrt(tx * tx + ty * ty), r + rn, r[:, 0] * rn[:, 1] - rn[:, 0] * r[:, 1]
 
 
 def _first_appearance(keys):
@@ -151,6 +157,8 @@ class PrimalMesh:
     cell_ptr   : (nc+1,) offsets of the cells in cell_idx
     cell_idx   : (sum m,) packed vertex indices, each cell a CCW cycle
     cell_area  : (nc,) cell areas
+    xstar      : (nc, 2) area centroids x*, from which the staggered build
+                 fans each cell
     cell_sizes : (nc,) vertex counts m of the cells
     next_slot, prev_slot : (sum m,) slot of the next / previous vertex of
                  the same cell
@@ -198,8 +206,8 @@ class PrimalMesh:
         if v.ndim != 2 or v.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
         nv, nc = self.n_vertices, self.n_cells
-        # the fan's centroid sums products of three coordinates, which stay
-        # finite below 1e100
+        # the centroid sums products of three coordinate differences, which
+        # stay finite below 1e100
         _raise_first([
             (~np.all(np.isfinite(v), axis=1),
              lambda i: f"vertex {i}: coordinates {v[i].tolist()} are not finite"),
@@ -229,8 +237,9 @@ class PrimalMesh:
         self.next_slot, self.prev_slot = _cycle_slots(ptr)
         nxt = self.next_slot
         self.cvert, self.cell_sizes, self.tri_cell = v[idx], sizes, slot_cell
-        tang, elen, cross = _slot_geometry(self.cvert, nxt)
-        self.celen, self._cross = elen, cross  # the shoelace terms give the fan's x*
+        first = self.cvert[ptr[:-1]]
+        tang, elen, mid, cross = _slot_geometry(self.cvert, nxt, np.repeat(first, sizes, axis=0))
+        self.celen = elen
         areas = 0.5 * np.add.reduceat(cross, ptr[:-1])
         # each corner turns left by more than a relative cross product of
         # 1e-13, and each edge has a length: a zero-length edge fails both,
@@ -245,6 +254,9 @@ class PrimalMesh:
              lambda c: f"cell {c}: not strictly convex"),
         ])
         self.cell_area = areas
+        # the area centroid first + sum (r_k + r_k+1) cross_k / (6 |T|)
+        self.xstar = first + (np.add.reduceat(mid * cross[:, None], ptr[:-1])
+                              / (6.0 * areas)[:, None])
 
         # interior edges must be shared by exactly two cells with opposite
         # orientation, boundary edges by exactly one
@@ -505,11 +517,11 @@ class StaggeredMesh(PrimalMesh):
     Sub-triangles and dual edges are numbered by packed slot (see "Packed
     cells" above): sub-triangle s is (x*, v_k, v_k+1) on primal edge k of its
     cell, and dual edge s (x* -> v_k) leaves sub-triangle prev_slot[s] and
-    enters sub-triangle s.  It shares the primal's arrays and adds (ne =
-    primal edges, nd = slots = dual edges = sub-triangles, nc = cells):
+    enters sub-triangle s.  It shares the primal's arrays, the centroids
+    xstar among them, and adds (ne = primal edges, nd = slots = dual edges =
+    sub-triangles):
 
     n_edges, n_duals          ne, nd
-    xstar (nc,2)              centroids x*
     cnorm (nd,2)              packed outward edge normals
     interior_edges, boundary_edges   edge indices, ascending
     dual_normal (nd,2)        unit normal of dual edge s, into sub-triangle s
@@ -530,10 +542,6 @@ class StaggeredMesh(PrimalMesh):
         # fanned does not keep them, which saves 16 B a slot
         tang = cvert[nxt] - cvert
         self.cnorm = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / celen[:, None]
-        # the area centroid sum (v_k + v_k+1) cross_k / (3 sum cross_k), with
-        # sum cross_k = 2 |T| (6 (0.5 x) rounds as 3 x does)
-        self.xstar = (np.add.reduceat((cvert + cvert[nxt]) * self._cross[:, None], ptr[:-1])
-                      / (6.0 * self.cell_area)[:, None])
         seg = cvert - self.xstar[self.tri_cell]
         # distance from x* to the line of edge k: the height of sub-triangle k
         d = np.einsum("sc,sc->s", seg, self.cnorm)

@@ -5,16 +5,18 @@ the bordered (q, u, p, mu) system they make up); its scalar blocks act on
 q and u viewed as (n, 2) arrays.  Ms couples only the dual-edge traces of
 one cell, so q is eliminated cell by cell: q = M^-1 (r_q + nu B0^T u) with
 r_q = nu Bg^T ug, and the momentum rows become K u + D0^T p = r_u =
-F - B0 M^-1 r_q with K = Ks (x) I2, Ks = nu Bs0 Ms^-1 Bs0^T.
-The velocity columns of D0 sum to zero, so the sum of the divergence rows
-gives mu = 1^T r_p / 1^T a (r_p = -Dg ug), and the other rows D1 = D0[1:]
-read D1 u = g[1:] with g = r_p - mu a; p_0 is pinned to zero.  The kernel
-basis Z of D0 (`_kernel_basis`) separates u from p: with the SPD matrices
-A = Z^T K Z and L = D1 D1^T, u_p = D1^T L^-1 g[1:], u = u_p + Z A^-1 Z^T
-(r_u - K u_p), L p[1:] = D1 (r_u - K u), and p is shifted to the mean the
-multiplier row asks for.  One refinement sweep on the residual follows,
-which is always checked, block by block, against the full system, so a
-matrix without zero column sums fails there.
+F - B0 M^-1 r_q with K = Ks (x) I2, Ks = nu Bs0 Ms^-1 Bs0^T.  Only the
+scalar block Ks is formed, and it acts on u viewed as an (n, 2) array, one
+component per column.  The velocity columns of D0 sum to zero, so the sum
+of the divergence rows gives mu = 1^T r_p / 1^T a (r_p = -Dg ug), and the
+other rows D1 = D0[1:] read D1 u = g[1:] with g = r_p - mu a; p_0 is pinned
+to zero.  The kernel basis Z of D0 (`_kernel_basis`) separates u from p:
+with the SPD matrices A = Z^T K Z = Zx^T Ks Zx + Zy^T Ks Zy (Zx and Zy the
+rows of Z of each velocity component) and L = D1 D1^T, u_p = D1^T L^-1
+g[1:], u = u_p + Z A^-1 Z^T (r_u - K u_p), L p[1:] = D1 (r_u - K u), and p
+is shifted to the mean the multiplier row asks for.  One refinement sweep
+on the residual follows, which is always checked, block by block, against
+the full system, so a matrix without zero column sums fails there.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import SaddleSystem, _interleaved
+from .assembly import SaddleSystem
 from .mesh import StaggeredMesh, _size_groups
 from .spaces import GradientField, PressureField, VelocityField
 
@@ -116,8 +118,8 @@ def solve(system: SaddleSystem) -> FieldSolution:
     msinv = _cell_block_inverse(system.Ms, s)
     z = _kernel_basis(s)
     d1 = system.D0[1:]  # pin p_0 = 0
-    k = _interleaved(bs0 @ msinv @ nu_bs0t)
-    lu_u = _factor(z.T @ k @ z)
+    k = bs0 @ msinv @ nu_bs0t  # Ks; K = Ks (x) I2 is never formed
+    lu_u = _factor(sum(zc.T @ k @ zc for zc in (z[0::2], z[1::2])))
     lu_p = _factor(d1 @ d1.T)
     blocks = np.cumsum([system.n_q, system.n_u, system.n_p])
 
@@ -126,8 +128,8 @@ def solve(system: SaddleSystem) -> FieldSolution:
         r_u = f - (bs0 @ (msinv @ r_q.reshape(-1, 2))).ravel()
         mu = r_p.sum() / area.sum()
         u = d1.T @ lu_p.solve((r_p - mu * area)[1:])
-        u += z @ lu_u.solve(z.T @ (r_u - k @ u))
-        p = np.concatenate([[0.0], lu_p.solve(d1 @ (r_u - k @ u))])
+        u += z @ lu_u.solve(z.T @ (r_u - (k @ u.reshape(-1, 2)).ravel()))
+        p = np.concatenate([[0.0], lu_p.solve(d1 @ (r_u - (k @ u.reshape(-1, 2)).ravel()))])
         p += (r_mu[0] - area @ p) / area.sum()
         q = msinv @ (r_q.reshape(-1, 2) + nu_bs0t @ u.reshape(-1, 2))
         return np.concatenate([q.ravel(), u, p, [mu]])

@@ -138,19 +138,25 @@ def edge_normals(poly):
     return elen, np.stack([tang[:, 1], -tang[:, 0]], axis=1) / elen[:, None]
 
 
+def _shoelace(poly):
+    """(r, r_next, cross): the vertices r_k = v_k - v_0 about the first
+    vertex, each one's successor, and the terms r_k x r_k+1."""
+    r = poly - poly[0]
+    rn = np.roll(r, -1, axis=0)
+    return r, rn, r[:, 0] * rn[:, 1] - rn[:, 0] * r[:, 1]
+
+
 def polygon_area(poly):
-    """Shoelace area: half the sum of x_k y_k+1 - x_k+1 y_k."""
-    nxt = np.roll(poly, -1, axis=0)
-    return 0.5 * np.add.reduceat(poly[:, 0] * nxt[:, 1] - nxt[:, 0] * poly[:, 1], [0])[0]
+    """Shoelace area about the first vertex: half the sum of r_k x r_k+1."""
+    return 0.5 * np.add.reduceat(_shoelace(poly)[2], [0])[0]
 
 
 def centroid(poly):
-    """Area centroid: sum (v_k + v_k+1) cross_k / (3 sum cross_k), the split
+    """Area centroid v_0 + sum (r_k + r_k+1) cross_k / (6 |T|), the split
     point x* of the fan."""
-    nxt = np.roll(poly, -1, axis=0)
-    cross = poly[:, 0] * nxt[:, 1] - nxt[:, 0] * poly[:, 1]
-    return np.add.reduceat((poly + nxt) * cross[:, None], [0])[0] / (
-        3.0 * np.add.reduceat(cross, [0])[0])
+    r, rn, cross = _shoelace(poly)
+    return poly[0] + np.add.reduceat((r + rn) * cross[:, None], [0])[0] / (
+        6.0 * polygon_area(poly))
 
 
 def interior_points(verts: np.ndarray, rng, n: int, pull: float = 0.9):

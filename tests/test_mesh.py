@@ -4,10 +4,11 @@ import json
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stokes_sdg.mesh import (_HEXAGON, MeshError, PrimalMesh, RegularityReport,
                              _clip_to_square, _cycle_slots, _edge_table, _pack_cells,
@@ -327,6 +328,53 @@ def test_large_cell_geometry_and_convexity(m):
             PrimalMesh(dented, [list(range(m))])
 
 
+def _exact_area_and_centroid(poly):
+    """The shoelace area and centroid of the float vertices poly, exactly."""
+    p = [tuple(map(Fraction, v)) for v in poly.tolist()]
+    area, mx, my = Fraction(0), Fraction(0), Fraction(0)
+    for (x0, y0), (x1, y1) in zip(p, p[1:] + p[:1]):
+        cross = x0 * y1 - x1 * y0
+        area, mx, my = area + cross / 2, mx + (x0 + x1) * cross, my + (y0 + y1) * cross
+    return area, np.array([mx / (6 * area), my / (6 * area)])
+
+
+def _check_small_cell(poly, s):
+    """The one-cell mesh of poly, of size s, builds, and its area and x*
+    agree with the exact ones of its float vertices."""
+    stag = one_cell(poly)
+    area, xstar = _exact_area_and_centroid(poly)
+    assert abs(Fraction(stag.cell_area[0]) - area) <= Fraction(1e-15) * area
+    err = [float(Fraction(a) - b) for a, b in zip(stag.xstar[0].tolist(), xstar)]
+    assert math.hypot(*err) <= 1e-15 * (math.hypot(*map(float, xstar)) + s)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.integers(3, 12), st.integers(0, 2 ** 32 - 1), st.floats(0, 15),
+       st.floats(0, 1), st.floats(0, 1))
+def test_cell_geometry_does_not_depend_on_where_the_cell_sits(m, seed, k, tx, ty):
+    # the shoelace terms are taken about the cell's first vertex, so a cell of
+    # size 1e-15 anywhere in the square keeps its area and centroid
+    s = 10.0 ** -k
+    poly = random_convex_polygon(m, np.random.default_rng(seed))  # in (0.01, 0.99)^2
+    poly = 0.5 * s + np.array([tx, ty]) * (1.0 - s) + s * (poly - 0.5)
+    # rounding to the float grid may leave a corner of a tiny cell straight,
+    # which the constructor rightly rejects; keep the cells that stay convex
+    p = [tuple(map(Fraction, v)) for v in poly.tolist()]
+    tang = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(p, p[1:] + p[:1])]
+    assume(all(float(t0[0] * t1[1] - t0[1] * t1[0]) > 1e-12 * math.hypot(*t0) * math.hypot(*t1)
+               for t0, t1 in zip(tang, tang[1:] + tang[:1])))
+    _check_small_cell(poly, s)
+
+
+@pytest.mark.parametrize("k", range(10, 31), ids=lambda k: f"s=10^-{k / 2:g}")
+def test_small_right_triangle_away_from_the_origin(k):
+    # taken about the origin, the shoelace terms of this triangle cancel to
+    # its area's digits: its centroid left the cell from s = 1e-6 on, and its
+    # area rounded to 0 from s = 10^-8.5 on
+    s = 10.0 ** (-k / 2)
+    _check_small_cell(0.5 + np.array([[0.0, 0.0], [s, 0.0], [0.0, s]]), s)
+
+
 def test_write_mesh_text():
     text = write_mesh(read_mesh(SPEC_EXAMPLE))
     assert text == ('{"vertices":[[0.0,0.0],[0.5,0.0],[1.0,0.0],[1.0,1.0],[0.5,1.0],'
@@ -546,10 +594,12 @@ def _unchecked_primal(vertices, cells):
     mesh.next_slot, mesh.prev_slot = _cycle_slots(mesh.cell_ptr)
     mesh.cvert, mesh.cell_sizes = mesh.vertices[mesh.cell_idx], np.diff(mesh.cell_ptr)
     mesh.tri_cell = np.repeat(np.arange(mesh.n_cells), mesh.cell_sizes)
-    mesh.celen, mesh._cross = _slot_geometry(mesh.cvert, mesh.next_slot)[1:]
+    first = np.repeat(mesh.cvert[mesh.cell_ptr[:-1]], mesh.cell_sizes, axis=0)
+    mesh.celen = _slot_geometry(mesh.cvert, mesh.next_slot, first)[1]
     mesh.loc_edge, mesh.edge_slots = _edge_table(mesh.cell_idx, mesh.next_slot,
                                                  mesh.n_vertices)[:2]
     mesh.cell_area = np.array([polygon_area(mesh.vertices[c]) for c in cells])
+    mesh.xstar = np.array([centroid(mesh.vertices[c]) for c in cells])
     return mesh
 
 

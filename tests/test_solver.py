@@ -257,6 +257,20 @@ def test_one_factorization_per_solve(monkeypatch):
     assert calls == [(n, n), (m, m), (n, n), (m, m)]
 
 
+def test_solve_forms_no_interleaved_block(monkeypatch):
+    # Ks acts on each velocity component, so no block of the solve is built
+    # by the assembler's block helper, which the interleaved views use
+    import stokes_sdg.assembly as assembly
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve formed an interleaved block")
+
+    monkeypatch.setattr(assembly, "_block_csr", refuse)
+    system = assemble_system(build_staggered(mesh_for("poly", 2)), get_case("taylor"),
+                             "sdg1", 1.0)
+    assert solve(system).residual <= 1e-10
+
+
 @pytest.mark.parametrize("nu", [1.0, 1e-6])
 def test_factored_matrix_matches_dense_schur_complement(nu, monkeypatch):
     import stokes_sdg.solver as solver
