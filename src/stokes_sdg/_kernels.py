@@ -20,18 +20,19 @@ from .mesh import _size_groups
 USE_NUMBA = False  # read by perfbench/run.py for its "# env" line
 
 
-def cell_moments(cell_ptr, cvert, tri_area, xstar, c0, frac, hatw, S):
+def cell_moments(cell_ptr, dual_vec, tri_area, cell_area, c0, frac, hatw, S):
     """mom[s] = int_T f . phi_i for slot s (edge i of cell T), from the
+    dual-edge vectors r_k = v_k - x*, the areas |tau_k| and |T|, the
     reference sums S (nd, 3, 2) of f, l1 f and l2 f on every sub-triangle
     tau_k (spaces._tri_sums), l1 and l2 the barycentric coordinates of v_k
-    and v_k+1, so that int_tau_k f = 2|tau_k| S_k0.  With r_k = v_k - x*,
-    x - x* = l1 r_k + l2 r_k+1, so int_tau_k f . (x - x*) = 2|tau_k|
+    and v_k+1, so that int_tau_k f = 2|tau_k| S_k0.  Since
+    x - x* = l1 r_k + l2 r_k+1, int_tau_k f . (x - x*) = 2|tau_k|
     (r_k . S_k1 + r_k+1 . S_k2).  With p_k = r_k+1 . S_k0, q_k = r_k . S_k0
     and g_k = p_k - q_k-1 + w_k sum_j (q_j - p_j), the moment is
     c0_i (int_T f . (x - x*) + 2|T| (G_i - sum_k a_k G_k))."""
     mom = np.empty(cell_ptr[-1])
     for _, cells, slots in _size_groups(cell_ptr):
-        r, sk = cvert[slots] - xstar[cells, None], S[slots]      # v_k - x*
+        r, sk = dual_vec[slots], S[slots]                        # v_k - x*
         rn = np.roll(r, -1, axis=1)                              # v_k+1 - x*
         two_tri = 2.0 * tri_area[slots]
         first = two_tri * (np.einsum("ckd,ckd->ck", r, sk[:, :, 1])
@@ -40,7 +41,7 @@ def cell_moments(cell_ptr, cvert, tri_area, xstar, c0, frac, hatw, S):
         q = np.einsum("ckd,ckd->ck", r, sk[:, :, 0])
         g = p - np.roll(q, 1, axis=1) + hatw[slots] * (q - p).sum(axis=1, keepdims=True)
         big_g = np.cumsum(g, axis=1)  # per cell: one cumsum over all slots drifts
-        two_area = two_tri.sum(axis=1, keepdims=True)
+        two_area = 2.0 * cell_area[cells, None]
         mom[slots] = c0[slots] * (
             first.sum(axis=1, keepdims=True)
             + two_area * (big_g - (frac[slots] * big_g).sum(axis=1, keepdims=True)))

@@ -98,10 +98,9 @@ def assemble_bh(stag: StaggeredMesh) -> sp.csr_matrix:
     normal.  Boundary columns carry the same natural flux, so the matrix
     also provides the Dirichlet lifting of the divergence rows."""
     s = stag
-    tang = s.cvert[s.next_slot] - s.cvert
     # -|e| n_T = (-t_y, t_x) for the edge tangent t = v_k+1 - v_k; the slots
     # are packed cell by cell, so cell c's row holds 2 entries per slot
-    vals = np.stack([-tang[:, 1], tang[:, 0]], axis=1).ravel()
+    vals = np.stack([-s.tang[:, 1], s.tang[:, 0]], axis=1).ravel()
     cols = (2 * s.loc_edge[:, None] + np.arange(2)).ravel()
     mat = sp.csr_matrix((vals, cols, 2 * s.cell_ptr), shape=(s.n_cells, 2 * s.n_edges))
     mat.eliminate_zeros()  # an axis-aligned edge has one zero normal component
@@ -137,14 +136,14 @@ def assemble_mass(stag: StaggeredMesh) -> sp.csr_matrix:
 class RTTable:
     """Per-slot data of the sdg1 test functions of a mesh (see _kernels):
     c0 = |e_i| / (2|T|), frac = a_k = |tau_k| / |T| and hatw = w_k, the fan
-    hats' values at x*.  Since the load terms sum to zero over each cell,
-    summation by parts gives  int_T f . phi_i = c0_i (int_T f . (x - x*)
-    + 2|T| (G_i - sum_k a_k G_k)),  and the coefficient matrix C exists only
-    in the tests' oracle."""
+    hats' values at x*, with |T| the mesh's cell_area.  Since the load terms
+    sum to zero over each cell, summation by parts gives  int_T f . phi_i =
+    c0_i (int_T f . (x - x*) + 2|T| (G_i - sum_k a_k G_k)),  and the
+    coefficient matrix C exists only in the tests' oracle."""
 
     def __init__(self, stag: StaggeredMesh):
         s = stag
-        area = np.repeat(np.add.reduceat(s.tri_area, s.cell_ptr[:-1]), s.cell_sizes)
+        area = np.repeat(s.cell_area, s.cell_sizes)
         self.c0 = s.celen / (2.0 * area)
         self.frac = s.tri_area / area
         self.hatw = (s.tri_area + s.tri_area[s.prev_slot]) / (2.0 * area)
@@ -154,7 +153,7 @@ def load_moments(stag: StaggeredMesh, f) -> np.ndarray:
     """int_T f . phi_i for every (cell, local edge), packed like loc_edge."""
     s = stag
     rt = RTTable(s)
-    return _kernels.cell_moments(s.cell_ptr, s.cvert, s.tri_area, s.xstar,
+    return _kernels.cell_moments(s.cell_ptr, s.dual_vec, s.tri_area, s.cell_area,
                                  rt.c0, rt.frac, rt.hatw, _tri_sums(s, f, moments=True))
 
 

@@ -1,8 +1,9 @@
 """Command line interface.
 
     stokes-sdg run   --case taylor|noflow|trig --mesh tri|trap|poly|file:<path>
-                     --method sdg1|sdg2 --nu <float> --levels <n> --out <path>
-                     [--format csv|md] [--jitter <float>, tri only]
+                     --method sdg1|sdg2 --nu <float> --out <path>
+                     [--levels <n>, 4 by default, 1 for a file] [--format csv|md]
+                     [--jitter <float>, tri only]
     stokes-sdg sweep --case <id> --mesh <fam> --level <k>
                      --nu-list <descending comma-floats> --out <path>
                      [--format csv|md]
@@ -38,8 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="tri|trap|poly or file:<path> for an imported mesh")
     run.add_argument("--method", default="sdg1", choices=("sdg1", "sdg2"))
     run.add_argument("--nu", type=float, default=1.0)
-    run.add_argument("--levels", type=int, default=4,
-                     help="number of refinement levels (n doubles per level)")
+    run.add_argument("--levels", type=int, default=None,
+                     help="number of refinement levels (n doubles per level), 4 by "
+                          "default; a mesh file is one level")
     run.add_argument("--out", default=None, help="write the table to this path")
     run.add_argument("--format", default="csv", choices=("csv", "md"))
     run.add_argument("--jitter", type=float, default=0.0,
@@ -72,15 +74,17 @@ def _cmd_run(args) -> int:
     if args.mesh.startswith("file:"):
         if args.jitter != 0.0:
             raise ValueError(f"jitter applies only to the tri family, not {args.mesh!r}")
+        if args.levels not in (None, 1):
+            raise ValueError(f"a mesh file is one level, not --levels {args.levels}")
         with open(args.mesh[len("file:"):], "rb") as fh:  # read_mesh decodes it
             stag = build_staggered(read_mesh(fh))
         report = validate(stag)
         if not report.ok:
-            raise MeshError(f"mesh fails regularity thresholds: {report}")
+            raise MeshError(f"mesh fails regularity: {report.breaches()}")
         rows = study_on_meshes(get_case(args.case), [stag], args.method, args.nu)
     else:
-        rows = convergence_study(args.case, args.mesh, args.levels, args.method,
-                                 args.nu, args.jitter)
+        levels = 4 if args.levels is None else args.levels
+        rows = convergence_study(args.case, args.mesh, levels, args.method, args.nu, args.jitter)
     _emit_output(emit(rows, args.format), args.out)
     return 0
 

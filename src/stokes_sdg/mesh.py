@@ -36,10 +36,14 @@ class MeshError(ValueError):
 # k of the cell, edge k (vertex k -> k+1), sub-triangle k (x*, v_k, v_k+1)
 # and dual edge k (x* -> v_k, between sub-triangles k-1 and k).  Cell
 # geometry is computed per slot (_slot_geometry) and summed per cell with
-# np.add.reduceat over cell_ptr[:-1]: the area and the centroid x* both come
-# from one set of shoelace terms taken about the cell's first vertex, so
-# neither loses digits to where the cell sits.  PrimalMesh keeps the
-# per-slot arrays, and the StaggeredMesh that fans it shares them.
+# np.add.reduceat over cell_ptr[:-1]: the area |T| (cell_area) and the
+# centroid x* both come from one set of shoelace terms taken about the
+# cell's first vertex, so neither loses digits to where the cell sits.
+# PrimalMesh keeps the per-slot arrays (the edge tangents tang among them)
+# and the edge split into interior and boundary edges; the StaggeredMesh
+# that fans it shares them and adds the dual-edge vectors dual_vec
+# (x* -> v_k).  Every other layer reads these arrays, and |T| is cell_area
+# in every layer.
 # _size_groups stacks the cells of one size only where a batched dense
 # operation needs equal sizes: validate's pairwise vertex distances, the
 # solver's batched block inverse and the per-cell cumulative sums of
@@ -164,20 +168,23 @@ class PrimalMesh:
                  the same cell
     tri_cell   : (sum m,) cell of each slot
     cvert      : (sum m, 2) packed cell vertices, vertices[cell_idx]
+    tang       : (sum m, 2) tangent v_k+1 - v_k of each slot's edge
     celen      : (sum m,) length |e_k| of each slot's edge
     loc_edge   : (sum m,) primal edge of each slot, numbered by first appearance
     edge_slots : (ne, 2) [first slot, second slot or -1] of each edge; the
                  first slot lies in the lower-numbered cell
-    n_vertices, n_cells   nv and nc
+    interior_edges, boundary_edges   edge indices (two users, one), ascending
+    n_vertices, n_cells, n_edges     nv, nc and ne
 
     The constructor takes the cells as a sequence of index cycles.  It
     checks that every coordinate is finite and at most 1e100 in magnitude,
     so that no product of the geometry overflows; a nonzero area, which a
     collinear cell or one too small for its shoelace terms lacks;
     orientation; strict convexity, which also rejects an edge too short to
-    measure (its length underflows to 0); and edge sharing.  The generators and the mesh-file
-    reader additionally guarantee that the cells tile the unit square, and
-    the staggered build enforces that the tiling is conforming.
+    measure (its length underflows to 0) and a star polygon, whose edges
+    wind around it more than once; and edge sharing.  The generators and
+    the mesh-file reader additionally guarantee that the cells tile the unit
+    square, and the staggered build enforces that the tiling is conforming.
     """
 
     def __init__(self, vertices, cells):
@@ -198,6 +205,10 @@ class PrimalMesh:
     @property
     def n_cells(self) -> int:
         return len(self.cell_ptr) - 1
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edge_slots)
 
     def _set_up(self, vertices, ptr, idx):
         # C order, which write_mesh's serializer requires
@@ -239,18 +250,21 @@ class PrimalMesh:
         self.cvert, self.cell_sizes, self.tri_cell = v[idx], sizes, slot_cell
         first = self.cvert[ptr[:-1]]
         tang, elen, mid, cross = _slot_geometry(self.cvert, nxt, np.repeat(first, sizes, axis=0))
-        self.celen = elen
+        self.tang, self.celen = tang, elen
         areas = 0.5 * np.add.reduceat(cross, ptr[:-1])
         # each corner turns left by more than a relative cross product of
         # 1e-13, and each edge has a length: a zero-length edge fails both,
-        # and one whose length underflows to 0 fails the second
+        # and one whose length underflows to 0 fails the second.  The edges
+        # of a convex cell then wind around it once, so its edge direction
+        # crosses +x from below once; a star polygon's crosses it more often
         turn = tang[:, 0] * tang[nxt, 1] - tang[:, 1] * tang[nxt, 0]
         bent = ~(turn > 1e-13 * elen * elen[nxt]) | (elen == 0)
+        winds = np.bincount(slot_cell[(tang[:, 1] < 0) & (tang[nxt, 1] >= 0)], minlength=nc)
         _raise_first([
             (areas == 0.0, lambda c: f"cell {c}: zero area (collinear, or too small to measure)"),
             (areas < 0.0, lambda c: (f"cell {c}: vertices not counterclockwise "
                                      f"(signed area {areas[c]:g})")),
-            (np.bincount(slot_cell[bent], minlength=nc) > 0,
+            ((np.bincount(slot_cell[bent], minlength=nc) > 0) | (winds != 1),
              lambda c: f"cell {c}: not strictly convex"),
         ])
         self.cell_area = areas
@@ -272,6 +286,8 @@ class PrimalMesh:
              lambda e: f"edge {pair(e)} traversed twice in the same direction"),
         ])
         self.loc_edge, self.edge_slots = loc_edge, edge_slots
+        self.interior_edges = np.flatnonzero(edge_slots[:, 1] >= 0)
+        self.boundary_edges = np.flatnonzero(edge_slots[:, 1] < 0)
 
     def total_area(self) -> float:
         return float(self.cell_area.sum())
@@ -481,7 +497,7 @@ def _check_unit_square(mesh: PrimalMesh):
     if abs(mesh.total_area() - 1.0) > 1e-12:
         raise MeshError(f"mesh does not tile the unit square: total area {mesh.total_area()!r}")
     # boundary edges (used by one cell), in order of first appearance
-    first = mesh.edge_slots[mesh.edge_slots[:, 1] < 0, 0]
+    first = mesh.edge_slots[mesh.boundary_edges, 0]
     bd = np.sort(mesh.cell_idx[np.stack([first, mesh.next_slot[first]], axis=1)], axis=1)
     a, b = v[bd[:, 0]], v[bd[:, 1]]
     # both endpoints share the coordinate of one side: 0 or 1, in x or in y
@@ -518,12 +534,12 @@ class StaggeredMesh(PrimalMesh):
     cells" above): sub-triangle s is (x*, v_k, v_k+1) on primal edge k of its
     cell, and dual edge s (x* -> v_k) leaves sub-triangle prev_slot[s] and
     enters sub-triangle s.  It shares the primal's arrays, the centroids
-    xstar among them, and adds (ne = primal edges, nd = slots = dual edges =
-    sub-triangles):
+    xstar, the tangents tang and the edge split among them, and adds
+    (nd = slots = dual edges = sub-triangles):
 
-    n_edges, n_duals          ne, nd
+    n_duals                   nd
     cnorm (nd,2)              packed outward edge normals
-    interior_edges, boundary_edges   edge indices, ascending
+    dual_vec (nd,2)           v_k - x*, the vector of dual edge s
     dual_normal (nd,2)        unit normal of dual edge s, into sub-triangle s
     dual_len (nd,)            |x* v_k|
     tri_area (nd,)            |e_k| d_k / 2, d_k the distance from x* to edge k
@@ -537,30 +553,23 @@ class StaggeredMesh(PrimalMesh):
 
     def __init__(self, primal: PrimalMesh):
         vars(self).update(vars(primal))  # the same arrays, checked once
-        ptr, nxt, cvert, celen = self.cell_ptr, self.next_slot, self.cvert, self.celen
-        # the tangents as _slot_geometry forms them; a mesh that is never
-        # fanned does not keep them, which saves 16 B a slot
-        tang = cvert[nxt] - cvert
+        tang, celen = self.tang, self.celen
         self.cnorm = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / celen[:, None]
-        seg = cvert - self.xstar[self.tri_cell]
+        self.dual_vec = dv = self.cvert - self.xstar[self.tri_cell]
         # distance from x* to the line of edge k: the height of sub-triangle k
-        d = np.einsum("sc,sc->s", seg, self.cnorm)
+        d = np.einsum("sc,sc->s", dv, self.cnorm)
         _raise_first([(~(d > 0.0),
                        lambda t: f"cell {self.tri_cell[t]}: centroid not interior to the cell")])
-        self.n_edges = len(self.edge_slots)
         euler = self.n_vertices - self.n_edges + self.n_cells
         if euler != 1:  # as for every conforming tiling of a disk
             raise MeshError(f"mesh is not a conforming tiling of a simply connected domain: "
                             f"V - E + C = {euler}, not 1 (a hole, or a vertex hanging on an edge)")
-        self.interior_edges = np.flatnonzero(self.edge_slots[:, 1] >= 0)
-        self.boundary_edges = np.flatnonzero(self.edge_slots[:, 1] < 0)
-        self.n_duals = int(ptr[-1])
-        dual_len = np.hypot(seg[:, 0], seg[:, 1])
+        self.n_duals = int(self.cell_ptr[-1])
+        self.dual_len = dual_len = np.hypot(dv[:, 0], dv[:, 1])
         # the left normal of x* -> v_k points into sub-triangle k
-        self.dual_normal = np.stack([-seg[:, 1], seg[:, 0]], axis=1) / dual_len[:, None]
-        self.dual_len = dual_len
+        self.dual_normal = np.stack([-dv[:, 1], dv[:, 0]], axis=1) / dual_len[:, None]
         self.tri_area = 0.5 * celen * d
-        self.tri_diam = np.maximum(np.maximum(dual_len, dual_len[nxt]), celen)
+        self.tri_diam = np.maximum(np.maximum(dual_len, dual_len[self.next_slot]), celen)
         self.h = float(self.tri_diam.max())
 
     # convenience views -----------------------------------------------------
@@ -582,8 +591,17 @@ class RegularityReport:
     aspect_max: float
     rho_e: float
     ok: bool
-    rho_e_min: float
-    aspect_max_allowed: float
+
+    def breaches(self) -> str:
+        """The measures that break their bounds, each named with its bound;
+        empty when the report is ok."""
+        found = []
+        if not self.aspect_max <= _ASPECT_MAX:
+            found.append(f"sub-triangle aspect ratio {self.aspect_max:.3g} "
+                         f"exceeds {_ASPECT_MAX:g}")
+        if not self.rho_e >= _RHO_E_MIN:
+            found.append(f"edge/diameter ratio {self.rho_e:.3g} is below {_RHO_E_MIN:g}")
+        return ", ".join(found)
 
 
 _RHO_E_MIN = 0.1
@@ -601,17 +619,8 @@ def validate(stag: StaggeredMesh) -> RegularityReport:
     perim = stag.dual_len + stag.dual_len[stag.next_slot] + stag.celen
     # diameter over twice the inradius: sqrt(3) for an equilateral triangle
     aspect = stag.tri_diam * perim / (4.0 * stag.tri_area)
-    rho = np.inf
-    for m, cells, slots in _size_groups(stag.cell_ptr):
-        ratio = stag.celen[slots].min(axis=1) / _diameter(stag.cvert[slots])
-        rho = min(rho, float(ratio.min()))
-    ok = (rho >= _RHO_E_MIN) and (float(aspect.max()) <= _ASPECT_MAX)
-    return RegularityReport(
-        h=stag.h,
-        aspect_min=float(aspect.min()),
-        aspect_max=float(aspect.max()),
-        rho_e=rho,
-        ok=bool(ok),
-        rho_e_min=_RHO_E_MIN,
-        aspect_max_allowed=_ASPECT_MAX,
-    )
+    rho = min(float((stag.celen[slots].min(axis=1) / _diameter(stag.cvert[slots])).min())
+              for _, _, slots in _size_groups(stag.cell_ptr))
+    aspect_max = float(aspect.max())
+    return RegularityReport(h=stag.h, aspect_min=float(aspect.min()), aspect_max=aspect_max,
+                            rho_e=rho, ok=rho >= _RHO_E_MIN and aspect_max <= _ASPECT_MAX)

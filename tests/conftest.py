@@ -177,8 +177,9 @@ def rt_cell(verts):
     edge_len, normals = edge_normals(verts)
     xstar = centroid(verts)
     sub = one_cell(verts).tri_area
-    # |T| summed over the fan as RTTable sums each cell, so c0 agrees bit for bit
-    m, area = len(verts), np.add.reduceat(sub, [0])[0]
+    # |T| from the shoelace terms, as the mesh's cell_area that RTTable
+    # reads, so c0 agrees bit for bit
+    m, area = len(verts), polygon_area(verts)
     c0 = edge_len / (2.0 * area)
     b = np.diag(edge_len) - np.outer(edge_len, sub / area)
     lhs = np.vstack([(np.eye(m) - np.roll(np.eye(m), 1, axis=1))[:-1], np.ones(m)])

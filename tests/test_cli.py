@@ -50,12 +50,22 @@ def test_mesh_n_the_family_cannot_take_exit_2(family, n, tmp_path, capsys):
 def test_run_on_mesh_file(tmp_path, capsys):
     mesh_path = tmp_path / "m.json"
     main(["mesh", "--family", "tri", "--n", "2", "--out", str(mesh_path)])
-    # a mesh file is one level, whatever --levels says
+    # a mesh file is one level: --levels is left out or 1
     code = main(["run", "--case", "taylor", "--mesh", f"file:{mesh_path}",
                  "--method", "sdg2", "--levels", "1"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2  # header plus a single record
+
+
+def test_levels_other_than_1_on_mesh_file_exit_2(tmp_path, capsys):
+    mesh_path = tmp_path / "m.json"
+    main(["mesh", "--family", "tri", "--n", "2", "--out", str(mesh_path)])
+    code = main(["run", "--case", "taylor", "--mesh", f"file:{mesh_path}", "--levels", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a mesh file is one level, not --levels 3\n"
 
 
 def test_sweep_subcommand(tmp_path):
@@ -125,7 +135,11 @@ def test_sliver_mesh_fails_validation(tmp_path, capsys):
     path.write_text(json.dumps(mesh))
     code = main(["run", "--case", "taylor", "--mesh", f"file:{path}"])
     assert code == 1
-    assert "regularity" in capsys.readouterr().err
+    # each failing measure is named with its bound, not the whole report
+    err = capsys.readouterr().err
+    assert err.startswith("error: mesh fails regularity: sub-triangle aspect ratio ")
+    assert "exceeds 20, edge/diameter ratio 1e-06 is below 0.1\n" in err
+    assert len(err) <= 120
 
 
 def test_out_of_memory_in_factorization_exit_1(monkeypatch, capsys):

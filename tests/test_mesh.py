@@ -74,7 +74,7 @@ def test_polygonal_tiling_and_shapes(n):
         # the boundary is one CCW loop, so each of its vertices starts
         # exactly one boundary edge
         on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
-        on_boundary[mesh.cell_idx[mesh.edge_slots[mesh.edge_slots[:, 1] < 0, 0]]] = True
+        on_boundary[mesh.cell_idx[mesh.edge_slots[mesh.boundary_edges, 0]]] = True
         interior = [c for c in cells_of(mesh) if not np.any(on_boundary[c])]
         assert interior and all(len(c) == 6 for c in interior)
 
@@ -280,11 +280,18 @@ def _straight_corner(verts, cell):
     verts[cell[1]] = 0.5 * (verts[cell[0]] + verts[cell[2]])
 
 
+def _star(verts, cell):
+    # every second vertex of a regular polygon: each corner turns left and
+    # the signed area is positive, but the edges wind around it twice
+    cell[:] = cell[::2] + cell[1::2]
+
+
 @pytest.mark.parametrize("defect,message", [
     (_repeat_index, "repeated vertex index"),
     (_reverse, r"vertices not counterclockwise \(signed area -"),
     (_zero_length_edge, "not strictly convex"),
     (_straight_corner, "not strictly convex"),
+    (_star, "not strictly convex"),
 ])
 def test_multi_cell_rejection_names_lowest_offending_cell(defect, message):
     # cells of 4, 7, 3 and 5 vertices; cells 1 and 3 break, and cell 3 comes
@@ -595,9 +602,11 @@ def _unchecked_primal(vertices, cells):
     mesh.cvert, mesh.cell_sizes = mesh.vertices[mesh.cell_idx], np.diff(mesh.cell_ptr)
     mesh.tri_cell = np.repeat(np.arange(mesh.n_cells), mesh.cell_sizes)
     first = np.repeat(mesh.cvert[mesh.cell_ptr[:-1]], mesh.cell_sizes, axis=0)
-    mesh.celen = _slot_geometry(mesh.cvert, mesh.next_slot, first)[1]
+    mesh.tang, mesh.celen = _slot_geometry(mesh.cvert, mesh.next_slot, first)[:2]
     mesh.loc_edge, mesh.edge_slots = _edge_table(mesh.cell_idx, mesh.next_slot,
                                                  mesh.n_vertices)[:2]
+    mesh.interior_edges = np.flatnonzero(mesh.edge_slots[:, 1] >= 0)
+    mesh.boundary_edges = np.flatnonzero(mesh.edge_slots[:, 1] < 0)
     mesh.cell_area = np.array([polygon_area(mesh.vertices[c]) for c in cells])
     mesh.xstar = np.array([centroid(mesh.vertices[c]) for c in cells])
     return mesh
@@ -637,8 +646,8 @@ def test_staggered_mesh_shares_the_primal_arrays():
     primal = generate_polygonal(4)
     stag = build_staggered(primal)
     assert isinstance(stag, PrimalMesh)
-    for name in ("vertices", "cell_ptr", "cell_idx", "cvert", "celen", "tri_cell",
-                 "loc_edge", "edge_slots", "cell_area"):
+    for name in ("vertices", "cell_ptr", "cell_idx", "cvert", "tang", "celen", "tri_cell",
+                 "loc_edge", "edge_slots", "interior_edges", "boundary_edges", "cell_area"):
         assert getattr(stag, name) is getattr(primal, name), name
     assert stag == primal
     assert read_mesh(write_mesh(stag)) == primal
@@ -724,7 +733,7 @@ def test_validate_matches_per_cell_loop(gen):
         rho = min(rho, min(stag.celen[lo:hi].tolist()) / diam)
     expected = RegularityReport(
         h=stag.h, aspect_min=min(aspects), aspect_max=max(aspects), rho_e=rho,
-        ok=rho >= 0.1 and max(aspects) <= 20.0, rho_e_min=0.1, aspect_max_allowed=20.0)
+        ok=rho >= 0.1 and max(aspects) <= 20.0)
     report = validate(stag)
     # validate sums the side lengths the build keeps, the loop recomputes them
     for field in dataclasses.fields(RegularityReport):
