@@ -66,10 +66,10 @@ def run_case(case: ManufacturedCase, stag: StaggeredMesh, method: str,
     return {
         "h": stag.h,
         "dof": system.size,
-        "err_omega": error_gradient(sol.omega, lambda x: case.omega(x, nu)),
-        "err_u": error_velocity(sol.u, case.u),
-        "err_p": error_pressure(sol.p, case.p),
-        "err_super": error_super(sol.u, case.u),
+        "err_omega": error_gradient(stag, sol.omega, lambda x: case.omega(x, nu)),
+        "err_u": error_velocity(stag, sol.u, case.u),
+        "err_p": error_pressure(stag, sol.p, case.p),
+        "err_super": error_super(stag, sol.u, case.u),
     }
 
 

@@ -289,9 +289,6 @@ class PrimalMesh:
         self.interior_edges = np.flatnonzero(edge_slots[:, 1] >= 0)
         self.boundary_edges = np.flatnonzero(edge_slots[:, 1] < 0)
 
-    def total_area(self) -> float:
-        return float(self.cell_area.sum())
-
     def __eq__(self, other):
         if not isinstance(other, PrimalMesh):
             return NotImplemented
@@ -494,8 +491,9 @@ def _check_unit_square(mesh: PrimalMesh):
     _raise_first([(((v < -tol) | (v > 1.0 + tol)).any(axis=1),
                    lambda i: f"mesh does not tile the unit square: "
                              f"vertex {i} at {v[i].tolist()} lies outside it")])
-    if abs(mesh.total_area() - 1.0) > 1e-12:
-        raise MeshError(f"mesh does not tile the unit square: total area {mesh.total_area()!r}")
+    area = float(mesh.cell_area.sum())
+    if abs(area - 1.0) > 1e-12:
+        raise MeshError(f"mesh does not tile the unit square: total area {area!r}")
     # boundary edges (used by one cell), in order of first appearance
     first = mesh.edge_slots[mesh.boundary_edges, 0]
     bd = np.sort(mesh.cell_idx[np.stack([first, mesh.next_slot[first]], axis=1)], axis=1)
@@ -590,7 +588,11 @@ class RegularityReport:
     aspect_min: float
     aspect_max: float
     rho_e: float
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        """Whether every measure keeps its bound."""
+        return not self.breaches()
 
     def breaches(self) -> str:
         """The measures that break their bounds, each named with its bound;
@@ -621,6 +623,5 @@ def validate(stag: StaggeredMesh) -> RegularityReport:
     aspect = stag.tri_diam * perim / (4.0 * stag.tri_area)
     rho = min(float((stag.celen[slots].min(axis=1) / _diameter(stag.cvert[slots])).min())
               for _, _, slots in _size_groups(stag.cell_ptr))
-    aspect_max = float(aspect.max())
-    return RegularityReport(h=stag.h, aspect_min=float(aspect.min()), aspect_max=aspect_max,
-                            rho_e=rho, ok=rho >= _RHO_E_MIN and aspect_max <= _ASPECT_MAX)
+    return RegularityReport(h=stag.h, aspect_min=float(aspect.min()),
+                            aspect_max=float(aspect.max()), rho_e=rho)

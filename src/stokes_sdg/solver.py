@@ -28,7 +28,6 @@ import scipy.sparse.linalg as spla
 
 from .assembly import SaddleSystem
 from .mesh import StaggeredMesh, _size_groups
-from .spaces import GradientField, PressureField, VelocityField
 
 __all__ = ["SolverError", "FieldSolution", "solve"]
 
@@ -41,9 +40,13 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class FieldSolution:
-    omega: GradientField
-    u: VelocityField
-    p: PressureField
+    """The discrete fields as arrays in the mesh's numbering: the gradient
+    traces omega (nd, 2), the velocity u (ne, 2), whose boundary rows are the
+    Dirichlet data, and the pressure p (nc,); the multiplier of the mean row
+    and the full-system residual."""
+    omega: np.ndarray
+    u: np.ndarray
+    p: np.ndarray
     multiplier: float
     residual: float
 
@@ -156,10 +159,5 @@ def solve(system: SaddleSystem) -> FieldSolution:
     uvals = np.zeros((s.n_edges, 2))
     uvals[s.interior_edges] = u.reshape(-1, 2)
     uvals[s.boundary_edges] = system.ug.reshape(-1, 2)
-    return FieldSolution(
-        omega=GradientField(s, q.reshape(-1, 2)),
-        u=VelocityField(s, uvals),
-        p=PressureField(s, p),
-        multiplier=float(mu[0]),
-        residual=float(residual),
-    )
+    return FieldSolution(omega=q.reshape(-1, 2), u=uvals, p=p, multiplier=float(mu[0]),
+                         residual=float(residual))

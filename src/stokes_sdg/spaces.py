@@ -1,11 +1,14 @@
-"""Discrete fields on the staggered mesh, interpolation operators and error
-functionals.
+"""Interpolation operators and error functionals of the discrete fields on
+the staggered mesh.
 
-Velocity lives as one 2-vector per primal edge (constant on the dual region
-D(e)), the velocity gradient as one 2-vector trace q_e = psi n_e per dual
-edge (the per-sub-triangle tensor is recovered from the two flanking dual
-edges), and pressure as one value per primal cell with a global mean-zero
-constraint.
+The discrete fields are arrays in the mesh's numbering, and every function
+takes the mesh first.  The velocity u_h (ne, 2) is one 2-vector per primal
+edge (constant on the dual region D(e); the boundary rows carry the
+Dirichlet data), the velocity gradient omega_h (nd, 2) one trace q_e = psi
+n_e per dual edge (gradient_tensors recovers the per-sub-triangle tensor
+from the two flanking dual edges), and the pressure p_h (nc,) one value per
+primal cell, with a global mean-zero constraint.  A function that indexes a
+field checks its shape first, so an array a row too long is rejected.
 """
 
 import numpy as np
@@ -14,8 +17,7 @@ from .mesh import StaggeredMesh
 from .quadrature import edge_rule, map_rule, triangle_rule
 
 __all__ = [
-    "VelocityField", "GradientField", "PressureField",
-    "interp_velocity", "interp_gradient", "interp_pressure",
+    "gradient_tensors", "interp_velocity", "interp_gradient", "interp_pressure",
     "error_velocity", "error_gradient", "error_pressure", "error_super",
 ]
 
@@ -77,73 +79,46 @@ def _edge_means(stag, fn, edges) -> np.ndarray:
     return _block_sums(edge_rule(), len(edges), lambda sl: stag.edge_endpoints(edges[sl]), fn)
 
 
-class VelocityField:
-    """Piecewise-constant velocity: values (ne, 2) on the primal edges;
-    boundary entries carry the Dirichlet data rather than unknowns."""
-
-    def __init__(self, stag: StaggeredMesh, values):
-        self.stag = stag
-        self.values = _checked(values, (stag.n_edges, 2), "velocity")
-
-    def on_tris(self) -> np.ndarray:
-        """Per-sub-triangle constant value (the base edge's dof), (nt, 2)."""
-        return self.values[self.stag.loc_edge]
-
-
-class GradientField:
-    """Velocity-gradient approximation stored through its dual-edge normal
-    traces q_e = psi n_e, shape (nd, 2)."""
-
-    def __init__(self, stag: StaggeredMesh, values):
-        self.stag = stag
-        self.values = _checked(values, (stag.n_duals, 2), "gradient")
-
-    def tensors(self) -> np.ndarray:
-        """Per-sub-triangle 2x2 tensors, solving psi [n1 n2] = [q1 q2] in
-        closed form: psi = (q1 n2^perp - q2 n1^perp) / (n1 x n2), with
-        n^perp = (n_y, -n_x).  assemble_mass rejects nearly parallel dual
-        normals, so the cross product does not vanish."""
-        s = self.stag
-        # sub-triangle t is flanked by dual edges t and next_slot[t]
-        n1, n2 = s.dual_normal, s.dual_normal[s.next_slot]
-        q1, q2 = self.values, self.values[s.next_slot]
-        det = n1[:, 0] * n2[:, 1] - n1[:, 1] * n2[:, 0]
-        perp1 = np.stack([n1[:, 1], -n1[:, 0]], axis=1)
-        perp2 = np.stack([n2[:, 1], -n2[:, 0]], axis=1)
-        return (q1[:, :, None] * perp2[:, None, :]
-                - q2[:, :, None] * perp1[:, None, :]) / det[:, None, None]
-
-
-class PressureField:
-    """Piecewise-constant pressure: one value per primal cell."""
-
-    def __init__(self, stag: StaggeredMesh, values):
-        self.stag = stag
-        self.values = _checked(values, (stag.n_cells,), "pressure")
+def gradient_tensors(stag: StaggeredMesh, q) -> np.ndarray:
+    """Per-sub-triangle 2x2 tensors (nt, 2, 2) of the dual-edge traces q
+    (nd, 2), solving psi [n1 n2] = [q1 q2] in closed form: psi = (q1 n2^perp
+    - q2 n1^perp) / (n1 x n2), with n^perp = (n_y, -n_x).  assemble_mass
+    rejects nearly parallel dual normals, so the cross product does not
+    vanish."""
+    s = stag
+    q = _checked(q, (s.n_duals, 2), "gradient")
+    # sub-triangle t is flanked by dual edges t and next_slot[t]
+    n1, n2 = s.dual_normal, s.dual_normal[s.next_slot]
+    q1, q2 = q, q[s.next_slot]
+    det = n1[:, 0] * n2[:, 1] - n1[:, 1] * n2[:, 0]
+    perp1 = np.stack([n1[:, 1], -n1[:, 0]], axis=1)
+    perp2 = np.stack([n2[:, 1], -n2[:, 0]], axis=1)
+    return (q1[:, :, None] * perp2[:, None, :]
+            - q2[:, :, None] * perp1[:, None, :]) / det[:, None, None]
 
 
 # ---------------------------------------------------------------------------
 # Interpolation operators (edge averages / cell means)
 # ---------------------------------------------------------------------------
 
-def interp_velocity(stag: StaggeredMesh, u) -> VelocityField:
-    """Edge-average interpolant: dof on e = (1/|e|) int_e u ds."""
-    return VelocityField(stag, _edge_means(stag, u, np.arange(stag.n_edges)))
+def interp_velocity(stag: StaggeredMesh, u) -> np.ndarray:
+    """Edge-average interpolant (ne, 2): dof on e = (1/|e|) int_e u ds."""
+    return _edge_means(stag, u, np.arange(stag.n_edges))
 
 
-def interp_gradient(stag: StaggeredMesh, omega) -> GradientField:
-    """Dual-edge interpolant: q_e = (1/|e|) int_e omega(x) n_e ds."""
+def interp_gradient(stag: StaggeredMesh, omega) -> np.ndarray:
+    """Dual-edge interpolant (nd, 2): q_e = (1/|e|) int_e omega(x) n_e ds."""
     s = stag
     # dual edge d runs from its cell's x* to cvert[d]; n_d is constant on it
     mean = _block_sums(edge_rule(), s.n_duals, lambda sl: (s.xstar[s.tri_cell[sl]], s.cvert[sl]),
                        omega)
-    return GradientField(stag, np.einsum("dij,dj->di", mean, s.dual_normal))
+    return np.einsum("dij,dj->di", mean, s.dual_normal)
 
 
-def interp_pressure(stag: StaggeredMesh, p) -> PressureField:
-    """Cell-mean interpolant via sub-triangle quadrature."""
+def interp_pressure(stag: StaggeredMesh, p) -> np.ndarray:
+    """Cell-mean interpolant (nc,) via sub-triangle quadrature."""
     per_tri = 2.0 * stag.tri_area * _tri_sums(stag, p)
-    return PressureField(stag, np.add.reduceat(per_tri, stag.cell_ptr[:-1]) / stag.cell_area)
+    return np.add.reduceat(per_tri, stag.cell_ptr[:-1]) / stag.cell_area
 
 
 # ---------------------------------------------------------------------------
@@ -156,25 +131,27 @@ def _l2_error(stag, exact, approx) -> float:
     return float(np.sqrt(2.0 * stag.tri_area @ sq))
 
 
-def error_velocity(u_h: VelocityField, u) -> float:
-    """||u - u_h||_0 with u evaluable at points."""
-    return _l2_error(u_h.stag, u, u_h.on_tris())
+def error_velocity(stag: StaggeredMesh, u_h, u) -> float:
+    """||u - u_h||_0 with u_h (ne, 2) and u evaluable at points."""
+    u_h = _checked(u_h, (stag.n_edges, 2), "velocity")
+    return _l2_error(stag, u, u_h[stag.loc_edge])
 
 
-def error_gradient(omega_h: GradientField, omega) -> float:
-    """||omega - omega_h||_0 (Frobenius) with omega a tensor field."""
-    return _l2_error(omega_h.stag, omega, omega_h.tensors())
+def error_gradient(stag: StaggeredMesh, omega_h, omega) -> float:
+    """||omega - omega_h||_0 (Frobenius) with omega_h (nd, 2) and omega a
+    tensor field."""
+    return _l2_error(stag, omega, gradient_tensors(stag, omega_h))
 
 
-def error_pressure(p_h: PressureField, p) -> float:
-    """||p - p_h||_0."""
-    s = p_h.stag
-    return _l2_error(s, p, p_h.values[s.tri_cell])
+def error_pressure(stag: StaggeredMesh, p_h, p) -> float:
+    """||p - p_h||_0 with p_h (nc,)."""
+    p_h = _checked(p_h, (stag.n_cells,), "pressure")
+    return _l2_error(stag, p, p_h[stag.tri_cell])
 
 
-def error_super(u_h: VelocityField, u) -> float:
-    """||I_h u - u_h||_0: exact sum, both fields piecewise constant."""
-    s = u_h.stag
-    ih = interp_velocity(s, u)
-    diff = ih.on_tris() - u_h.on_tris()
-    return float(np.sqrt(np.einsum("t,tc,tc->", s.tri_area, diff, diff)))
+def error_super(stag: StaggeredMesh, u_h, u) -> float:
+    """||I_h u - u_h||_0 with u_h (ne, 2): exact sum, both fields piecewise
+    constant."""
+    u_h = _checked(u_h, (stag.n_edges, 2), "velocity")
+    diff = (interp_velocity(stag, u) - u_h)[stag.loc_edge]
+    return float(np.sqrt(np.einsum("t,tc,tc->", stag.tri_area, diff, diff)))

@@ -243,18 +243,19 @@ def cells_of(mesh):
     return [c.tolist() for c in np.split(mesh.cell_idx, mesh.cell_ptr[1:-1])]
 
 
-def pressure_mean(p):
-    """The area-weighted mean of a pressure field, which the solve makes 0."""
-    area = p.stag.cell_area
-    return float(area @ p.values / area.sum())
+def pressure_mean(stag, values):
+    """The area-weighted mean of a pressure field (values (n_cells,)), which
+    the solve makes 0."""
+    area = stag.cell_area
+    return float(area @ values / area.sum())
 
 
-def jump_norm(v):
-    """The paper's jump seminorm of a velocity field over the dual edges,
-    (sum h_e^-1 ||[v]||_{0,e}^2)^(1/2): with h_e = |e| and [v] constant on
-    each edge, every term is |[v]|^2."""
-    tv = v.on_tris()
-    jump = tv[v.stag.prev_slot] - tv
+def jump_norm(stag, values):
+    """The paper's jump seminorm of a velocity field (values (n_edges, 2))
+    over the dual edges, (sum h_e^-1 ||[v]||_{0,e}^2)^(1/2): with h_e = |e|
+    and [v] constant on each edge, every term is |[v]|^2."""
+    tv = values[stag.loc_edge]
+    jump = tv[stag.prev_slot] - tv
     return float(np.sqrt(np.sum(jump * jump)))
 
 

@@ -65,7 +65,7 @@ def edge_fluxes(verts, field):
     """r_i = (1/|e_i|) int_{e_i} field . n_i ds as the solver forms them: the
     edge-average velocity dofs dotted with the cell's outward normals."""
     stag = one_cell(verts)
-    dofs = interp_velocity(stag, field).values[stag.loc_edge]
+    dofs = interp_velocity(stag, field)[stag.loc_edge]
     return np.einsum("sc,sc->s", dofs, stag.cnorm)
 
 
